@@ -2,117 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
-#include <sstream>
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
 
 namespace switchboard::control {
-namespace {
-
-// --- journal-record grammar helpers --------------------------------------
-// Records reuse the bus messages' "k=v;" style (one record per line, no
-// embedded newlines); the parse side mirrors messages.cpp.
-
-std::unordered_map<std::string, std::string> journal_fields(
-    const std::string& record) {
-  std::unordered_map<std::string, std::string> fields;
-  std::istringstream in{record};
-  std::string pair;
-  while (std::getline(in, pair, ';')) {
-    const auto eq = pair.find('=');
-    if (eq == std::string::npos) continue;
-    fields[pair.substr(0, eq)] = pair.substr(eq + 1);
-  }
-  return fields;
-}
-
-std::uint64_t field_u64(
-    const std::unordered_map<std::string, std::string>& fields,
-    const std::string& key) {
-  const auto it = fields.find(key);
-  SWB_CHECK(it != fields.end()) << "journal record missing field " << key;
-  return std::stoull(it->second);
-}
-
-double field_double(
-    const std::unordered_map<std::string, std::string>& fields,
-    const std::string& key) {
-  const auto it = fields.find(key);
-  SWB_CHECK(it != fields.end()) << "journal record missing field " << key;
-  return std::stod(it->second);
-}
-
-std::vector<std::uint32_t> field_u32_list(
-    const std::unordered_map<std::string, std::string>& fields,
-    const std::string& key) {
-  const auto it = fields.find(key);
-  SWB_CHECK(it != fields.end()) << "journal record missing field " << key;
-  std::vector<std::uint32_t> values;
-  std::istringstream in{it->second};
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    if (item.empty()) continue;
-    values.push_back(static_cast<std::uint32_t>(std::stoul(item)));
-  }
-  return values;
-}
-
-/// Round-trip-exact double formatting for journal records.
-std::string exact(double value) {
-  std::ostringstream out;
-  out << std::setprecision(17) << value;
-  return out.str();
-}
-
-std::string pair_record(const char* type, ChainId chain, RouteId route) {
-  std::ostringstream out;
-  out << "t=" << type << ";chain=" << chain.value()
-      << ";route=" << route.value();
-  return out.str();
-}
-
-std::string encode_chain(const ChainRecord& record) {
-  SWB_CHECK(record.spec.name.find(';') == std::string::npos &&
-            record.spec.name.find('\n') == std::string::npos)
-      << "chain name unserializable for the journal";
-  std::ostringstream out;
-  out << "t=chain;id=" << record.id.value() << ";name=" << record.spec.name
-      << ";ins=" << record.spec.ingress_service.value()
-      << ";inn=" << record.spec.ingress_node.value()
-      << ";egs=" << record.spec.egress_service.value()
-      << ";egn=" << record.spec.egress_node.value() << ";vnfs=";
-  for (std::size_t i = 0; i < record.spec.vnfs.size(); ++i) {
-    if (i > 0) out << ',';
-    out << record.spec.vnfs[i].value();
-  }
-  out << ";ft=" << exact(record.spec.forward_traffic)
-      << ";rt=" << exact(record.spec.reverse_traffic)
-      << ";cl=" << record.labels.chain << ";el=" << record.labels.egress_site
-      << ";insite=" << record.ingress_site.value()
-      << ";egsite=" << record.egress_site.value();
-  return out.str();
-}
-
-std::string encode_begin(ChainId chain, RouteId route,
-                         const std::vector<SiteId>& sites) {
-  std::ostringstream out;
-  out << "t=begin;chain=" << chain.value() << ";route=" << route.value()
-      << ";sites=";
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    if (i > 0) out << ',';
-    out << sites[i].value();
-  }
-  return out.str();
-}
-
-}  // namespace
-
 GlobalSwitchboard::GlobalSwitchboard(ControlContext& context, SiteId home_site)
-    : context_{context}, home_site_{home_site}, loads_{context.model} {}
+    : context_{context}, home_site_{home_site}, loads_{context.model} {
+  state_.epoch = 1;   // bumped by every restart
+}
 
 bus::Topic GlobalSwitchboard::routes_topic() const {
   return bus::Topic{"/chains/all", home_site_};
@@ -149,10 +48,7 @@ const ChainRecord& GlobalSwitchboard::record(ChainId chain) const {
 }
 
 const ChainRecord* GlobalSwitchboard::find_record(ChainId chain) const {
-  for (const ChainRecord& r : chains_) {
-    if (r.id == chain) return &r;
-  }
-  return nullptr;
+  return state_.find_chain(chain);
 }
 
 RouteAnnouncement GlobalSwitchboard::to_announcement(
@@ -165,7 +61,7 @@ RouteAnnouncement GlobalSwitchboard::to_announcement(
   announcement.ingress_site = record.ingress_site;
   announcement.egress_site = record.egress_site;
   announcement.weight = route.weight;
-  announcement.epoch = epoch_;
+  announcement.epoch = state_.epoch;
   for (std::size_t z = 1; z <= record.spec.vnfs.size(); ++z) {
     announcement.hops.push_back(RouteHop{z, record.spec.vnfs[z - 1],
                                          route.vnf_sites[z - 1]});
@@ -197,7 +93,7 @@ GlobalSwitchboard::ModelShape GlobalSwitchboard::model_shape() const {
 
 void GlobalSwitchboard::rebuild_loads_into(te::Loads& loads) const {
   loads.reset();
-  for (const ChainRecord& record : chains_) {
+  for (const ChainRecord& record : state_.chains) {
     if (!record.active) continue;
     const model::Chain& chain = context_.model.chain(record.id);
     for (const RouteRecord& route : record.routes) {
@@ -244,6 +140,13 @@ void GlobalSwitchboard::apply_route_loads(const ChainRecord& record,
 
 void GlobalSwitchboard::create_chain(const ChainSpec& spec,
                                      CreationCallback done) {
+  if (!journal_safe_name(spec.name)) {
+    context_.sim.schedule(0, [done = std::move(done)] {
+      done(Result<CreationReport>{ErrorCode::kInvalidArgument,
+                                  "chain name holds ';' or a newline"});
+    });
+    return;
+  }
   CreationReport report;
   report.started = context_.sim.now();
   report.events.push_back({"spec_received", context_.sim.now()});
@@ -252,10 +155,10 @@ void GlobalSwitchboard::create_chain(const ChainSpec& spec,
   // (parallel RPC round trip + controller processing).
   const sim::Duration resolve_delay = 2 * context_.timings.controller_rpc +
                                       context_.timings.controller_processing;
-  const std::uint64_t ep = epoch_;
+  const std::uint64_t ep = state_.epoch;
   context_.sim.schedule(resolve_delay, [this, ep, spec, report,
                                         done = std::move(done)]() mutable {
-    if (!up_ || ep != epoch_) return;   // the requesting incarnation died
+    if (!up_ || ep != state_.epoch) return;   // the requesting incarnation died
     if (spec.ingress_service.value() >= edge_controllers_.size() ||
         edge_controllers_[spec.ingress_service.value()] == nullptr ||
         spec.egress_service.value() >= edge_controllers_.size() ||
@@ -287,27 +190,19 @@ void GlobalSwitchboard::create_chain(const ChainSpec& spec,
     chain.reverse_traffic.assign(spec.vnfs.size() + 1, spec.reverse_traffic);
     const ChainId chain_id = context_.model.add_chain(std::move(chain));
 
-    ChainRecord record;
-    record.id = chain_id;
-    record.spec = spec;
-    record.labels = dataplane::Labels{1000 + chain_id.value(),
-                                      egress.value().value()};
-    record.ingress_site = *ingress;
-    record.egress_site = *egress;
-    chains_.push_back(record);
-    journal_append(encode_chain(record));
+    const dataplane::Labels labels{1000 + chain_id.value(),
+                                   egress.value().value()};
+    apply_and_log(
+        ChainRecord{chain_id, spec, labels, *ingress, *egress, {}, false});
     report.chain = chain_id;
-    report.labels = record.labels;
+    report.labels = labels;
 
     // Fig. 4 step 2: compute the wide-area route.
     context_.sim.schedule(
         context_.timings.route_compute,
         [this, ep, chain_id, report, done = std::move(done)]() mutable {
-          if (!up_ || ep != epoch_) return;
-          ChainRecord* rec = nullptr;
-          for (ChainRecord& r : chains_) {
-            if (r.id == chain_id) rec = &r;
-          }
+          if (!up_ || ep != state_.epoch) return;
+          ChainRecord* rec = state_.find_chain(chain_id);
           SWB_CHECK(rec != nullptr);
           te::DpOptions options = dp_options_;
           ensure_loads_current();   // resizes after late VNF registration
@@ -331,7 +226,7 @@ void GlobalSwitchboard::create_chain(const ChainSpec& spec,
             return;
           }
           RouteRecord route_record;
-          route_record.id = RouteId{next_route_id_++};
+          route_record.id = RouteId{state_.next_route_id++};
           route_record.weight = 1.0;
           route_record.vnf_sites = std::move(*vnf_sites);
           report.route = route_record.id;
@@ -362,20 +257,18 @@ void GlobalSwitchboard::commit_route(
   // Journal the 2PC intent before any participant hears about it: after a
   // crash anywhere in the round, recovery knows this (chain, route, sites)
   // begun and can re-drive or abort it.
-  journal_append(encode_begin(chain_id, route.id, route.vnf_sites));
-  inflight_[{chain_id.value(), route.id.value()}] =
-      Inflight{route.vnf_sites, /*prepared=*/false};
+  apply_and_log(BeginRecord{chain_id, route.id, route.vnf_sites});
 
   // Two-phase commit, prepare round: parallel RPCs to each VNF controller
   // (round trip + processing).
   const sim::Duration prepare_delay = 2 * context_.timings.controller_rpc +
                                       context_.timings.controller_processing;
-  const std::uint64_t ep = epoch_;
+  const std::uint64_t ep = state_.epoch;
   context_.sim.schedule(
       prepare_delay,
       [this, ep, chain_id, route, report, done = std::move(done), excluded,
        attempt]() mutable {
-        if (!up_ || ep != epoch_) return;
+        if (!up_ || ep != state_.epoch) return;
         start_prepare_round(chain_id, std::move(route), std::move(report),
                             std::move(done), std::move(excluded), attempt,
                             /*rpc_retry=*/0);
@@ -387,10 +280,7 @@ void GlobalSwitchboard::start_prepare_round(
     CreationCallback done,
     std::set<std::pair<std::uint32_t, std::uint32_t>> excluded,
     std::size_t attempt, std::size_t rpc_retry) {
-  ChainRecord* rec = nullptr;
-  for (ChainRecord& r : chains_) {
-    if (r.id == chain_id) rec = &r;
-  }
+  ChainRecord* rec = state_.find_chain(chain_id);
   SWB_CHECK(rec != nullptr);
   const model::Chain& chain = context_.model.chain(chain_id);
 
@@ -414,7 +304,7 @@ void GlobalSwitchboard::start_prepare_round(
         context_.model.vnf(vnf).load_per_unit *
         (chain.stage_traffic(z) + chain.stage_traffic(z + 1)) *
         route.weight;
-    if (controller->prepare(chain_id, route.id, site, load, z, epoch_)) {
+    if (controller->prepare(chain_id, route.id, site, load, z, state_.epoch)) {
       prepared_vnfs.insert(vnf.value());
     } else {
       all_prepared = false;
@@ -427,10 +317,9 @@ void GlobalSwitchboard::start_prepare_round(
     // Abort the reservations made so far and recompute with the
     // rejecting placement excluded (Section 3, chain creation).
     for (const std::uint32_t vnf : prepared_vnfs) {
-      vnf_controllers_[vnf]->abort(chain_id, route.id, epoch_);
+      vnf_controllers_[vnf]->abort(chain_id, route.id, state_.epoch);
     }
-    journal_append(pair_record("abort", chain_id, route.id));
-    inflight_.erase({chain_id.value(), route.id.value()});
+    apply_and_log(AbortRecord{chain_id, route.id});
     excluded.insert(rejected);
     report.events.push_back({"route_rejected", context_.sim.now()});
     if (attempt + 1 >= 4) {
@@ -439,16 +328,13 @@ void GlobalSwitchboard::start_prepare_round(
           "2PC: no feasible route after repeated rejections"});
       return;
     }
-    const std::uint64_t ep = epoch_;
+    const std::uint64_t ep = state_.epoch;
     context_.sim.schedule(
         context_.timings.route_compute,
         [this, ep, chain_id, report, done = std::move(done), excluded,
          attempt]() mutable {
-          if (!up_ || ep != epoch_) return;
-          ChainRecord* rec2 = nullptr;
-          for (ChainRecord& r : chains_) {
-            if (r.id == chain_id) rec2 = &r;
-          }
+          if (!up_ || ep != state_.epoch) return;
+          ChainRecord* rec2 = state_.find_chain(chain_id);
           SWB_CHECK(rec2 != nullptr);
           te::DpOptions options = dp_options_;
           options.site_allowed = [excluded](VnfId vnf, SiteId site) {
@@ -466,7 +352,7 @@ void GlobalSwitchboard::start_prepare_round(
             return;
           }
           RouteRecord route_record;
-          route_record.id = RouteId{next_route_id_++};
+          route_record.id = RouteId{state_.next_route_id++};
           route_record.weight = 1.0;
           for (std::size_t z = 1; z <= rec2->spec.vnfs.size(); ++z) {
             route_record.vnf_sites.push_back(retry.sites[z]);
@@ -487,22 +373,21 @@ void GlobalSwitchboard::start_prepare_round(
                     << route.id << " gave up after " << rpc_retry
                     << " retries";
       for (const std::uint32_t vnf : prepared_vnfs) {
-        vnf_controllers_[vnf]->abort(chain_id, route.id, epoch_);
+        vnf_controllers_[vnf]->abort(chain_id, route.id, state_.epoch);
       }
-      journal_append(pair_record("abort", chain_id, route.id));
-      inflight_.erase({chain_id.value(), route.id.value()});
+      apply_and_log(AbortRecord{chain_id, route.id});
       done(Result<CreationReport>{
           ErrorCode::kUnavailable,
           "2PC prepare: participant unreachable after retries"});
       return;
     }
-    const std::uint64_t retry_ep = epoch_;
+    const std::uint64_t retry_ep = state_.epoch;
     context_.sim.schedule(
         context_.timings.rpc_timeout + rpc_backoff(context_.timings,
                                                    rpc_retry),
         [this, retry_ep, chain_id, route, report, done = std::move(done),
          excluded, attempt, rpc_retry]() mutable {
-          if (!up_ || retry_ep != epoch_) return;
+          if (!up_ || retry_ep != state_.epoch) return;
           start_prepare_round(chain_id, std::move(route), std::move(report),
                               std::move(done), std::move(excluded), attempt,
                               rpc_retry + 1);
@@ -514,23 +399,22 @@ void GlobalSwitchboard::start_prepare_round(
   // Every participant voted yes: journal it so a crash from here on
   // re-drives the commit round instead of aborting (participants may have
   // already committed by then; re-commits are idempotent).
-  journal_append(pair_record("prep", chain_id, route.id));
-  inflight_[{chain_id.value(), route.id.value()}].prepared = true;
+  apply_and_log(PrepRecord{chain_id, route.id});
 
   // Commit round — behind the quorum barrier: with replication on, the
   // prep record must be durable on a quorum before any participant hears
   // commit, or a failed-over leader could abort a round whose
   // participants already committed.
-  const std::uint64_t commit_ep = epoch_;
+  const std::uint64_t commit_ep = state_.epoch;
   after_quorum([this, commit_ep, chain_id, route = std::move(route),
                 report = std::move(report), done = std::move(done)]() mutable {
-    if (!up_ || commit_ep != epoch_) return;
+    if (!up_ || commit_ep != state_.epoch) return;
     context_.sim.schedule(
         context_.timings.controller_rpc +
             context_.timings.controller_processing,
         [this, commit_ep, chain_id, route = std::move(route),
          report = std::move(report), done = std::move(done)]() mutable {
-          if (!up_ || commit_ep != epoch_) return;
+          if (!up_ || commit_ep != state_.epoch) return;
           start_commit_round(chain_id, std::move(route), std::move(report),
                              std::move(done), /*rpc_retry=*/0);
         });
@@ -541,10 +425,7 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
                                            CreationReport report,
                                            CreationCallback done,
                                            std::size_t rpc_retry) {
-  ChainRecord* rec2 = nullptr;
-  for (ChainRecord& r : chains_) {
-    if (r.id == chain_id) rec2 = &r;
-  }
+  ChainRecord* rec2 = state_.find_chain(chain_id);
   SWB_CHECK(rec2 != nullptr);
 
   // Commits to reachable participants; re-delivery on retry is idempotent
@@ -557,7 +438,8 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
       timed_out = true;
       continue;
     }
-    controller->commit(chain_id, route.id, rec2->labels.egress_site, epoch_);
+    controller->commit(chain_id, route.id, rec2->labels.egress_site,
+                       state_.epoch);
   }
 
   if (timed_out) {
@@ -573,20 +455,19 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
       // participants: an abort the standbys never saw would make a
       // failed-over leader re-drive this prepared round against
       // participants that already rolled back.
-      journal_append(pair_record("abort", chain_id, route.id));
-      inflight_.erase({chain_id.value(), route.id.value()});
-      const std::uint64_t abort_ep = epoch_;
+      apply_and_log(AbortRecord{chain_id, route.id});
+      const std::uint64_t abort_ep = state_.epoch;
       after_quorum([this, abort_ep, chain_id, route_id = route.id,
                     done = std::move(done)]() mutable {
-        if (!up_ || abort_ep != epoch_) return;
+        if (!up_ || abort_ep != state_.epoch) return;
         const ChainRecord* rec3 = find_record(chain_id);
         SWB_CHECK(rec3 != nullptr);
         for (std::size_t z = 1; z <= rec3->spec.vnfs.size(); ++z) {
           VnfController* controller =
               vnf_controllers_[rec3->spec.vnfs[z - 1].value()];
           if (!controller->up()) continue;
-          controller->abort(chain_id, route_id, epoch_);
-          controller->release(chain_id, route_id, epoch_);
+          controller->abort(chain_id, route_id, state_.epoch);
+          controller->release(chain_id, route_id, state_.epoch);
         }
         done(Result<CreationReport>{
             ErrorCode::kUnavailable,
@@ -594,13 +475,13 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
       });
       return;
     }
-    const std::uint64_t ep = epoch_;
+    const std::uint64_t ep = state_.epoch;
     context_.sim.schedule(
         context_.timings.rpc_timeout + rpc_backoff(context_.timings,
                                                    rpc_retry),
         [this, ep, chain_id, route, report, done = std::move(done),
          rpc_retry]() mutable {
-          if (!up_ || ep != epoch_) return;
+          if (!up_ || ep != state_.epoch) return;
           start_commit_round(chain_id, std::move(route), std::move(report),
                              std::move(done), rpc_retry + 1);
         });
@@ -609,15 +490,13 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
   report.events.push_back({"committed", context_.sim.now()});
 
   // The round is durable-committed from this point: replay re-applies the
-  // route and recovery re-drives participant commits if needed.
-  journal_append(pair_record("commit", chain_id, route.id));
-  inflight_.erase({chain_id.value(), route.id.value()});
-
-  // Apply to memory synchronously with the append — a snapshot cut while
-  // the quorum barrier below is pending must already reflect this commit,
-  // or its log truncation would lose the route.
+  // route and recovery re-drives participant commits if needed.  The
+  // commit moves the route into the chain before its record is appended,
+  // so a snapshot cut by the append (or while the quorum barrier below is
+  // pending) already holds it.  Loads are brought current first: a
+  // rebuild must not see the new route before its delta below.
   ensure_loads_current();
-  rec2->routes.push_back(route);
+  apply_and_log(CommitRecord{chain_id, route.id});
   // Route weights rebalance equally (Fig. 10: the new route takes
   // an even share of new connections).  Loads are adjusted by the
   // per-route weight deltas instead of a full rebuild over every
@@ -635,35 +514,32 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
 
   // Acknowledgment — behind the quorum barrier: routes are published,
   // edge instances announced, readiness tracked, and `done` armed only
-  // once a quorum of replicas has the commit record durable.  rec2 is
-  // re-found inside the resume: chains_ may reallocate while the barrier
-  // is pending.
-  const std::uint64_t activate_ep = epoch_;
+  // once a quorum of replicas has the commit record durable.  The chain is
+  // re-found inside the resume: the chain vector may reallocate while the
+  // barrier is pending.
+  const std::uint64_t activate_ep = state_.epoch;
   after_quorum([this, activate_ep, chain_id, route = std::move(route),
                 report = std::move(report), done = std::move(done)]() mutable {
-    if (!up_ || activate_ep != epoch_) return;
-    ChainRecord* rec2 = nullptr;
-    for (ChainRecord& r : chains_) {
-      if (r.id == chain_id) rec2 = &r;
-    }
-    SWB_CHECK(rec2 != nullptr);
+    if (!up_ || activate_ep != state_.epoch) return;
+    const ChainRecord* rec = state_.find_chain(chain_id);
+    SWB_CHECK(rec != nullptr);
 
-    publish_routes(*rec2);
+    publish_routes(*rec);
     report.events.push_back({"routes_published", context_.sim.now()});
 
     // Edge controllers allocate + announce instances (Fig. 4 step 4).
-    edge_controllers_[rec2->spec.ingress_service.value()]
-        ->announce_edge_instance(chain_id, rec2->labels.egress_site,
-                                 rec2->ingress_site);
-    edge_controllers_[rec2->spec.egress_service.value()]
-        ->announce_edge_instance(chain_id, rec2->labels.egress_site,
-                                 rec2->egress_site);
+    edge_controllers_[rec->spec.ingress_service.value()]
+        ->announce_edge_instance(chain_id, rec->labels.egress_site,
+                                 rec->ingress_site);
+    edge_controllers_[rec->spec.egress_service.value()]
+        ->announce_edge_instance(chain_id, rec->labels.egress_site,
+                                 rec->egress_site);
 
     // Track readiness of every involved site.
     PendingActivation pending;
     pending.chain = chain_id;
     pending.route = route.id;
-    pending.waiting_sites = involved_sites(*rec2, route);
+    pending.waiting_sites = involved_sites(*rec, route);
     pending.report = std::move(report);
     pending.done = std::move(done);
     pending_.push_back(std::move(pending));
@@ -676,10 +552,7 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
 void GlobalSwitchboard::add_route(ChainId chain,
                                   const std::vector<SiteId>& preferred_vnf_sites,
                                   CreationCallback done) {
-  ChainRecord* rec = nullptr;
-  for (ChainRecord& r : chains_) {
-    if (r.id == chain) rec = &r;
-  }
+  ChainRecord* rec = state_.find_chain(chain);
   if (rec == nullptr || !rec->active) {
     context_.sim.schedule(0, [done = std::move(done)] {
       done(Result<CreationReport>{ErrorCode::kNotFound,
@@ -694,19 +567,16 @@ void GlobalSwitchboard::add_route(ChainId chain,
   report.labels = rec->labels;
   report.events.push_back({"route_requested", context_.sim.now()});
 
-  const std::uint64_t ep = epoch_;
+  const std::uint64_t ep = state_.epoch;
   context_.sim.schedule(
       context_.timings.route_compute,
       [this, ep, chain, preferred_vnf_sites, report,
        done = std::move(done)]() mutable {
-        if (!up_ || ep != epoch_) return;
-        ChainRecord* rec2 = nullptr;
-        for (ChainRecord& r : chains_) {
-          if (r.id == chain) rec2 = &r;
-        }
+        if (!up_ || ep != state_.epoch) return;
+        ChainRecord* rec2 = state_.find_chain(chain);
         SWB_CHECK(rec2 != nullptr);
         RouteRecord route_record;
-        route_record.id = RouteId{next_route_id_++};
+        route_record.id = RouteId{state_.next_route_id++};
         // The new route takes an equal share of traffic.
         route_record.weight =
             1.0 / static_cast<double>(rec2->routes.size() + 1);
@@ -748,25 +618,13 @@ void GlobalSwitchboard::add_route(ChainId chain,
 }
 
 void GlobalSwitchboard::check_invariants() const {
-  // Chain ids are allocator-unique; names are a human label with no
-  // uniqueness contract (specs may leave them empty).
-  std::set<std::uint32_t> chain_ids;
-  for (const ChainRecord& record : chains_) {
-    SWB_CHECK(chain_ids.insert(record.id.value()).second)
-        << "duplicate chain id " << record.id.value();
-
-    std::set<std::uint32_t> route_ids;
+  // Structure (ids, allocator, stage counts, rounds) is the state's own
+  // audit; weights and `active` are derived here.  Names are a human label
+  // with no uniqueness contract (specs may leave them empty).
+  state_.check_invariants();
+  for (const ChainRecord& record : state_.chains) {
     double weight_sum = 0.0;
     for (const RouteRecord& route : record.routes) {
-      SWB_CHECK_LT(route.id.value(), next_route_id_)
-          << "route id outside the allocator for chain " << record.id.value();
-      SWB_CHECK(route_ids.insert(route.id.value()).second)
-          << "duplicate route id " << route.id.value() << " in chain "
-          << record.id.value();
-      // One placement per VNF stage — the announcement builder indexes
-      // vnf_sites positionally against spec.vnfs.
-      SWB_CHECK_EQ(route.vnf_sites.size(), record.spec.vnfs.size())
-          << "chain " << record.id.value() << " route " << route.id.value();
       SWB_CHECK(route.weight > 0.0 && route.weight <= 1.0 + 1e-9)
           << "chain " << record.id.value() << " route " << route.id.value()
           << " weight " << route.weight;
@@ -843,16 +701,9 @@ RecoveryReport GlobalSwitchboard::on_instance_down(VnfId vnf, SiteId site) {
   // Remember the healthy capacity (first report only — a site death fans
   // out one report per pool, and repeats must not save the zeroed value)
   // so on_instance_up can undo the zeroing, across crashes.
-  const auto pool = std::make_pair(vnf.value(), site.value());
-  if (dead_pools_.find(pool) == dead_pools_.end()) {
+  if (state_.dead_pools.count({vnf.value(), site.value()}) == 0) {
     const double capacity = context_.model.vnf(vnf).capacity_at(site);
-    if (capacity > 0.0) {
-      dead_pools_[pool] = capacity;
-      std::ostringstream record;
-      record << "t=pooldown;vnf=" << vnf.value() << ";site=" << site.value()
-             << ";cap=" << exact(capacity);
-      journal_append(record.str());
-    }
+    if (capacity > 0.0) apply_and_log(PoolDownRecord{vnf, site, capacity});
   }
   // The dead pool contributes no capacity until restored: route
   // computation (replacements and future chains) avoids the site, and a
@@ -883,9 +734,9 @@ RecoveryReport GlobalSwitchboard::on_instance_down(VnfId vnf, SiteId site) {
         });
   };
   if (quorum_gate_ == nullptr) return actions();
-  const std::uint64_t ep = epoch_;
+  const std::uint64_t ep = state_.epoch;
   quorum_gate_([this, ep, actions] {
-    if (!up_ || ep != epoch_) return;
+    if (!up_ || ep != state_.epoch) return;
     actions();
   });
   return RecoveryReport{};
@@ -941,12 +792,11 @@ RecoveryReport GlobalSwitchboard::retire_routes(
         doomed) {
   RecoveryReport report;
   ensure_loads_current();
-  for (ChainRecord& record : chains_) {
+  for (ChainRecord& record : state_.chains) {
     if (!record.active) continue;
     std::vector<RouteRecord> removed;
-    std::vector<RouteRecord> kept;
     for (const RouteRecord& route : record.routes) {
-      (doomed(record, route) ? removed : kept).push_back(route);
+      if (doomed(record, route)) removed.push_back(route);
     }
     if (removed.empty()) continue;
     ++report.affected_chains;
@@ -970,10 +820,12 @@ RecoveryReport GlobalSwitchboard::retire_routes(
         if (vnf.value() >= vnf_controllers_.size()) continue;
         VnfController* controller = vnf_controllers_[vnf.value()];
         if (controller != nullptr && controller->up()) {
-          controller->release(record.id, route.id, epoch_);
+          controller->release(record.id, route.id, state_.epoch);
         }
       }
-      journal_append(pair_record("retire", record.id, route.id));
+      // Retiring drops the route from record.routes before the record is
+      // appended, so a snapshot cut here no longer holds it.
+      apply_and_log(RetireRecord{record.id, route.id});
       apply_route_loads(record, route, -route.weight);
 
       // A failure racing activation: complete the waiting creation with an
@@ -992,7 +844,6 @@ RecoveryReport GlobalSwitchboard::retire_routes(
         break;
       }
     }
-    record.routes = std::move(kept);
 
     if (!record.routes.empty()) {
       // Survivors split the chain's traffic evenly again; only the
@@ -1026,14 +877,11 @@ void GlobalSwitchboard::replace_route(ChainId chain) {
   report.started = context_.sim.now();
   report.chain = chain;
   report.events.push_back({"replacement_requested", context_.sim.now()});
-  const std::uint64_t ep = epoch_;
+  const std::uint64_t ep = state_.epoch;
   context_.sim.schedule(
       context_.timings.route_compute, [this, ep, chain, report]() mutable {
-        if (!up_ || ep != epoch_) return;
-        ChainRecord* rec = nullptr;
-        for (ChainRecord& r : chains_) {
-          if (r.id == chain) rec = &r;
-        }
+        if (!up_ || ep != state_.epoch) return;
+        ChainRecord* rec = state_.find_chain(chain);
         SWB_CHECK(rec != nullptr);
         report.labels = rec->labels;
         ensure_loads_current();
@@ -1057,7 +905,7 @@ void GlobalSwitchboard::replace_route(ChainId chain) {
           return;
         }
         RouteRecord route_record;
-        route_record.id = RouteId{next_route_id_++};
+        route_record.id = RouteId{state_.next_route_id++};
         route_record.weight = 1.0;
         route_record.vnf_sites = std::move(*vnf_sites);
         report.route = route_record.id;
@@ -1110,21 +958,26 @@ void GlobalSwitchboard::enable_durability(StateJournal* journal) {
   // Persist the current state as the base snapshot so a crash before the
   // first journaled change still recovers the epoch and any pre-existing
   // chains.
-  journal_->write_snapshot(encode_snapshot());
+  journal_->write_snapshot(state_.snapshot());
 }
 
-void GlobalSwitchboard::journal_append(const std::string& record) {
+void GlobalSwitchboard::apply_and_log(JournalRecord change) {
+  std::string line;
+  if (journal_ != nullptr) line = encode_record(change);
+  const Status applied = state_.apply(std::move(change));
+  SWB_CHECK(applied.ok()) << "live change does not apply: "
+                          << applied.error().message;
   if (journal_ == nullptr) return;
-  journal_->append(record);
+  journal_->append(line);
   // The replication stream taps every append, in order, right here.
-  if (journal_observer_) journal_observer_(record);
+  if (journal_observer_) journal_observer_(line);
   if (journal_->wants_snapshot()) {
     if (compaction_gate_) {
       // Replicated mode: the snapshot is first installed on a quorum of
       // followers; the gate calls compact_journal_now() on their ack.
       compaction_gate_();
     } else {
-      journal_->write_snapshot(encode_snapshot());
+      journal_->write_snapshot(state_.snapshot());
     }
   }
 }
@@ -1156,212 +1009,78 @@ void GlobalSwitchboard::compact_journal_now() {
   // Re-encode at call time: records appended while the replicated install
   // was in flight are part of the state by now, so truncation loses
   // nothing.
-  journal_->write_snapshot(encode_snapshot());
-}
-
-std::vector<std::string> GlobalSwitchboard::encode_snapshot() const {
-  // One grammar for snapshot and log: a snapshot is just the shortest
-  // record sequence that replays to the current state.
-  std::vector<std::string> records;
-  records.push_back("t=epoch;n=" + std::to_string(epoch_));
-  records.push_back("t=nri;n=" + std::to_string(next_route_id_));
-  for (const ChainRecord& record : chains_) {
-    records.push_back(encode_chain(record));
-    for (const RouteRecord& route : record.routes) {
-      records.push_back(encode_begin(record.id, route.id, route.vnf_sites));
-      records.push_back(pair_record("commit", record.id, route.id));
-    }
-  }
-  for (const auto& [pool, capacity] : dead_pools_) {
-    std::ostringstream out;
-    out << "t=pooldown;vnf=" << pool.first << ";site=" << pool.second
-        << ";cap=" << exact(capacity);
-    records.push_back(out.str());
-  }
-  for (const auto& [key, round] : inflight_) {
-    const ChainId chain{key.first};
-    const RouteId route{key.second};
-    records.push_back(encode_begin(chain, route, round.vnf_sites));
-    if (round.prepared) {
-      records.push_back(pair_record("prep", chain, route));
-    }
-  }
-  return records;
-}
-
-void GlobalSwitchboard::replay_record(const std::string& record,
-                                      std::uint64_t& max_epoch) {
-  const auto fields = journal_fields(record);
-  const auto type_it = fields.find("t");
-  SWB_CHECK(type_it != fields.end()) << "journal record without type";
-  const std::string& type = type_it->second;
-
-  if (type == "epoch") {
-    max_epoch = std::max(max_epoch, field_u64(fields, "n"));
-  } else if (type == "nri") {
-    next_route_id_ = std::max<std::uint32_t>(
-        next_route_id_, static_cast<std::uint32_t>(field_u64(fields, "n")));
-  } else if (type == "chain") {
-    // The network model is shared infrastructure state, not coordinator
-    // memory: the chain is still registered there, only the coordinator's
-    // record is rebuilt.
-    ChainRecord rec;
-    rec.id = ChainId{static_cast<std::uint32_t>(field_u64(fields, "id"))};
-    const auto name = fields.find("name");
-    rec.spec.name = name != fields.end() ? name->second : std::string{};
-    rec.spec.ingress_service =
-        EdgeServiceId{static_cast<std::uint32_t>(field_u64(fields, "ins"))};
-    rec.spec.ingress_node =
-        NodeId{static_cast<std::uint32_t>(field_u64(fields, "inn"))};
-    rec.spec.egress_service =
-        EdgeServiceId{static_cast<std::uint32_t>(field_u64(fields, "egs"))};
-    rec.spec.egress_node =
-        NodeId{static_cast<std::uint32_t>(field_u64(fields, "egn"))};
-    for (const std::uint32_t vnf : field_u32_list(fields, "vnfs")) {
-      rec.spec.vnfs.push_back(VnfId{vnf});
-    }
-    rec.spec.forward_traffic = field_double(fields, "ft");
-    rec.spec.reverse_traffic = field_double(fields, "rt");
-    rec.labels = dataplane::Labels{
-        static_cast<std::uint32_t>(field_u64(fields, "cl")),
-        static_cast<std::uint32_t>(field_u64(fields, "el"))};
-    rec.ingress_site =
-        SiteId{static_cast<std::uint32_t>(field_u64(fields, "insite"))};
-    rec.egress_site =
-        SiteId{static_cast<std::uint32_t>(field_u64(fields, "egsite"))};
-    chains_.push_back(std::move(rec));
-  } else if (type == "begin") {
-    const std::uint32_t chain =
-        static_cast<std::uint32_t>(field_u64(fields, "chain"));
-    const std::uint32_t route =
-        static_cast<std::uint32_t>(field_u64(fields, "route"));
-    Inflight round;
-    for (const std::uint32_t site : field_u32_list(fields, "sites")) {
-      round.vnf_sites.push_back(SiteId{site});
-    }
-    inflight_[{chain, route}] = std::move(round);
-    next_route_id_ = std::max(next_route_id_, route + 1);
-  } else if (type == "prep") {
-    const auto key = std::make_pair(
-        static_cast<std::uint32_t>(field_u64(fields, "chain")),
-        static_cast<std::uint32_t>(field_u64(fields, "route")));
-    const auto it = inflight_.find(key);
-    SWB_CHECK(it != inflight_.end()) << "prep without begin: " << record;
-    it->second.prepared = true;
-  } else if (type == "commit") {
-    const auto key = std::make_pair(
-        static_cast<std::uint32_t>(field_u64(fields, "chain")),
-        static_cast<std::uint32_t>(field_u64(fields, "route")));
-    const auto it = inflight_.find(key);
-    SWB_CHECK(it != inflight_.end()) << "commit without begin: " << record;
-    for (ChainRecord& rec : chains_) {
-      if (rec.id.value() != key.first) continue;
-      RouteRecord route;
-      route.id = RouteId{key.second};
-      route.vnf_sites = std::move(it->second.vnf_sites);
-      route.weight = 1.0;   // rebalanced to 1/N once replay finishes
-      rec.routes.push_back(std::move(route));
-      inflight_.erase(it);
-      return;
-    }
-    SWB_CHECK(false) << "commit for unknown chain: " << record;
-  } else if (type == "abort" || type == "retire") {
-    const auto key = std::make_pair(
-        static_cast<std::uint32_t>(field_u64(fields, "chain")),
-        static_cast<std::uint32_t>(field_u64(fields, "route")));
-    inflight_.erase(key);
-    for (ChainRecord& rec : chains_) {
-      if (rec.id.value() != key.first) continue;
-      std::erase_if(rec.routes, [&](const RouteRecord& route) {
-        return route.id.value() == key.second;
-      });
-    }
-  } else if (type == "pooldown") {
-    dead_pools_[{static_cast<std::uint32_t>(field_u64(fields, "vnf")),
-                 static_cast<std::uint32_t>(field_u64(fields, "site"))}] =
-        field_double(fields, "cap");
-  } else if (type == "poolup") {
-    dead_pools_.erase(
-        {static_cast<std::uint32_t>(field_u64(fields, "vnf")),
-         static_cast<std::uint32_t>(field_u64(fields, "site"))});
-  } else {
-    SWB_CHECK(false) << "unknown journal record type: " << record;
-  }
+  journal_->write_snapshot(state_.snapshot());
 }
 
 ColdStartReport GlobalSwitchboard::cold_start() {
   SWB_CHECK(journal_ != nullptr) << "cold_start requires enable_durability";
   SB_LOG(kInfo) << "durability: cold start from journal '"
                 << journal_->config().name << "'";
-  return restart_from_journal(journal_->replay_cost());
+  // Amnesia: the state is rebuilt from the journal alone.  A record that
+  // does not decode or does not apply is skipped and counted; replay goes
+  // on with the rest.
+  ControllerState replayed;
+  ColdStartReport report;
+  for (const auto& lines :
+       {journal_->snapshot_records(), journal_->log_records()}) {
+    report.replayed_records += lines.size();
+    report.rejected_records += replayed.apply_lines(lines);
+  }
+  report.replay_cost = static_cast<sim::Duration>(report.replayed_records) *
+                       journal_->config().replay_cost_per_record;
+  return restart(std::move(replayed), report);
 }
 
-ColdStartReport GlobalSwitchboard::warm_failover(StateJournal* journal) {
+ColdStartReport GlobalSwitchboard::warm_failover(StateJournal* journal,
+                                                 ControllerState state) {
   SWB_CHECK(journal != nullptr);
   journal_ = journal;
   SB_LOG(kInfo) << "replication: warm failover onto journal '"
                 << journal_->config().name << "'";
-  // The promoted standby applied every record as it arrived: the rebuild
-  // below is bookkeeping, not recovery — no replay cost is charged, the
-  // resolution sweep runs one tick out.
-  return restart_from_journal(sim::Duration{0});
+  // The promoted standby applied every record as it arrived: its state is
+  // adopted as is — nothing is read back and no replay cost is charged.
+  return restart(std::move(state), ColdStartReport{});
 }
 
-ColdStartReport GlobalSwitchboard::restart_from_journal(
-    sim::Duration charged_replay_cost) {
-  // Amnesia: every volatile structure is forgotten, including the epoch —
-  // it is recovered from the journal below.
-  chains_.clear();
+ColdStartReport GlobalSwitchboard::restart(ControllerState state,
+                                           ColdStartReport report) {
+  // Every volatile structure of the old incarnation is forgotten.
+  state_ = std::move(state);
   pending_.clear();
-  inflight_.clear();
-  dead_pools_.clear();
-  next_route_id_ = 0;
 
-  ColdStartReport report;
-  std::uint64_t max_epoch = 0;
-  for (const std::string& record : journal_->snapshot_records()) {
-    replay_record(record, max_epoch);
-    ++report.replayed_records;
-  }
-  for (const std::string& record : journal_->log_records()) {
-    replay_record(record, max_epoch);
-    ++report.replayed_records;
-  }
-
-  // Post-replay normalization: weights rebalance to the same 1/N the live
-  // path maintains, and a chain is active iff it has routes.
-  for (ChainRecord& record : chains_) {
+  // Derived values: weights rebalance to the same 1/N the live path
+  // maintains, and a chain is active iff it has routes.
+  for (ChainRecord& record : state_.chains) {
     record.active = !record.routes.empty();
     if (record.routes.empty()) continue;
     const double weight = 1.0 / static_cast<double>(record.routes.size());
     for (RouteRecord& route : record.routes) route.weight = weight;
     report.routes_restored += record.routes.size();
   }
-  report.chains_restored = chains_.size();
+  report.chains_restored = state_.chains.size();
   rebuild_loads();
 
   // The new incarnation outranks everything the journal has seen; persist
   // the bump so a second crash recovers a still-higher epoch.
-  report.replay_cost = charged_replay_cost;
-  epoch_ = max_epoch + 1;
   up_ = true;
-  report.epoch = epoch_;
-  journal_append("t=epoch;n=" + std::to_string(epoch_));
+  apply_and_log(EpochRecord{state_.epoch + 1});
+  report.epoch = state_.epoch;
   last_cold_start_ = report;
 
   // Charge the replay as simulated downtime, then resolve what the crash
   // interrupted and reconcile the participants.
-  const std::uint64_t ep = epoch_;
+  const std::uint64_t ep = state_.epoch;
   context_.sim.schedule(
       std::max<sim::Duration>(sim::Duration{1}, report.replay_cost),
       [this, ep] {
-        if (!up_ || ep != epoch_) return;
+        if (!up_ || ep != state_.epoch) return;
         resolve_inflight_and_reconcile();
       });
   SB_LOG(kInfo) << "durability: replayed " << report.replayed_records
-                << " record(s), " << report.chains_restored << " chain(s), "
+                << " record(s) (" << report.rejected_records
+                << " rejected), " << report.chains_restored << " chain(s), "
                 << report.routes_restored << " route(s), new epoch "
-                << epoch_;
+                << state_.epoch;
   return report;
 }
 
@@ -1370,7 +1089,7 @@ void GlobalSwitchboard::resolve_inflight_and_reconcile() {
   // unanimous votes, so commit is the only outcome that cannot strand a
   // participant reservation; unprepared rounds abort (no participant may
   // have heard anything, and an abort for an unknown round is a no-op).
-  const auto inflight = inflight_;   // re-drives mutate inflight_
+  const auto inflight = state_.inflight;   // resolution mutates it
   for (const auto& [key, round] : inflight) {
     const ChainId chain{key.first};
     const RouteId route_id{key.second};
@@ -1401,19 +1120,16 @@ void GlobalSwitchboard::resolve_inflight_and_reconcile() {
           /*rpc_retry=*/0);
     } else {
       ++last_cold_start_.aborted_inflight;
-      const ChainRecord* rec = find_record(chain);
-      if (rec != nullptr) {
-        for (const VnfId vnf : rec->spec.vnfs) {
-          if (vnf.value() >= vnf_controllers_.size()) continue;
-          VnfController* controller = vnf_controllers_[vnf.value()];
-          if (controller != nullptr && controller->up()) {
-            controller->abort(chain, route_id, epoch_);
-            ++last_cold_start_.reconciliation_messages;
-          }
+      // A round only begins for a known chain.
+      for (const VnfId vnf : record(chain).spec.vnfs) {
+        if (vnf.value() >= vnf_controllers_.size()) continue;
+        VnfController* controller = vnf_controllers_[vnf.value()];
+        if (controller != nullptr && controller->up()) {
+          controller->abort(chain, route_id, state_.epoch);
+          ++last_cold_start_.reconciliation_messages;
         }
       }
-      journal_append(pair_record("abort", chain, route_id));
-      inflight_.erase(key);
+      apply_and_log(AbortRecord{chain, route_id});
     }
   }
 
@@ -1425,7 +1141,7 @@ void GlobalSwitchboard::resolve_inflight_and_reconcile() {
     ++last_cold_start_.reconciliation_messages;   // the sweep query itself
     for (const auto& [chain, route_id] : controller->committed_routes()) {
       bool owned =
-          inflight_.count({chain.value(), route_id.value()}) > 0;
+          state_.inflight.count({chain.value(), route_id.value()}) > 0;
       if (!owned) {
         const ChainRecord* rec = find_record(chain);
         if (rec != nullptr) {
@@ -1437,7 +1153,7 @@ void GlobalSwitchboard::resolve_inflight_and_reconcile() {
       if (owned) continue;
       SB_LOG(kInfo) << "durability: releasing orphaned capacity for chain "
                     << chain << " route " << route_id;
-      controller->release(chain, route_id, epoch_);
+      controller->release(chain, route_id, state_.epoch);
       ++last_cold_start_.orphans_released;
       ++last_cold_start_.reconciliation_messages;
     }
@@ -1446,7 +1162,7 @@ void GlobalSwitchboard::resolve_inflight_and_reconcile() {
   // Re-publish every active chain under the new epoch so the Local
   // Switchboards' fences advance and any stale-incarnation announcement
   // still in flight is rejected on arrival.
-  for (const ChainRecord& record : chains_) {
+  for (const ChainRecord& record : state_.chains) {
     if (!record.active) continue;
     publish_routes(record);
     last_cold_start_.reconciliation_messages += record.routes.size();
@@ -1458,20 +1174,17 @@ void GlobalSwitchboard::resolve_inflight_and_reconcile() {
 
 void GlobalSwitchboard::on_instance_up(VnfId vnf, SiteId site) {
   if (!up_) return;
-  const auto it = dead_pools_.find({vnf.value(), site.value()});
-  if (it == dead_pools_.end()) return;   // never seen down, or already up
+  const auto it = state_.dead_pools.find({vnf.value(), site.value()});
+  if (it == state_.dead_pools.end()) return;   // never seen down, or up
   SB_LOG(kInfo) << "recovery: vnf " << vnf << " back up at site " << site
                 << ", restoring capacity " << it->second;
   context_.model.set_vnf_site_capacity(vnf, site, it->second);
-  std::ostringstream record;
-  record << "t=poolup;vnf=" << vnf.value() << ";site=" << site.value();
-  journal_append(record.str());
-  dead_pools_.erase(it);
+  apply_and_log(PoolUpRecord{vnf, site});
   // Re-announce the pool so Local Switchboards rebalance onto it — behind
   // the quorum barrier, like the pool-down drain.
-  const std::uint64_t ep = epoch_;
+  const std::uint64_t ep = state_.epoch;
   after_quorum([this, ep, vnf, site] {
-    if (!up_ || ep != epoch_) return;
+    if (!up_ || ep != state_.epoch) return;
     if (vnf.value() < vnf_controllers_.size() &&
         vnf_controllers_[vnf.value()] != nullptr &&
         vnf_controllers_[vnf.value()]->up()) {

@@ -10,13 +10,14 @@
 // and report readiness.  Dynamic route addition (Fig. 10) reuses the same
 // machinery and rebalances route weights.
 //
-// Durability (DESIGN.md §13): with enable_durability() the coordinator
-// writes every committed state change through a control::StateJournal —
-// chain registration, 2PC begin/prepare/commit/abort, route retirement,
-// pool capacity transitions — and carries a monotonically increasing
-// incarnation epoch on every route announcement and participant RPC.
-// After a crash-with-amnesia, cold_start() rebuilds chains/routes/loads
-// from snapshot+replay, re-drives prepared-but-uncommitted 2PC rounds,
+// Durability (DESIGN.md §13): the journaled state is one ControllerState.
+// Every change — chain registration, 2PC begin/prepare/commit/abort,
+// route retirement, pool capacity transitions — is applied to it and then,
+// with enable_durability(), appended to a control::StateJournal; a
+// monotonically increasing incarnation epoch rides on every route
+// announcement and participant RPC.  After a crash-with-amnesia,
+// cold_start() folds snapshot+log through ControllerState::apply(),
+// rebuilds loads, re-drives prepared-but-uncommitted 2PC rounds,
 // aborts begun-but-unprepared ones, reconciles committed capacity against
 // the participants (releasing orphans), and bumps the epoch so stale
 // commands from the previous incarnation are fenced everywhere.
@@ -24,7 +25,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -34,6 +34,7 @@
 #include "bus/topic.hpp"
 #include "common/result.hpp"
 #include "control/context.hpp"
+#include "control/controller_state.hpp"
 #include "control/edge_controller.hpp"
 #include "control/local_switchboard.hpp"
 #include "control/messages.hpp"
@@ -44,34 +45,6 @@
 #include "te/te_engine.hpp"
 
 namespace switchboard::control {
-
-struct ChainSpec {
-  std::string name;
-  EdgeServiceId ingress_service;
-  NodeId ingress_node;
-  EdgeServiceId egress_service;
-  NodeId egress_node;
-  std::vector<VnfId> vnfs;
-  /// Estimated per-stage traffic (customer estimate at first deployment).
-  double forward_traffic{1.0};
-  double reverse_traffic{0.0};
-};
-
-struct RouteRecord {
-  RouteId id;
-  std::vector<SiteId> vnf_sites;   // one per VNF in the chain
-  double weight{1.0};
-};
-
-struct ChainRecord {
-  ChainId id;
-  ChainSpec spec;
-  dataplane::Labels labels;
-  SiteId ingress_site;
-  SiteId egress_site;
-  std::vector<RouteRecord> routes;
-  bool active{false};
-};
 
 struct CreationEvent {
   std::string name;
@@ -107,7 +80,10 @@ struct CreationReport {
 /// (read them via last_cold_start() once the run settles).
 struct ColdStartReport {
   std::uint64_t epoch{0};               // the new incarnation's epoch
+  /// Journal records read (0 for a hot promotion, which reads none).
   std::size_t replayed_records{0};
+  /// Records skipped because they did not decode or did not apply.
+  std::size_t rejected_records{0};
   std::size_t chains_restored{0};
   std::size_t routes_restored{0};
   /// Prepared-but-uncommitted rounds re-driven to commit after replay.
@@ -139,7 +115,8 @@ class GlobalSwitchboard {
   void register_local_switchboard(LocalSwitchboard* local);
 
   /// Creates and activates a chain (Fig. 4).  `done` fires when every
-  /// involved site reported its rules installed.
+  /// involved site reported its rules installed; a name holding ';' or
+  /// '\n' fails with kInvalidArgument.
   void create_chain(const ChainSpec& spec, CreationCallback done);
 
   /// Adds a wide-area route to an active chain (Fig. 10).  When
@@ -181,10 +158,13 @@ class GlobalSwitchboard {
   /// continuations from the old incarnation are dropped by epoch guards.
   void set_up(bool up) { up_ = up; }
   [[nodiscard]] bool up() const { return up_; }
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
+  [[nodiscard]] std::uint64_t epoch() const { return state_.epoch; }
+  /// The journaled state (derived weights and `active` included).
+  [[nodiscard]] const ControllerState& state() const { return state_; }
 
-  /// Crash-with-amnesia recovery: wipes all volatile state, replays
-  /// snapshot+log from the journal, bumps the incarnation epoch, then
+  /// Crash-with-amnesia recovery: wipes all volatile state, folds
+  /// snapshot+log through ControllerState::apply() — skipping and counting
+  /// records that do not decode or apply — bumps the epoch, then
   /// (after the journal's replay cost in simulated time) re-drives
   /// prepared in-flight 2PC rounds, aborts unprepared ones, reconciles
   /// committed capacity against every participant, and re-publishes all
@@ -196,7 +176,8 @@ class GlobalSwitchboard {
 
   /// --- replication hooks (DESIGN.md §18; driven by a ReplicaGroup) -------
   /// Observer of every journaled record, invoked right after the local
-  /// append — the leader-side tap the replication stream rides on.
+  /// append (the change is already applied) — the leader-side tap the
+  /// replication stream rides on.
   void set_journal_observer(std::function<void(const std::string&)> observer);
 
   /// Quorum barrier: when set, the coordinator acknowledges a journaled
@@ -220,19 +201,19 @@ class GlobalSwitchboard {
   /// snapshot install was in flight are never lost to truncation).
   void compact_journal_now();
 
-  /// Full state in journal-record grammar — what a snapshot install
-  /// streams to followers.
+  /// Full state as journal records — what a snapshot install streams to
+  /// followers.
   [[nodiscard]] std::vector<std::string> snapshot_state() const {
-    return encode_snapshot();
+    return state_.snapshot();
   }
 
   /// Leader failover onto a hot standby: re-points the coordinator at the
-  /// promoted replica's journal and rebuilds from it like cold_start(),
-  /// but charges NO replay cost — the standby applied every record as it
-  /// arrived, so promotion is an epoch bump plus the §13 resolution
-  /// sweep (re-drive prepared 2PC, abort unprepared, reconcile,
-  /// re-publish), scheduled one tick out.
-  ColdStartReport warm_failover(StateJournal* journal);
+  /// promoted replica's journal and adopts the state the standby built by
+  /// applying every streamed record — the journal is not read and no
+  /// replay cost is charged.  Promotion is an epoch bump plus the §13
+  /// resolution sweep (re-drive prepared 2PC, abort unprepared,
+  /// reconcile, re-publish), scheduled one tick out.
+  ColdStartReport warm_failover(StateJournal* journal, ControllerState state);
 
   /// A previously-failed VNF pool at `site` is back: restores the
   /// capacity zeroed by on_instance_down and re-announces the pool so
@@ -269,13 +250,6 @@ class GlobalSwitchboard {
     std::set<std::uint32_t> waiting_sites;
     CreationReport report;
     CreationCallback done;
-  };
-
-  /// One 2PC round between its journaled begin and its terminal record —
-  /// exactly what a cold start must resolve.
-  struct Inflight {
-    std::vector<SiteId> vnf_sites;
-    bool prepared{false};
   };
 
   /// Runs 2PC for a route, then publishes and tracks readiness.
@@ -356,21 +330,19 @@ class GlobalSwitchboard {
       const ChainRecord& record, const RouteRecord& route) const;
 
   // --- durability internals ----------------------------------------------
-  /// Appends one record; notifies the journal observer; compacts into a
-  /// snapshot when the journal asks (or defers to the compaction gate).
-  void journal_append(const std::string& record);
+  /// The one entry point for journaled changes: applies `change` to
+  /// state_, then (when durable) appends its record, notifies the journal
+  /// observer, and compacts when the journal asks (or defers to the
+  /// compaction gate).  A snapshot cut here already holds the change.
+  void apply_and_log(JournalRecord change);
   /// Runs `resume` behind the quorum gate when one is set, synchronously
   /// otherwise (single-controller mode keeps its exact pre-replication
   /// timing).  Callers epoch-guard inside `resume`.
   void after_quorum(std::function<void()> resume);
-  /// Shared body of cold_start() and warm_failover(): rebuild from
-  /// journal_, bump the epoch, schedule the resolution sweep after
-  /// `settle_delay` (replay cost for cold starts, one tick for warm
-  /// promotions).
-  ColdStartReport restart_from_journal(sim::Duration charged_replay_cost);
-  /// Full state in journal-record grammar (replayable via replay_record).
-  [[nodiscard]] std::vector<std::string> encode_snapshot() const;
-  void replay_record(const std::string& record, std::uint64_t& max_epoch);
+  /// Shared body of cold_start() and warm_failover(): adopt `state`,
+  /// recompute weights, `active` and loads, bump the epoch, and schedule
+  /// the resolution sweep after report.replay_cost (one tick at least).
+  ColdStartReport restart(ControllerState state, ColdStartReport report);
   /// Post-replay phase: re-drive / abort in-flight rounds, reconcile
   /// participant capacity, re-publish routes under the new epoch.
   void resolve_inflight_and_reconcile();
@@ -380,7 +352,7 @@ class GlobalSwitchboard {
   std::vector<EdgeController*> edge_controllers_;     // by EdgeServiceId
   std::vector<VnfController*> vnf_controllers_;       // by VnfId
   std::vector<LocalSwitchboard*> local_switchboards_; // by SiteId
-  std::vector<ChainRecord> chains_;
+  ControllerState state_;
   std::vector<PendingActivation> pending_;
   te::Loads loads_;
   bool loads_primed_{false};
@@ -392,7 +364,6 @@ class GlobalSwitchboard {
   /// recomputes converge in a handful of pivots.
   lp::Basis lp_basis_;
   bool lp_basis_valid_{false};
-  std::uint32_t next_route_id_{0};
 
   StateJournal* journal_{nullptr};
   /// Replication hooks (unset in single-controller mode; see DESIGN.md §18).
@@ -400,15 +371,6 @@ class GlobalSwitchboard {
   std::function<void(std::function<void()>)> quorum_gate_;
   std::function<void()> compaction_gate_;
   bool up_{true};
-  /// Incarnation epoch, starting at 1 and bumped by every cold start.
-  /// Carried on every route announcement and participant RPC.
-  std::uint64_t epoch_{1};
-  /// 2PC rounds between journaled begin and terminal record, keyed by
-  /// (chain, route) — snapshots persist these so a crash at any point
-  /// leaves enough to re-drive or abort.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, Inflight> inflight_;
-  /// Failed pools (vnf, site) -> capacity to restore on on_instance_up.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, double> dead_pools_;
   ColdStartReport last_cold_start_;
 };
 

@@ -1,272 +1,124 @@
 #include "control/messages.hpp"
 
-#include <sstream>
-#include <unordered_map>
+#include <array>
+
+#include "control/codec.hpp"
 
 namespace switchboard::control {
 namespace {
 
-/// Parses "k1=v1;k2=v2;..." into a map.
-std::unordered_map<std::string, std::string> parse_fields(
-    const std::string& payload) {
-  std::unordered_map<std::string, std::string> fields;
-  std::istringstream in{payload};
-  std::string pair;
-  while (std::getline(in, pair, ';')) {
-    const auto eq = pair.find('=');
-    if (eq == std::string::npos) continue;
-    fields[pair.substr(0, eq)] = pair.substr(eq + 1);
-  }
-  return fields;
-}
-
-bool get_u64(const std::unordered_map<std::string, std::string>& fields,
-             const std::string& key, std::uint64_t& out) {
-  const auto it = fields.find(key);
-  if (it == fields.end()) return false;
-  try {
-    out = std::stoull(it->second);
-  } catch (...) {
-    return false;
-  }
-  return true;
-}
-
-bool get_double(const std::unordered_map<std::string, std::string>& fields,
-                const std::string& key, double& out) {
-  const auto it = fields.find(key);
-  if (it == fields.end()) return false;
-  try {
-    out = std::stod(it->second);
-  } catch (...) {
-    return false;
-  }
+/// Splits "a:b:c" into exactly three parts.
+bool split3(std::string_view item, std::array<std::string_view, 3>& parts) {
+  const std::size_t c1 = item.find(':');
+  if (c1 == std::string_view::npos) return false;
+  const std::size_t c2 = item.find(':', c1 + 1);
+  if (c2 == std::string_view::npos) return false;
+  parts = {item.substr(0, c1), item.substr(c1 + 1, c2 - c1 - 1),
+           item.substr(c2 + 1)};
   return true;
 }
 
 }  // namespace
 
+// List items, found by the codec's list encoder and decoder through
+// argument-dependent lookup (hence `static` here, not an unnamed namespace).
+
+static void put(std::string& out, const RouteHop& hop) {
+  codec::append(out, hop.stage, ":", hop.vnf, ":", hop.site);
+}
+
+static bool parse(std::string_view item, RouteHop& hop) {
+  std::array<std::string_view, 3> parts;
+  return split3(item, parts) && codec::parse(parts[0], hop.stage) &&
+         codec::parse(parts[1], hop.vnf) && codec::parse(parts[2], hop.site);
+}
+
+static void put(std::string& out, const AnycastVnfEntry& entry) {
+  codec::append(out, entry.vnf, ":", entry.live_instances, ":",
+                entry.residual_capacity);
+}
+
+static bool parse(std::string_view item, AnycastVnfEntry& entry) {
+  std::array<std::string_view, 3> parts;
+  return split3(item, parts) && codec::parse(parts[0], entry.vnf) &&
+         codec::parse(parts[1], entry.live_instances) &&
+         codec::parse(parts[2], entry.residual_capacity);
+}
+
 std::string serialize(const InstanceAnnouncement& m) {
-  std::ostringstream out;
-  out << "type=instance;id=" << m.instance << ";fw=" << m.forwarder
-      << ";w=" << m.weight;
-  return out.str();
+  return codec::encode_message(m);
 }
 
 std::string serialize(const ForwarderAnnouncement& m) {
-  std::ostringstream out;
-  out << "type=forwarder;id=" << m.forwarder << ";w=" << m.weight;
-  return out.str();
+  return codec::encode_message(m);
 }
 
 std::string serialize(const RouteAnnouncement& m) {
-  std::ostringstream out;
-  out << "type=route;chain=" << m.chain.value() << ";route=" << m.route.value()
-      << ";cl=" << m.chain_label << ";el=" << m.egress_label
-      << ";in=" << m.ingress_site.value() << ";out=" << m.egress_site.value()
-      << ";w=" << m.weight << ";ep=" << m.epoch << ";hops=";
-  for (std::size_t i = 0; i < m.hops.size(); ++i) {
-    if (i > 0) out << ',';
-    out << m.hops[i].stage << ':' << m.hops[i].vnf.value() << ':'
-        << m.hops[i].site.value();
-  }
-  return out.str();
+  return codec::encode_message(m);
 }
 
-std::string serialize(const Heartbeat& m) {
-  std::ostringstream out;
-  out << "type=heartbeat;site=" << m.site.value() << ";seq=" << m.seq
-      << ";down=";
-  for (std::size_t i = 0; i < m.down_elements.size(); ++i) {
-    if (i > 0) out << ',';
-    out << m.down_elements[i];
-  }
-  return out.str();
-}
+std::string serialize(const Heartbeat& m) { return codec::encode_message(m); }
 
-std::optional<Heartbeat> parse_heartbeat(const std::string& payload) {
-  const auto fields = parse_fields(payload);
-  std::uint64_t site = 0;
-  Heartbeat m;
-  if (!get_u64(fields, "site", site) || !get_u64(fields, "seq", m.seq)) {
-    return std::nullopt;
-  }
-  m.site = SiteId{static_cast<SiteId::underlying_type>(site)};
-  const auto down_it = fields.find("down");
-  if (down_it == fields.end()) return std::nullopt;
-  std::istringstream down_in{down_it->second};
-  std::string id;
-  while (std::getline(down_in, id, ',')) {
-    if (id.empty()) continue;
-    try {
-      m.down_elements.push_back(
-          static_cast<dataplane::ElementId>(std::stoul(id)));
-    } catch (...) {
-      return std::nullopt;
-    }
-  }
-  return m;
+std::string serialize(const AnycastAnnouncement& m) {
+  return codec::encode_message(m);
 }
 
 std::optional<InstanceAnnouncement> parse_instance(const std::string& payload) {
-  const auto fields = parse_fields(payload);
-  std::uint64_t id = 0;
-  std::uint64_t fw = 0;
-  InstanceAnnouncement m;
-  if (!get_u64(fields, "id", id) || !get_u64(fields, "fw", fw) ||
-      !get_double(fields, "w", m.weight)) {
-    return std::nullopt;
-  }
-  m.instance = static_cast<dataplane::ElementId>(id);
-  m.forwarder = static_cast<dataplane::ElementId>(fw);
-  return m;
+  return codec::decode_message<InstanceAnnouncement>(payload);
 }
 
 std::optional<ForwarderAnnouncement> parse_forwarder(
     const std::string& payload) {
-  const auto fields = parse_fields(payload);
-  std::uint64_t id = 0;
-  ForwarderAnnouncement m;
-  if (!get_u64(fields, "id", id) || !get_double(fields, "w", m.weight)) {
-    return std::nullopt;
-  }
-  m.forwarder = static_cast<dataplane::ElementId>(id);
-  return m;
+  return codec::decode_message<ForwarderAnnouncement>(payload);
 }
 
 std::optional<RouteAnnouncement> parse_route(const std::string& payload) {
-  const auto fields = parse_fields(payload);
-  std::uint64_t chain = 0;
-  std::uint64_t route = 0;
-  std::uint64_t cl = 0;
-  std::uint64_t el = 0;
-  std::uint64_t in = 0;
-  std::uint64_t out = 0;
-  RouteAnnouncement m;
-  if (!get_u64(fields, "chain", chain) || !get_u64(fields, "route", route) ||
-      !get_u64(fields, "cl", cl) || !get_u64(fields, "el", el) ||
-      !get_u64(fields, "in", in) || !get_u64(fields, "out", out) ||
-      !get_double(fields, "w", m.weight)) {
-    return std::nullopt;
-  }
-  m.chain = ChainId{static_cast<ChainId::underlying_type>(chain)};
-  m.route = RouteId{static_cast<RouteId::underlying_type>(route)};
-  m.chain_label = static_cast<std::uint32_t>(cl);
-  m.egress_label = static_cast<std::uint32_t>(el);
-  m.ingress_site = SiteId{static_cast<SiteId::underlying_type>(in)};
-  m.egress_site = SiteId{static_cast<SiteId::underlying_type>(out)};
-  // Optional for wire compatibility with pre-epoch senders: absent => 0.
-  get_u64(fields, "ep", m.epoch);
-
-  const auto hops_it = fields.find("hops");
-  if (hops_it == fields.end()) return std::nullopt;
-  std::istringstream hops_in{hops_it->second};
-  std::string hop;
-  while (std::getline(hops_in, hop, ',')) {
-    if (hop.empty()) continue;
-    RouteHop h;
-    const auto c1 = hop.find(':');
-    const auto c2 = hop.find(':', c1 + 1);
-    if (c1 == std::string::npos || c2 == std::string::npos) {
-      return std::nullopt;
-    }
-    try {
-      h.stage = std::stoul(hop.substr(0, c1));
-      h.vnf = VnfId{static_cast<VnfId::underlying_type>(
-          std::stoul(hop.substr(c1 + 1, c2 - c1 - 1)))};
-      h.site = SiteId{static_cast<SiteId::underlying_type>(
-          std::stoul(hop.substr(c2 + 1)))};
-    } catch (...) {
-      return std::nullopt;
-    }
-    m.hops.push_back(h);
-  }
-  return m;
+  return codec::decode_message<RouteAnnouncement>(payload);
 }
 
-std::string serialize(const AnycastAnnouncement& m) {
-  std::ostringstream out;
-  out << "type=anycast;origin=" << m.origin.value() << ";seq=" << m.seq
-      << ";pd=" << m.path_delay_ms << ";vnfs=";
-  for (std::size_t i = 0; i < m.entries.size(); ++i) {
-    if (i > 0) out << ',';
-    out << m.entries[i].vnf.value() << ':' << m.entries[i].live_instances
-        << ':' << m.entries[i].residual_capacity;
-  }
-  return out.str();
+std::optional<Heartbeat> parse_heartbeat(const std::string& payload) {
+  return codec::decode_message<Heartbeat>(payload);
 }
 
 std::optional<AnycastAnnouncement> parse_anycast(const std::string& payload) {
-  const auto fields = parse_fields(payload);
-  std::uint64_t origin = 0;
-  AnycastAnnouncement m;
-  if (!get_u64(fields, "origin", origin) || !get_u64(fields, "seq", m.seq) ||
-      !get_double(fields, "pd", m.path_delay_ms)) {
-    return std::nullopt;
-  }
-  m.origin = SiteId{static_cast<SiteId::underlying_type>(origin)};
-  const auto vnfs_it = fields.find("vnfs");
-  if (vnfs_it == fields.end()) return std::nullopt;
-  std::istringstream vnfs_in{vnfs_it->second};
-  std::string entry;
-  while (std::getline(vnfs_in, entry, ',')) {
-    if (entry.empty()) continue;
-    const auto c1 = entry.find(':');
-    const auto c2 = entry.find(':', c1 + 1);
-    if (c1 == std::string::npos || c2 == std::string::npos) {
-      return std::nullopt;
-    }
-    AnycastVnfEntry e;
-    try {
-      e.vnf = VnfId{static_cast<VnfId::underlying_type>(
-          std::stoul(entry.substr(0, c1)))};
-      e.live_instances =
-          static_cast<std::uint32_t>(std::stoul(entry.substr(c1 + 1, c2 - c1 - 1)));
-      e.residual_capacity = std::stod(entry.substr(c2 + 1));
-    } catch (...) {
-      return std::nullopt;
-    }
-    m.entries.push_back(e);
-  }
-  return m;
+  return codec::decode_message<AnycastAnnouncement>(payload);
 }
 
 std::string serialize(const ReplicationFrame& m) {
-  std::ostringstream out;
-  out << "type=repl;k=" << static_cast<unsigned>(m.kind)
-      << ";from=" << m.from << ";ep=" << m.epoch << ";seq=" << m.seq
-      << ";dg=" << m.digest << ";body=";
+  std::string out;
+  codec::append(out, "type=repl;k=", static_cast<unsigned>(m.kind),
+                ";from=", m.from, ";ep=", m.epoch, ";seq=", m.seq,
+                ";dg=", m.digest, ";body=");
   for (std::size_t i = 0; i < m.records.size(); ++i) {
-    if (i > 0) out << '\n';
-    out << m.records[i];
+    if (i > 0) out += '\n';
+    out += m.records[i];
   }
-  return out.str();
+  return out;
 }
 
 std::optional<ReplicationFrame> parse_replication(const std::string& payload) {
   // The body carries raw journal records, which embed ';' and '=' freely —
   // it is always the LAST field, split off verbatim before the k=v parse.
-  const std::string marker = ";body=";
-  const auto body_at = payload.find(marker);
+  constexpr std::string_view kMarker = ";body=";
+  const std::size_t body_at = payload.find(kMarker);
   if (body_at == std::string::npos) return std::nullopt;
-  const auto fields = parse_fields(payload.substr(0, body_at));
+  const codec::Fields fields{std::string_view{payload}.substr(0, body_at)};
   std::uint64_t kind = 0;
-  std::uint64_t from = 0;
   ReplicationFrame m;
-  if (!get_u64(fields, "k", kind) || !get_u64(fields, "from", from) ||
-      !get_u64(fields, "ep", m.epoch) || !get_u64(fields, "seq", m.seq) ||
-      !get_u64(fields, "dg", m.digest) ||
+  if (!fields.get("k", kind) || !fields.get("from", m.from) ||
+      !fields.get("ep", m.epoch) || !fields.get("seq", m.seq) ||
+      !fields.get("dg", m.digest) ||
       kind > static_cast<std::uint64_t>(ReplicationKind::kSnapshotAck)) {
     return std::nullopt;
   }
   m.kind = static_cast<ReplicationKind>(kind);
-  m.from = static_cast<std::uint32_t>(from);
-  const std::string body = payload.substr(body_at + marker.size());
-  std::istringstream body_in{body};
-  std::string record;
-  while (std::getline(body_in, record)) {
-    if (record.empty()) return std::nullopt;
-    m.records.push_back(record);
+  std::string_view body =
+      std::string_view{payload}.substr(body_at + kMarker.size());
+  while (!body.empty()) {
+    const std::size_t end = std::min(body.find('\n'), body.size());
+    if (end == 0) return std::nullopt;   // empty record
+    m.records.emplace_back(body.substr(0, end));
+    body.remove_prefix(std::min(end + 1, body.size()));
   }
   return m;
 }

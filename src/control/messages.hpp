@@ -1,12 +1,14 @@
 // Control-plane message payloads exchanged over the global message bus,
 // with a compact key=value serialization (the prototype shipped JSON over
 // ZeroMQ; the wire format is irrelevant to the protocol, the parse/build
-// cost is real either way).
+// cost is real either way).  Each message lists its wire fields once, in
+// order (`fields`); control/codec.hpp encodes and decodes from that list.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -17,20 +19,32 @@ namespace switchboard::control {
 /// Published on .../site_<s>_instances by a VNF controller: one VNF
 /// instance allocated to a chain at a site, with its LB weight.
 struct InstanceAnnouncement {
+  static constexpr std::string_view kType = "instance";
   dataplane::ElementId instance{dataplane::kNoElement};
   dataplane::ElementId forwarder{dataplane::kNoElement};
   double weight{1.0};
+  static void fields(auto& m, auto&& f) {
+    f("id", m.instance);
+    f("fw", m.forwarder);
+    f("w", m.weight);
+  }
 };
 
 /// Published on .../site_<s>_forwarders by a Local Switchboard: a
 /// forwarder fronting a chain's VNF instances at a site; weight is the sum
 /// of the weights of the instances it fronts (Section 5.2).
 struct ForwarderAnnouncement {
+  static constexpr std::string_view kType = "forwarder";
   dataplane::ElementId forwarder{dataplane::kNoElement};
   double weight{1.0};
+  static void fields(auto& m, auto&& f) {
+    f("id", m.forwarder);
+    f("w", m.weight);
+  }
 };
 
-/// One hop of a wide-area chain route: the site hosting the z-th VNF.
+/// One hop of a wide-area chain route: the site hosting the z-th VNF
+/// (on the wire: "stage:vnf:site").
 struct RouteHop {
   std::size_t stage{0};   // z in 1..|F_c| (VNF stages only)
   VnfId vnf;
@@ -40,6 +54,7 @@ struct RouteHop {
 /// Published on /chains/<c>/routes by Global Switchboard after commit:
 /// a wide-area route with its traffic fraction and labels.
 struct RouteAnnouncement {
+  static constexpr std::string_view kType = "route";
   ChainId chain;
   RouteId route;
   std::uint32_t chain_label{0};
@@ -53,6 +68,17 @@ struct RouteAnnouncement {
   /// below every real epoch.
   std::uint64_t epoch{0};
   std::vector<RouteHop> hops;
+  static void fields(auto& m, auto&& f) {
+    f("chain", m.chain);
+    f("route", m.route);
+    f("cl", m.chain_label);
+    f("el", m.egress_label);
+    f("in", m.ingress_site);
+    f("out", m.egress_site);
+    f("w", m.weight);
+    f("ep", m.epoch);
+    f("hops", m.hops);
+  }
 };
 
 /// Published on /health/site_<s> by a Local Switchboard: a periodic
@@ -60,14 +86,21 @@ struct RouteAnnouncement {
 /// failure detector derives site liveness from beat arrival times and
 /// element liveness from the down list.
 struct Heartbeat {
+  static constexpr std::string_view kType = "heartbeat";
   SiteId site;
   std::uint64_t seq{0};
   std::vector<dataplane::ElementId> down_elements;
+  static void fields(auto& m, auto&& f) {
+    f("site", m.site);
+    f("seq", m.seq);
+    f("down", m.down_elements);
+  }
 };
 
 /// One VNF pool of an anycast link-state announcement: how many live
 /// instances the origin site currently runs and their summed residual
 /// capacity (instance capacity where configured, LB weight otherwise).
+/// On the wire: "vnf:live_instances:residual_capacity".
 struct AnycastVnfEntry {
   VnfId vnf;
   std::uint32_t live_instances{0};
@@ -81,11 +114,18 @@ struct AnycastVnfEntry {
 /// Like heartbeats, announcements are soft state — never retained, never
 /// retransmitted — so receivers age entries out when they stop arriving.
 struct AnycastAnnouncement {
+  static constexpr std::string_view kType = "anycast";
   SiteId origin;
   std::uint64_t seq{0};
   /// Accumulated one-way delay (ms) from the origin along the flood path.
   double path_delay_ms{0.0};
   std::vector<AnycastVnfEntry> entries;
+  static void fields(auto& m, auto&& f) {
+    f("origin", m.origin);
+    f("seq", m.seq);
+    f("pd", m.path_delay_ms);
+    f("vnfs", m.entries);
+  }
 };
 
 [[nodiscard]] std::string serialize(const InstanceAnnouncement& m);

@@ -35,86 +35,7 @@ std::uint64_t fold_records(std::uint64_t digest,
   return digest;
 }
 
-/// Mirrors the journal-record "k=v;" grammar (global_switchboard.cpp).
-std::map<std::string, std::string> record_fields(const std::string& record) {
-  std::map<std::string, std::string> fields;
-  std::istringstream in{record};
-  std::string pair;
-  while (std::getline(in, pair, ';')) {
-    const auto eq = pair.find('=');
-    if (eq == std::string::npos) continue;
-    fields[pair.substr(0, eq)] = pair.substr(eq + 1);
-  }
-  return fields;
-}
-
-std::uint64_t mirror_u64(const std::map<std::string, std::string>& fields,
-                         const std::string& key) {
-  const auto it = fields.find(key);
-  SWB_CHECK(it != fields.end())
-      << "replicated record missing field " << key;
-  return std::stoull(it->second);
-}
-
 }  // namespace
-
-void ReplicaMirror::apply(const std::string& record) {
-  const auto fields = record_fields(record);
-  const auto type_it = fields.find("t");
-  SWB_CHECK(type_it != fields.end()) << "replicated record with no type";
-  const std::string& type = type_it->second;
-  if (type == "epoch") {
-    const std::uint64_t n = mirror_u64(fields, "n");
-    SWB_CHECK_GE(n, epoch) << "replicated epoch went backwards";
-    epoch = n;
-  } else if (type == "nri") {
-    next_route_id = static_cast<std::uint32_t>(mirror_u64(fields, "n"));
-  } else if (type == "chain") {
-    chains.insert(static_cast<std::uint32_t>(mirror_u64(fields, "id")));
-  } else if (type == "begin") {
-    inflight[{static_cast<std::uint32_t>(mirror_u64(fields, "chain")),
-              static_cast<std::uint32_t>(mirror_u64(fields, "route"))}] =
-        false;
-  } else if (type == "prep" || type == "commit" || type == "abort" ||
-             type == "retire") {
-    const std::pair<std::uint32_t, std::uint32_t> key{
-        static_cast<std::uint32_t>(mirror_u64(fields, "chain")),
-        static_cast<std::uint32_t>(mirror_u64(fields, "route"))};
-    if (type == "prep") {
-      inflight[key] = true;
-    } else if (type == "commit") {
-      inflight.erase(key);
-      committed.insert(key);
-    } else if (type == "abort") {
-      inflight.erase(key);
-    } else {
-      committed.erase(key);
-    }
-  } else if (type == "pooldown") {
-    dead_pools.insert({static_cast<std::uint32_t>(mirror_u64(fields, "vnf")),
-                       static_cast<std::uint32_t>(mirror_u64(fields,
-                                                             "site"))});
-  } else if (type == "poolup") {
-    dead_pools.erase({static_cast<std::uint32_t>(mirror_u64(fields, "vnf")),
-                      static_cast<std::uint32_t>(mirror_u64(fields,
-                                                            "site"))});
-  }
-  // Unknown types are tolerated: a newer leader may journal records this
-  // mirror build does not track yet.
-  ++applied_records;
-}
-
-void ReplicaMirror::check_invariants() const {
-  for (const auto& [key, prepared] : inflight) {
-    SWB_CHECK(committed.count(key) == 0)
-        << "round (" << key.first << "," << key.second
-        << ") both in-flight and committed in a replica mirror";
-  }
-  for (const auto& [chain, route] : committed) {
-    SWB_CHECK(chains.count(chain) != 0)
-        << "committed route " << route << " of unknown chain " << chain;
-  }
-}
 
 ReplicaGroup::ReplicaGroup(ControlContext& context, GlobalSwitchboard& global,
                            sim::DurableStore& store,
@@ -231,9 +152,12 @@ void ReplicaGroup::bootstrap_install() {
     Replica& replica = replicas_[r];
     // Replica 0's journal already holds the base snapshot (it is the
     // leader's own journal); followers get a verbatim copy.
-    if (r != 0) replica.journal->write_snapshot(base);
-    replica.mirror = ReplicaMirror{};
-    for (const std::string& record : base) replica.mirror.apply(record);
+    if (r != 0) {
+      replica.journal->write_snapshot(base);
+      replica.state = ControllerState{};
+      replica.state.apply_lines(base);
+    }
+    replica.applied_records = base.size();
     replica.digest = digest;
     replica.applied_seq = 0;
     replica.epoch_seen = epoch;
@@ -244,8 +168,10 @@ void ReplicaGroup::on_leader_append(const std::string& record) {
   std::vector<std::pair<bus::Topic, std::string>> outbox;
   {
     const swb::MutexLock lock{mutex_};
+    // The coordinator already applied the change; the leader's replica
+    // only counts and fingerprints it.
     Replica& self = replicas_[leader_];
-    self.mirror.apply(record);
+    ++self.applied_records;
     self.digest = fold_record(self.digest, record);
     if (promoting_) return;   // epoch bump mid-promotion: install follows
     ++stream_seq_;
@@ -294,7 +220,10 @@ void ReplicaGroup::on_compaction_wanted() {
   bool compact_now = false;
   {
     const swb::MutexLock lock{mutex_};
-    if (install_pending_) return;   // one replicated install at a time
+    // One replicated install at a time.  A promotion or cold restart
+    // pushes its own installs once the new epoch's stream starts; the
+    // journal asks again on its next append.
+    if (install_pending_ || promoting_) return;
     std::size_t live_followers = 0;
     for (std::uint32_t f = 0; f < replicas_.size(); ++f) {
       if (f != leader_ && replicas_[f].up) ++live_followers;
@@ -353,10 +282,9 @@ void ReplicaGroup::on_stream_frame(std::uint32_t to,
 
     if (frame.kind == ReplicationKind::kSnapshotInstall) {
       replica.journal->write_snapshot(frame.records);
-      replica.mirror = ReplicaMirror{};
-      for (const std::string& record : frame.records) {
-        replica.mirror.apply(record);
-      }
+      replica.state = ControllerState{};
+      replica.state.apply_lines(frame.records);
+      replica.applied_records = frame.records.size();
       replica.digest = frame.digest;
       replica.applied_seq = frame.seq;
       replica.epoch_seen = frame.epoch;
@@ -390,8 +318,11 @@ void ReplicaGroup::on_stream_frame(std::uint32_t to,
            it != replica.reorder.end();
            it = replica.reorder.find(
                {replica.epoch_seen, replica.applied_seq + 1})) {
+        // A record that does not decode or apply is skipped, exactly as
+        // a cold start skips it.
         replica.journal->append(it->second);
-        replica.mirror.apply(it->second);
+        (void)replica.state.apply_line(it->second);
+        ++replica.applied_records;
         replica.digest = fold_record(replica.digest, it->second);
         ++replica.applied_seq;
         replica.reorder.erase(it);
@@ -539,6 +470,7 @@ void ReplicaGroup::on_replica_suspected(std::uint32_t replica) {
 void ReplicaGroup::elect_and_promote() {
   std::uint32_t winner = 0;
   StateJournal* winner_journal = nullptr;
+  ControllerState adopted;
   {
     const swb::MutexLock lock{mutex_};
     if (replicas_[leader_].up) return;   // raced with a restore
@@ -569,15 +501,20 @@ void ReplicaGroup::elect_and_promote() {
     leader_ = winner;
     promoting_ = true;
     winner_journal = replicas_[winner].journal.get();
+    // The standby's state becomes the coordinator's; as leader, the
+    // replica keeps none of its own.
+    adopted = std::move(replicas_[winner].state);
+    replicas_[winner].state = ControllerState{};
     SB_LOG(kInfo) << "replication: electing replica " << winner
                   << " (applied " << replicas_[winner].applied_seq
                   << " records)";
   }
 
-  // Hot promotion: rebuild the coordinator from the winner's journal with
-  // zero replay cost (the standby already applied everything), bumping
-  // the epoch so the dead incarnation's continuations and frames fence.
-  global_.warm_failover(winner_journal);
+  // Hot promotion: the coordinator adopts the state the standby built
+  // record by record — no journal is read, no replay cost is charged — and
+  // bumps the epoch so the dead incarnation's continuations and frames
+  // fence.
+  global_.warm_failover(winner_journal, std::move(adopted));
 
   std::vector<std::pair<bus::Topic, std::string>> outbox;
   {
@@ -596,7 +533,7 @@ void ReplicaGroup::elect_and_promote() {
     std::ostringstream entry;
     entry << "t=" << context_.sim.now() << ";winner=" << winner
           << ";epoch=" << global_.epoch()
-          << ";applied=" << lead.mirror.applied_records << "\n";
+          << ";applied=" << lead.applied_records << "\n";
     election_log_ += entry.str();
     // The new epoch starts every follower from a fresh install (seq 0):
     // whatever the old leader half-streamed becomes irrelevant history.
@@ -644,6 +581,14 @@ void ReplicaGroup::restore_replica(std::uint32_t replica) {
     cold = replica == leader_;
     if (cold) promoting_ = true;
     leader_live = replicas_[leader_].up && leader_ != replica;
+    if (!cold) {
+      // Amnesia: the restarted process holds what its journal holds —
+      // the state it may be promoted with before any install arrives.
+      Replica& restored = replicas_[replica];
+      restored.state = ControllerState{};
+      restored.state.apply_lines(restored.journal->snapshot_records());
+      restored.state.apply_lines(restored.journal->log_records());
+    }
   }
 
   if (cold) {
@@ -656,7 +601,7 @@ void ReplicaGroup::restore_replica(std::uint32_t replica) {
       const swb::MutexLock lock{mutex_};
       promoting_ = false;
       ++cold_restarts_;
-      rebuild_leader_mirror_from_journal();
+      refold_leader_digest();
       stream_seq_ = 0;
       for (std::uint32_t r = 0; r < replicas_.size(); ++r) {
         replicas_[r].acked = 0;
@@ -674,14 +619,14 @@ void ReplicaGroup::restore_replica(std::uint32_t replica) {
     return;
   }
 
-  // A restored follower lost its volatile mirror; the live leader
-  // re-syncs it with a fresh snapshot install.  With the leader also
-  // dead, the next election or cold restart installs instead.
+  // The live leader re-syncs a restored follower with a fresh snapshot
+  // install.  With the leader also dead, the next election or cold
+  // restart installs instead.
   if (leader_live && global_.up()) {
     std::vector<std::pair<bus::Topic, std::string>> outbox;
     {
       const swb::MutexLock lock{mutex_};
-      replicas_[replica].mirror = ReplicaMirror{};
+      replicas_[replica].applied_records = 0;
       replicas_[replica].digest = kFnvOffset;
       replicas_[replica].applied_seq = 0;
       replicas_[replica].acked = 0;
@@ -695,18 +640,12 @@ void ReplicaGroup::restore_replica(std::uint32_t replica) {
   }
 }
 
-void ReplicaGroup::rebuild_leader_mirror_from_journal() {
+void ReplicaGroup::refold_leader_digest() {
   Replica& lead = replicas_[leader_];
-  lead.mirror = ReplicaMirror{};
-  lead.digest = kFnvOffset;
-  for (const std::string& record : lead.journal->snapshot_records()) {
-    lead.mirror.apply(record);
-    lead.digest = fold_record(lead.digest, record);
-  }
-  for (const std::string& record : lead.journal->log_records()) {
-    lead.mirror.apply(record);
-    lead.digest = fold_record(lead.digest, record);
-  }
+  const std::vector<std::string> snapshot = lead.journal->snapshot_records();
+  const std::vector<std::string> log = lead.journal->log_records();
+  lead.digest = fold_records(fold_records(kFnvOffset, snapshot), log);
+  lead.applied_records = snapshot.size() + log.size();
   lead.applied_seq = 0;
   lead.epoch_seen = global_.epoch();
   lead.reorder.clear();
@@ -725,8 +664,9 @@ void ReplicaGroup::verify_convergence() const {
   const Replica& lead = replicas_[leader_];
   for (std::uint32_t r = 0; r < replicas_.size(); ++r) {
     const Replica& replica = replicas_[r];
-    replica.mirror.check_invariants();
-    if (r == leader_ || !replica.up) continue;
+    if (r == leader_) continue;   // audited by GlobalSwitchboard
+    replica.state.check_invariants();
+    if (!replica.up) continue;
     if (replica.epoch_seen != lead.epoch_seen ||
         replica.applied_seq != stream_seq_) {
       continue;   // not caught up — nothing to compare yet
@@ -753,8 +693,8 @@ void ReplicaGroup::check_invariants() const {
   }
   for (std::uint32_t r = 0; r < replicas_.size(); ++r) {
     const Replica& replica = replicas_[r];
-    replica.mirror.check_invariants();
     if (r != leader_) {
+      replica.state.check_invariants();
       SWB_CHECK_LE(replica.acked, stream_seq_)
           << "follower " << r << " acked past the stream head";
     }

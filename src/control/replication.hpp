@@ -5,9 +5,10 @@
 // deployment's DurableStore.  The leader — whichever replica the singleton
 // GlobalSwitchboard currently embodies — streams every journal append to
 // the followers over the reliable /ctl/repl/<from>_<to> topics; followers
-// append each record to their own journal, apply it to a live in-memory
-// mirror (hot standby), fold it into an FNV-1a applied-record digest, and
-// ack their cumulative durable position.  The GlobalSwitchboard's quorum
+// append each record to their own journal, apply it to their own
+// ControllerState (hot standby: the same state and apply() the leader
+// runs), fold it into an FNV-1a applied-record digest, and ack their
+// cumulative durable position.  The GlobalSwitchboard's quorum
 // gate holds every externally visible acknowledgment (2PC prep -> commit,
 // commit -> activation, pool-transition drains) until a quorum of replicas
 // has the triggering record durable.  Snapshot compaction is replicated as
@@ -21,8 +22,9 @@
 // suspicion, never an election — the CP choice: consistency over
 // partition-tolerant availability), a deterministic election promotes the
 // freshest live replica — max (epoch, applied records, replica id) — via
-// GlobalSwitchboard::warm_failover(): no journal replay is charged, the
-// epoch bumps so zombie-leader continuations and stale frames fence, the
+// GlobalSwitchboard::warm_failover(), which adopts the winner's state:
+// no journal is read, the epoch bumps so zombie-leader continuations and
+// stale frames fence, the
 // new leader pushes a fresh snapshot install to the surviving followers,
 // and the §13 resolution sweep re-drives prepared 2PC and re-publishes
 // routes.  A leader that crashes and restores before detection takes the
@@ -71,27 +73,6 @@ struct ReplicationConfig {
   std::uint32_t repair_stall_beats{3};
 };
 
-/// A follower's live in-memory mirror of the journaled controller state —
-/// enough to audit convergence; the full state is rebuilt from the
-/// journal at promotion time.
-struct ReplicaMirror {
-  std::uint64_t epoch{0};
-  std::uint32_t next_route_id{0};
-  std::set<std::uint32_t> chains;
-  /// Committed (chain, route) pairs not yet retired.
-  std::set<std::pair<std::uint32_t, std::uint32_t>> committed;
-  /// In-flight 2PC rounds -> prepared flag.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, bool> inflight;
-  std::set<std::pair<std::uint32_t, std::uint32_t>> dead_pools;
-  std::uint64_t applied_records{0};
-
-  /// Applies one journal record (unknown record types are ignored).
-  void apply(const std::string& record);
-  /// Aborts via SWB_CHECK on violation: no pair both committed and
-  /// in-flight, committed routes belong to known chains.
-  void check_invariants() const;
-};
-
 class ReplicaGroup {
  public:
   /// `replica_sites[r]` hosts replica r; replica 0 is the initial leader
@@ -126,9 +107,11 @@ class ReplicaGroup {
     const swb::MutexLock lock{mutex_};
     return *replicas_.at(replica).journal;
   }
-  [[nodiscard]] const ReplicaMirror& mirror(std::uint32_t replica) const {
+  /// The controller state replica `replica` holds: the coordinator's own
+  /// for the leader, the hot standby's for a follower.
+  [[nodiscard]] const ControllerState& state(std::uint32_t replica) const {
     const swb::MutexLock lock{mutex_};
-    return replicas_.at(replica).mirror;
+    return replica == leader_ ? global_.state() : replicas_.at(replica).state;
   }
   [[nodiscard]] std::uint64_t digest(std::uint32_t replica) const {
     const swb::MutexLock lock{mutex_};
@@ -203,7 +186,7 @@ class ReplicaGroup {
 
   /// Divergence verifier for quiescent barriers and post-failover checks:
   /// every live, caught-up replica's digest must equal the leader's, and
-  /// every mirror audits clean.  Aborts via SWB_CHECK on violation.
+  /// every standby state audits clean.  Aborts via SWB_CHECK on violation.
   void verify_convergence() const;
   /// Audits group state (aborts via SWB_CHECK): leader is live or awaiting
   /// election, quorum within bounds, acked positions never ahead of the
@@ -213,7 +196,11 @@ class ReplicaGroup {
  private:
   struct Replica {
     std::unique_ptr<StateJournal> journal;
-    ReplicaMirror mirror;
+    /// Hot-standby state (followers only; the leader's lives in the
+    /// GlobalSwitchboard and is handed over on promotion).
+    ControllerState state;
+    /// Records applied since the last install (election trace).
+    std::uint64_t applied_records{0};
     std::uint64_t digest{0};
     /// Highest contiguously applied stream seq (follower side).
     std::uint64_t applied_seq{0};
@@ -250,10 +237,12 @@ class ReplicaGroup {
   void elect_and_promote() SWB_EXCLUDES(mutex_);
   /// Streams a full snapshot install to `to` from the current leader.
   void push_install_to(std::uint32_t to) SWB_REQUIRES(mutex_);
-  /// Installs `records` into every replica's journal + mirror locally
-  /// (bootstrap only — no messaging).
+  /// Installs the base snapshot into every replica's journal + state
+  /// locally (bootstrap only — no messaging).
   void bootstrap_install() SWB_EXCLUDES(mutex_);
-  void rebuild_leader_mirror_from_journal() SWB_REQUIRES(mutex_);
+  /// Re-derives the leader's digest and record count from its journal
+  /// after a cold restart.
+  void refold_leader_digest() SWB_REQUIRES(mutex_);
   [[nodiscard]] bool quorum_satisfied(std::uint64_t seq) const
       SWB_REQUIRES(mutex_);
   /// Pops every satisfied barrier (in order) and returns their resumes to
@@ -269,7 +258,7 @@ class ReplicaGroup {
   std::uint32_t quorum_{0};
   std::unique_ptr<FailureDetector> detector_;
 
-  /// One lock covers group state, per-replica mirrors, and counters.
+  /// One lock covers group state, per-replica states, and counters.
   /// Contract: bus publishes, GlobalSwitchboard calls (warm_failover,
   /// cold_start, compact_journal_now), and barrier resumes NEVER run
   /// under it — handlers mutate state under the lock, collect the actions,

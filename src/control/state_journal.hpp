@@ -1,19 +1,13 @@
 // control::StateJournal — write-ahead log + snapshots for the controller.
 //
-// The Global Switchboard writes one journal record through this layer for
-// every committed state change (chain registration, 2PC begin/prepare/
-// commit/abort, route retirement, pool capacity changes, epoch bumps).
-// Records are newline-delimited "k=v;" lines — the same compact grammar
-// as the bus messages — appended to a `<name>.log` blob in a
-// sim::DurableStore.  Every `snapshot_interval` appends the journal
-// compacts: the owner re-encodes its full state with the same record
-// grammar, the snapshot replaces `<name>.snap`, and the log truncates.
-// Recovery after crash-with-amnesia is therefore always
-// "replay snapshot records, then replay log records" through one parser.
-//
-// The journal charges a configurable per-record replay cost so recovery
-// latency scales with journal size in simulated time — the knob the
-// bench_fig13_recovery controller-restart series sweeps.
+// The Global Switchboard appends one record line (format: control/codec.hpp)
+// per journaled change to a `<name>.log` blob in a sim::DurableStore.  Every
+// `snapshot_interval` appends the owner writes its full state as records;
+// the snapshot replaces `<name>.snap` and the log truncates, so recovery is
+// always "snapshot records, then log records" through one apply().  The
+// configured per-record replay cost makes recovery latency scale with
+// journal size in simulated time — the knob the bench_fig13_recovery
+// controller-restart series sweeps.
 #pragma once
 
 #include <cstdint>

@@ -90,6 +90,42 @@ std::string state_digest(core::Deployment& dep,
   return out.str();
 }
 
+/// Drives every kind of journaled change: two chain creations, a pinned
+/// second route, a pool death that retires the routes placed there (a
+/// chain left without one gets a replacement), and the pool's return.
+/// Returns the chains once everything settled.
+std::vector<ChainId> drive_journaled_changes(Middleware& mw, VnfId fw) {
+  core::Deployment& dep = mw.deployment();
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  const auto a = mw.create_chain(make_span_spec(edge, fw, "a"));
+  if (!a.ok()) {
+    ADD_FAILURE() << a.error().to_string();
+    return {};
+  }
+  const SiteId first =
+      dep.global().record(a->chain).routes.front().vnf_sites.front();
+  const SiteId other{first == SiteId{1} ? 2u : 1u};
+  const auto second = mw.add_route(a->chain, {other});
+  EXPECT_TRUE(second.ok()) << second.error().to_string();
+  const auto b = mw.create_chain(make_span_spec(edge, fw, "b"));
+  if (!b.ok()) {
+    ADD_FAILURE() << b.error().to_string();
+    return {};
+  }
+  dep.global().on_instance_down(fw, first);
+  dep.simulator().run_until(dep.simulator().now() + sim::from_ms(500.0));
+  dep.global().on_instance_up(fw, first);
+  dep.simulator().run_until(dep.simulator().now() + sim::from_ms(500.0));
+  return {a->chain, b->chain};
+}
+
+/// The persisted state minus its epoch line (which a restart bumps).
+std::vector<std::string> state_without_epoch(core::Deployment& dep) {
+  std::vector<std::string> lines = dep.global().snapshot_state();
+  lines.erase(lines.begin());
+  return lines;
+}
+
 // ---------------------------------------------------------- DurableStore
 
 TEST(DurableStore, AppendWriteReadEraseAndCounters) {
@@ -576,6 +612,155 @@ TEST(ColdStart, LocalSwitchboardFencesStaleEpochAnnouncements) {
   const auto parsed = control::parse_route(wire);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->epoch, 1u);
+}
+
+// ------------------------------------------ snapshot cut at every record
+
+TEST(ColdStart, QuietCrashAtEverySnapshotIntervalRestoresTheExactState) {
+  // A snapshot is cut by whichever append crosses the interval — a chain,
+  // begin, prep, commit, retire, or pool record.  The change must already
+  // be in the state when its record is appended, so a quiet crash after
+  // any cut restores the exact state with nothing to re-drive or abort.
+  for (std::uint32_t interval = 1; interval <= 8; ++interval) {
+    SCOPED_TRACE("snapshot_interval " + std::to_string(interval));
+    model::NetworkModel m = make_two_pool_model();
+    const VnfId fw = m.vnfs()[0].id;
+    DeploymentConfig config;
+    config.durable_controller = true;
+    config.journal.snapshot_interval = interval;
+    Middleware mw{std::move(m), config};
+    core::Deployment& dep = mw.deployment();
+
+    const std::vector<ChainId> chains = drive_journaled_changes(mw, fw);
+    ASSERT_EQ(chains.size(), 2u);
+    ASSERT_GT(dep.state_journal()->snapshots_taken(), 1u);
+    const std::string before = state_digest(dep, chains);
+    const std::vector<std::string> persisted = state_without_epoch(dep);
+
+    dep.register_fault_targets();
+    const sim::SimTime t0 = dep.simulator().now();
+    dep.fault_injector().crash_at(t0 + sim::from_ms(10.0),
+                                  "controller:global");
+    dep.fault_injector().restore_at(t0 + sim::from_ms(50.0),
+                                    "controller:global");
+    dep.simulator().run_until(t0 + sim::from_ms(2000.0));
+
+    const control::ColdStartReport& report = dep.global().last_cold_start();
+    EXPECT_EQ(report.epoch, 2u);
+    EXPECT_EQ(report.redriven_commits, 0u);
+    EXPECT_EQ(report.aborted_inflight, 0u);
+    EXPECT_EQ(report.rejected_records, 0u);
+    EXPECT_EQ(state_digest(dep, chains), before);
+    EXPECT_EQ(state_without_epoch(dep), persisted);
+    dep.global().check_invariants();
+    dep.state_journal()->check_invariants();
+  }
+}
+
+// ------------------------------------------------------- chain names
+
+TEST(ChainNames, UnjournalableNameFailsThroughTheCallback) {
+  // ';' and '\n' would break the record framing.  Such a name is an
+  // invalid argument for the caller — with or without durability — and
+  // never reaches the journal.
+  for (const bool durable : {false, true}) {
+    for (const std::string name : {"a;b", "line\nbreak"}) {
+      SCOPED_TRACE((durable ? "durable, " : "volatile, ") + name);
+      model::NetworkModel m = make_two_pool_model();
+      const VnfId fw = m.vnfs()[0].id;
+      DeploymentConfig config;
+      config.durable_controller = durable;
+      Middleware mw{std::move(m), config};
+      core::Deployment& dep = mw.deployment();
+      const EdgeServiceId edge = mw.register_edge_service("vpn");
+
+      const auto bad = mw.create_chain(make_span_spec(edge, fw, name));
+      ASSERT_FALSE(bad.ok());
+      EXPECT_EQ(bad.error().code, ErrorCode::kInvalidArgument);
+
+      // The controller is unharmed: the next creation goes through.
+      const auto good = mw.create_chain(make_span_spec(edge, fw, "good"));
+      ASSERT_TRUE(good.ok()) << good.error().to_string();
+      EXPECT_EQ(dep.global().state().chains.size(), 1u);
+      if (durable) {
+        for (const std::string& record : dep.state_journal()->log_records()) {
+          EXPECT_EQ(record.find(name), std::string::npos) << record;
+        }
+      }
+      dep.global().check_invariants();
+    }
+  }
+}
+
+// ---------------------------------------------------- corrupted journal
+
+TEST(ColdStart, CorruptedLogRecordIsSkippedAndCounted) {
+  // One flipped byte in a middle log record must not stop recovery: the
+  // record fails to decode, the records that depended on it fail to
+  // apply, all are skipped and counted, and every other chain comes back.
+  model::NetworkModel m = make_two_pool_model();
+  const VnfId fw = m.vnfs()[0].id;
+  DeploymentConfig config;
+  config.durable_controller = true;
+  config.journal.snapshot_interval = 0;   // every record stays in the log
+  Middleware mw{std::move(m), config};
+  core::Deployment& dep = mw.deployment();
+
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  std::vector<ChainId> chains;
+  for (const char* name : {"a", "b", "c"}) {
+    const auto r = mw.create_chain(make_span_spec(edge, fw, name));
+    ASSERT_TRUE(r.ok()) << r.error().to_string();
+    chains.push_back(r->chain);
+  }
+  const control::ChainRecord a_before = dep.global().record(chains[0]);
+  const control::ChainRecord c_before = dep.global().record(chains[2]);
+
+  // Chain b's registration gets a letter where its ingress node id was.
+  sim::DurableStore& store = dep.durable_store();
+  const std::string blob = dep.state_journal()->log_blob();
+  std::string bytes = store.read(blob);
+  const std::size_t at =
+      bytes.find("t=chain;id=" + std::to_string(chains[1].value()) + ";");
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t field = bytes.find(";inn=", at);
+  ASSERT_NE(field, std::string::npos);
+  bytes[field + 5] = 'x';
+  store.write(blob, bytes);
+
+  dep.register_fault_targets();
+  const sim::SimTime t0 = dep.simulator().now();
+  dep.fault_injector().crash_at(t0 + sim::from_ms(5.0), "controller:global");
+  dep.fault_injector().restore_at(t0 + sim::from_ms(25.0),
+                                  "controller:global");
+  dep.simulator().run_until(t0 + sim::from_ms(2000.0));
+
+  const control::ColdStartReport& report = dep.global().last_cold_start();
+  EXPECT_EQ(report.epoch, 2u);
+  // The chain record, then b's begin, prep and commit, which no longer
+  // fit a known chain.
+  EXPECT_EQ(report.rejected_records, 4u);
+  EXPECT_EQ(report.chains_restored, 2u);
+  EXPECT_EQ(dep.global().find_record(chains[1]), nullptr);
+  // b's committed capacity has no journaled owner any more.
+  EXPECT_EQ(report.orphans_released, 1u);
+  for (const control::ChainRecord* before : {&a_before, &c_before}) {
+    const control::ChainRecord& after = dep.global().record(before->id);
+    EXPECT_TRUE(after.active);
+    ASSERT_EQ(after.routes.size(), before->routes.size());
+    EXPECT_EQ(after.routes[0].id, before->routes[0].id);
+    EXPECT_EQ(after.routes[0].vnf_sites, before->routes[0].vnf_sites);
+    const auto walk = mw.send(
+        before->id,
+        dataplane::FiveTuple{0x0A020001u, 0xC0A80002u, 3001, 443, 6});
+    EXPECT_TRUE(walk.delivered) << walk.failure;
+  }
+  dep.global().check_invariants();
+  dep.state_journal()->check_invariants();
+
+  // The recovered controller keeps serving new chains.
+  const auto d = mw.create_chain(make_span_spec(edge, fw, "d"));
+  EXPECT_TRUE(d.ok()) << d.error().to_string();
 }
 
 }  // namespace

@@ -110,6 +110,35 @@ std::string state_digest(core::Deployment& dep,
   return out.str();
 }
 
+/// Drives every kind of journaled change: two chain creations, a pinned
+/// second route, a pool death that retires the routes placed there (a
+/// chain left without one gets a replacement), and the pool's return.
+/// Returns the chains once everything settled.
+std::vector<ChainId> drive_journaled_changes(Middleware& mw, VnfId fw) {
+  core::Deployment& dep = mw.deployment();
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  const auto a = mw.create_chain(make_span_spec(edge, fw, "a"));
+  if (!a.ok()) {
+    ADD_FAILURE() << a.error().to_string();
+    return {};
+  }
+  const SiteId first =
+      dep.global().record(a->chain).routes.front().vnf_sites.front();
+  const SiteId other{first == SiteId{1} ? 2u : 1u};
+  const auto second = mw.add_route(a->chain, {other});
+  EXPECT_TRUE(second.ok()) << second.error().to_string();
+  const auto b = mw.create_chain(make_span_spec(edge, fw, "b"));
+  if (!b.ok()) {
+    ADD_FAILURE() << b.error().to_string();
+    return {};
+  }
+  dep.global().on_instance_down(fw, first);
+  dep.simulator().run_until(dep.simulator().now() + sim::from_ms(500.0));
+  dep.global().on_instance_up(fw, first);
+  dep.simulator().run_until(dep.simulator().now() + sim::from_ms(500.0));
+  return {a->chain, b->chain};
+}
+
 // --------------------------------------------- streaming + quorum gating
 
 TEST(Replication, StreamingKeepsHotStandbysConvergent) {
@@ -135,15 +164,19 @@ TEST(Replication, StreamingKeepsHotStandbysConvergent) {
   dep.simulator().run_until(t0 + sim::from_ms(500.0));
 
   // Every follower holds every record the leader journaled, applied it to
-  // a live mirror, and folded the identical digest.
+  // its own controller state, and folded the identical digest.
   EXPECT_GT(group.records_streamed(), 0u);
   EXPECT_EQ(group.digest(1), group.leader_digest());
   EXPECT_EQ(group.digest(2), group.leader_digest());
   for (std::uint32_t r = 0; r < 3; ++r) {
-    const control::ReplicaMirror& mirror = group.mirror(r);
-    EXPECT_EQ(mirror.chains.size(), 2u) << "replica " << r;
-    EXPECT_EQ(mirror.committed.size(), 2u) << "replica " << r;
-    EXPECT_TRUE(mirror.inflight.empty()) << "replica " << r;
+    const control::ControllerState& state = group.state(r);
+    std::size_t committed = 0;
+    for (const control::ChainRecord& chain : state.chains) {
+      committed += chain.routes.size();
+    }
+    EXPECT_EQ(state.chains.size(), 2u) << "replica " << r;
+    EXPECT_EQ(committed, 2u) << "replica " << r;
+    EXPECT_TRUE(state.inflight.empty()) << "replica " << r;
   }
 
   // Commits were held at the quorum barrier: each release waited for a
@@ -277,12 +310,12 @@ TEST(Replication, LeaderDeathMid2PCFailsOverToReferenceState) {
       EXPECT_NE(group.leader(), 0u);
       EXPECT_EQ(dep.global().epoch(), 2u);
 
-      // Hot promotion: the standby's mirror was already live, so the
-      // failover charged zero replay cost and still re-drove the
-      // prepared commit.
+      // Hot promotion: the standby's state was already live, so the
+      // failover read no journal, charged zero replay cost, and still
+      // re-drove the prepared commit.
       const control::ColdStartReport& report = dep.global().last_cold_start();
       EXPECT_EQ(report.replay_cost, sim::Duration{0});
-      EXPECT_GT(report.replayed_records, 0u);
+      EXPECT_EQ(report.replayed_records, 0u);
       EXPECT_EQ(report.redriven_commits, 1u);
       EXPECT_FALSE(group.election_string().empty());
     } else {
@@ -476,6 +509,99 @@ TEST(Replication, PartitionedLeaderIsAFalseSuspicionNotAnElection) {
   EXPECT_TRUE(walk.delivered) << walk.failure;
   group.verify_convergence();
   group.check_invariants();
+  dep.stop_replication();
+}
+
+// ------------------------------------------ snapshot cut at every record
+
+TEST(Replication, IdleLeaderKillAtEverySnapshotIntervalPromotesCleanly) {
+  // Replicated compaction ships the leader's state at the moment an
+  // append crosses the interval.  That state must already hold the
+  // appended change, or a promoted standby would hold a prep without its
+  // begin, or a prepared round the leader had already committed.
+  for (std::uint32_t interval = 1; interval <= 8; ++interval) {
+    SCOPED_TRACE("snapshot_interval " + std::to_string(interval));
+    model::NetworkModel m = make_two_pool_model();
+    const VnfId fw = m.vnfs()[0].id;
+    DeploymentConfig config = replicated_config();
+    config.replication.journal.snapshot_interval = interval;
+    Middleware mw{std::move(m), config};
+    core::Deployment& dep = mw.deployment();
+    dep.enable_replication(3);
+    ReplicaGroup& group = *dep.replica_group();
+
+    const std::vector<ChainId> chains = drive_journaled_changes(mw, fw);
+    ASSERT_EQ(chains.size(), 2u);
+    EXPECT_GT(group.replicated_compactions(), 0u);
+    const std::string fault_free = state_digest(dep, chains);
+
+    const sim::SimTime t0 = dep.simulator().now();
+    dep.fault_injector().crash_at(t0 + sim::from_ms(10.0),
+                                  "controller:leader");
+    dep.simulator().run_until(t0 + sim::from_ms(2000.0));
+
+    ASSERT_EQ(group.elections(), 1u);
+    const control::ColdStartReport& report = dep.global().last_cold_start();
+    EXPECT_EQ(report.replayed_records, 0u);
+    EXPECT_EQ(report.redriven_commits, 0u);
+    EXPECT_EQ(report.aborted_inflight, 0u);
+    EXPECT_EQ(state_digest(dep, chains), fault_free);
+    group.verify_convergence();
+    group.check_invariants();
+    dep.global().check_invariants();
+    dep.stop_replication();
+  }
+}
+
+TEST(Replication, FormerLeaderRestoredWithoutALiveLeaderPromotesFromItsJournal) {
+  // The first leader dies and a standby takes over; then every other
+  // replica dies while the first restores, so no install can reach it.
+  // Elected again, it must promote with the state its own journal holds.
+  model::NetworkModel m = make_two_pool_model();
+  const VnfId fw = m.vnfs()[0].id;
+  Middleware mw{std::move(m), replicated_config()};
+  core::Deployment& dep = mw.deployment();
+  dep.enable_replication(3);
+  ReplicaGroup& group = *dep.replica_group();
+
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  std::vector<ChainId> chains;
+  for (int i = 0; i < 2; ++i) {
+    const auto r =
+        mw.create_chain(make_span_spec(edge, fw, "c" + std::to_string(i)));
+    ASSERT_TRUE(r.ok()) << r.error().to_string();
+    chains.push_back(r->chain);
+  }
+  sim::SimTime t0 = dep.simulator().now();
+  dep.simulator().run_until(t0 + sim::from_ms(200.0));
+  const std::string before = state_digest(dep, chains);
+
+  t0 = dep.simulator().now();
+  dep.fault_injector().crash_at(t0 + sim::from_ms(10.0),
+                                "controller:replica0");
+  dep.simulator().run_until(t0 + sim::from_ms(1000.0));
+  ASSERT_EQ(group.elections(), 1u);
+  ASSERT_NE(group.leader(), 0u);
+
+  t0 = dep.simulator().now();
+  dep.fault_injector().crash_at(t0 + sim::from_ms(10.0),
+                                "controller:replica1");
+  dep.fault_injector().crash_at(t0 + sim::from_ms(10.0),
+                                "controller:replica2");
+  dep.fault_injector().restore_at(t0 + sim::from_ms(20.0),
+                                  "controller:replica0");
+  dep.simulator().run_until(t0 + sim::from_ms(2000.0));
+  ASSERT_EQ(group.elections(), 2u);
+  EXPECT_EQ(group.leader(), 0u);
+  EXPECT_EQ(dep.global().last_cold_start().chains_restored, 2u);
+  EXPECT_EQ(state_digest(dep, chains), before);
+  for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(chains.size());
+       ++i) {
+    const auto walk = mw.send(chains[i], tuple(20 + i));
+    EXPECT_TRUE(walk.delivered) << walk.failure;
+  }
+  group.check_invariants();
+  dep.global().check_invariants();
   dep.stop_replication();
 }
 
