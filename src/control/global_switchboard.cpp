@@ -9,7 +9,7 @@
 
 namespace switchboard::control {
 GlobalSwitchboard::GlobalSwitchboard(ControlContext& context, SiteId home_site)
-    : context_{context}, home_site_{home_site}, loads_{context.model} {
+    : context_{context}, home_site_{home_site}, te_{context.model} {
   state_.epoch = 1;   // bumped by every restart
 }
 
@@ -85,59 +85,6 @@ void GlobalSwitchboard::publish_routes(const ChainRecord& record) {
   }
 }
 
-GlobalSwitchboard::ModelShape GlobalSwitchboard::model_shape() const {
-  return ModelShape{context_.model.topology().link_count(),
-                    context_.model.sites().size(),
-                    context_.model.vnfs().size()};
-}
-
-void GlobalSwitchboard::rebuild_loads_into(te::Loads& loads) const {
-  loads.reset();
-  for (const ChainRecord& record : state_.chains) {
-    if (!record.active) continue;
-    const model::Chain& chain = context_.model.chain(record.id);
-    for (const RouteRecord& route : record.routes) {
-      const NodeId ingress_node = context_.model.site(record.ingress_site).node;
-      const NodeId egress_node = context_.model.site(record.egress_site).node;
-      NodeId prev = ingress_node;
-      for (std::size_t z = 1; z <= chain.stage_count(); ++z) {
-        const NodeId next = z <= route.vnf_sites.size()
-            ? context_.model.site(route.vnf_sites[z - 1]).node
-            : egress_node;
-        loads.add_stage_flow(chain, z, prev, next, route.weight);
-        prev = next;
-      }
-    }
-  }
-}
-
-void GlobalSwitchboard::rebuild_loads() {
-  rebuild_loads_into(loads_);
-  loads_shape_ = model_shape();
-  loads_primed_ = true;
-}
-
-void GlobalSwitchboard::ensure_loads_current() {
-  if (!loads_primed_ || !(model_shape() == loads_shape_)) rebuild_loads();
-}
-
-void GlobalSwitchboard::apply_route_loads(const ChainRecord& record,
-                                          const RouteRecord& route,
-                                          double weight_delta) {
-  if (weight_delta == 0.0) return;
-  const model::Chain& chain = context_.model.chain(record.id);
-  const NodeId ingress_node = context_.model.site(record.ingress_site).node;
-  const NodeId egress_node = context_.model.site(record.egress_site).node;
-  NodeId prev = ingress_node;
-  for (std::size_t z = 1; z <= chain.stage_count(); ++z) {
-    const NodeId next = z <= route.vnf_sites.size()
-        ? context_.model.site(route.vnf_sites[z - 1]).node
-        : egress_node;
-    loads_.add_stage_flow(chain, z, prev, next, weight_delta);
-    prev = next;
-  }
-}
-
 void GlobalSwitchboard::create_chain(const ChainSpec& spec,
                                      CreationCallback done) {
   if (!journal_safe_name(spec.name)) {
@@ -204,21 +151,8 @@ void GlobalSwitchboard::create_chain(const ChainSpec& spec,
           if (!up_ || ep != state_.epoch) return;
           ChainRecord* rec = state_.find_chain(chain_id);
           SWB_CHECK(rec != nullptr);
-          te::DpOptions options = dp_options_;
-          ensure_loads_current();   // resizes after late VNF registration
-          std::optional<std::vector<SiteId>> vnf_sites;
-          if (te_mode_ == TeMode::kSbLp) vnf_sites = lp_route_sites(chain_id);
-          if (!vnf_sites) {
-            const te::SingleRoute route = te::find_single_route(
-                context_.model, context_.model.chain(chain_id), loads_,
-                options, 1.0, te::TeContext{nullptr, &scratch_});
-            if (route.found && route.admissible_fraction > 0) {
-              vnf_sites.emplace();
-              for (std::size_t z = 1; z <= rec->spec.vnfs.size(); ++z) {
-                vnf_sites->push_back(route.sites[z]);
-              }
-            }
-          }
+          std::optional<std::vector<SiteId>> vnf_sites =
+              compute_route(chain_id, {});
           report.events.push_back({"route_computed", context_.sim.now()});
           if (!vnf_sites) {
             done(Result<CreationReport>{ErrorCode::kInfeasible,
@@ -247,11 +181,11 @@ sim::Duration rpc_backoff(const ControlTimings& timings,
 
 }  // namespace
 
-void GlobalSwitchboard::commit_route(
-    ChainRecord& record, RouteRecord route, CreationReport report,
-    CreationCallback done,
-    std::set<std::pair<std::uint32_t, std::uint32_t>> excluded,
-    std::size_t attempt) {
+void GlobalSwitchboard::commit_route(ChainRecord& record, RouteRecord route,
+                                     CreationReport report,
+                                     CreationCallback done,
+                                     Exclusions excluded,
+                                     std::size_t attempt) {
   const ChainId chain_id = record.id;
 
   // Journal the 2PC intent before any participant hears about it: after a
@@ -277,9 +211,8 @@ void GlobalSwitchboard::commit_route(
 
 void GlobalSwitchboard::start_prepare_round(
     ChainId chain_id, RouteRecord route, CreationReport report,
-    CreationCallback done,
-    std::set<std::pair<std::uint32_t, std::uint32_t>> excluded,
-    std::size_t attempt, std::size_t rpc_retry) {
+    CreationCallback done, Exclusions excluded, std::size_t attempt,
+    std::size_t rpc_retry) {
   ChainRecord* rec = state_.find_chain(chain_id);
   SWB_CHECK(rec != nullptr);
   const model::Chain& chain = context_.model.chain(chain_id);
@@ -336,16 +269,10 @@ void GlobalSwitchboard::start_prepare_round(
           if (!up_ || ep != state_.epoch) return;
           ChainRecord* rec2 = state_.find_chain(chain_id);
           SWB_CHECK(rec2 != nullptr);
-          te::DpOptions options = dp_options_;
-          options.site_allowed = [excluded](VnfId vnf, SiteId site) {
-            return excluded.count({vnf.value(), site.value()}) == 0;
-          };
-          ensure_loads_current();
-          const te::SingleRoute retry = te::find_single_route(
-              context_.model, context_.model.chain(chain_id), loads_,
-              options, 1.0, te::TeContext{nullptr, &scratch_});
+          std::optional<std::vector<SiteId>> vnf_sites =
+              compute_route(chain_id, excluded);
           report.events.push_back({"route_recomputed", context_.sim.now()});
-          if (!retry.found || retry.admissible_fraction <= 0) {
+          if (!vnf_sites) {
             done(Result<CreationReport>{ErrorCode::kInfeasible,
                                         "no feasible route after 2PC "
                                         "rejection"});
@@ -354,9 +281,7 @@ void GlobalSwitchboard::start_prepare_round(
           RouteRecord route_record;
           route_record.id = RouteId{state_.next_route_id++};
           route_record.weight = 1.0;
-          for (std::size_t z = 1; z <= rec2->spec.vnfs.size(); ++z) {
-            route_record.vnf_sites.push_back(retry.sites[z]);
-          }
+          route_record.vnf_sites = std::move(*vnf_sites);
           report.route = route_record.id;
           commit_route(*rec2, std::move(route_record), std::move(report),
                        std::move(done), std::move(excluded), attempt + 1);
@@ -493,14 +418,13 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
   // route and recovery re-drives participant commits if needed.  The
   // commit moves the route into the chain before its record is appended,
   // so a snapshot cut by the append (or while the quorum barrier below is
-  // pending) already holds it.  Loads are brought current first: a
-  // rebuild must not see the new route before its delta below.
-  ensure_loads_current();
+  // pending) already holds it.
   apply_and_log(CommitRecord{chain_id, route.id});
   // Route weights rebalance equally (Fig. 10: the new route takes
-  // an even share of new connections).  Loads are adjusted by the
+  // an even share of new connections).  The engine's loads take the
   // per-route weight deltas instead of a full rebuild over every
   // active chain.
+  const model::Chain& chain = context_.model.chain(chain_id);
   const double weight = 1.0 / static_cast<double>(rec2->routes.size());
   const bool was_active = rec2->active;
   rec2->active = true;
@@ -508,7 +432,7 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
     RouteRecord& r = rec2->routes[i];
     const bool is_new = i + 1 == rec2->routes.size();
     const double previous = was_active && !is_new ? r.weight : 0.0;
-    apply_route_loads(*rec2, r, weight - previous);
+    te_.add_route_load(chain, r.vnf_sites, weight - previous);
     r.weight = weight;
   }
 
@@ -589,20 +513,8 @@ void GlobalSwitchboard::add_route(ChainId chain,
           }
           route_record.vnf_sites = preferred_vnf_sites;
         } else {
-          ensure_loads_current();
-          std::optional<std::vector<SiteId>> vnf_sites;
-          if (te_mode_ == TeMode::kSbLp) vnf_sites = lp_route_sites(chain);
-          if (!vnf_sites) {
-            const te::SingleRoute route = te::find_single_route(
-                context_.model, context_.model.chain(chain), loads_,
-                dp_options_, 1.0, te::TeContext{nullptr, &scratch_});
-            if (route.found) {
-              vnf_sites.emplace();
-              for (std::size_t z = 1; z <= rec2->spec.vnfs.size(); ++z) {
-                vnf_sites->push_back(route.sites[z]);
-              }
-            }
-          }
+          std::optional<std::vector<SiteId>> vnf_sites =
+              compute_route(chain, {});
           if (!vnf_sites) {
             done(Result<CreationReport>{ErrorCode::kInfeasible,
                                         "no feasible additional route"});
@@ -664,35 +576,20 @@ void GlobalSwitchboard::check_invariants() const {
   for (const VnfController* controller : vnf_controllers_) {
     if (controller != nullptr) controller->check_invariants();
   }
-  loads_.check_invariants();
-
-  // The incrementally-maintained loads must match a rebuild from the
-  // active chains (within round-off from weight-delta accumulation).
-  if (loads_primed_ && model_shape() == loads_shape_) {
-    constexpr double kTolerance = 1e-6;
-    te::Loads rebuilt{context_.model};
-    rebuild_loads_into(rebuilt);
-    for (std::size_t e = 0; e < context_.model.topology().link_count(); ++e) {
-      const LinkId link{static_cast<LinkId::underlying_type>(e)};
-      SWB_CHECK_LE(std::abs(loads_.link_load(link) - rebuilt.link_load(link)),
-                   kTolerance * std::max(1.0, rebuilt.link_load(link)))
-          << "incremental link load drifted on link " << e;
-    }
-    for (std::size_t s = 0; s < context_.model.sites().size(); ++s) {
-      const SiteId site{static_cast<SiteId::underlying_type>(s)};
-      SWB_CHECK_LE(std::abs(loads_.site_load(site) - rebuilt.site_load(site)),
-                   kTolerance * std::max(1.0, rebuilt.site_load(site)))
-          << "incremental site load drifted on site " << s;
-      for (std::size_t f = 0; f < context_.model.vnfs().size(); ++f) {
-        const VnfId vnf{static_cast<VnfId::underlying_type>(f)};
-        SWB_CHECK_LE(
-            std::abs(loads_.vnf_site_load(vnf, site) -
-                     rebuilt.vnf_site_load(vnf, site)),
-            kTolerance * std::max(1.0, rebuilt.vnf_site_load(vnf, site)))
-            << "incremental vnf load drifted: vnf " << f << " site " << s;
-      }
+  // The engine's loads are the sum of the committed routes' weight deltas;
+  // they must match those routes re-accumulated from scratch.  (The
+  // engine's own check_invariants() audits the DP routing it tracks, which
+  // is empty here.)
+  te_.loads().check_invariants();
+  te::Loads rebuilt{context_.model};
+  for (const ChainRecord& record : state_.chains) {
+    if (!record.active) continue;
+    for (const RouteRecord& route : record.routes) {
+      rebuilt.add_route(context_.model.chain(record.id), route.vnf_sites,
+                        route.weight);
     }
   }
+  te_.loads().check_matches(rebuilt);
 }
 
 RecoveryReport GlobalSwitchboard::on_instance_down(VnfId vnf, SiteId site) {
@@ -709,6 +606,7 @@ RecoveryReport GlobalSwitchboard::on_instance_down(VnfId vnf, SiteId site) {
   // computation (replacements and future chains) avoids the site, and a
   // participant prepare there votes abort.
   context_.model.set_vnf_site_capacity(vnf, site, 0.0);
+  te_.invalidate_cost_cache();   // cached compute costs saw the old capacity
   // The recovery actions — the drain trigger (weight-0 instance
   // re-announcements that invalidate pinned flows) and the route
   // retirements — wait on the quorum barrier: a failed-over leader must
@@ -742,56 +640,35 @@ RecoveryReport GlobalSwitchboard::on_instance_down(VnfId vnf, SiteId site) {
   return RecoveryReport{};
 }
 
-RecoveryReport GlobalSwitchboard::on_link_down(LinkId link) {
-  if (!up_) return RecoveryReport{};
-  SB_LOG(kInfo) << "recovery: link " << link << " down";
-  // Topology capacities must stay positive (check_invariants); a dead link
-  // is modeled as background traffic consuming all of it.
-  context_.model.set_background_traffic(
-      link, context_.model.topology().link(link).capacity);
-  return retire_routes(
-      [this, link](const ChainRecord& record, const RouteRecord& route) {
-        return route_uses_link(record, route, link);
-      });
-}
-
-bool GlobalSwitchboard::route_uses_link(const ChainRecord& record,
-                                        const RouteRecord& route,
-                                        LinkId link) const {
-  // Walk the route's site-to-site segments and test each segment's ECMP
-  // footprint for the link.
-  const NodeId egress_node = context_.model.site(record.egress_site).node;
-  NodeId prev = context_.model.site(record.ingress_site).node;
-  for (std::size_t z = 1; z <= route.vnf_sites.size() + 1; ++z) {
-    const NodeId next = z <= route.vnf_sites.size()
-        ? context_.model.site(route.vnf_sites[z - 1]).node
-        : egress_node;
-    for (const net::LinkShare& share :
-         context_.model.routing().link_shares(prev, next)) {
-      if (share.link == link && share.fraction > 0.0) return true;
+std::optional<std::vector<SiteId>> GlobalSwitchboard::compute_route(
+    ChainId chain_id, const Exclusions& excluded) {
+  if (te_mode_ == TeMode::kSbLp && excluded.empty()) {
+    te::LpRoutingOptions options;
+    options.objective = te::LpObjective::kMaxThroughput;
+    const te::LpRoutingResult& lp = te_.refine_with_lp(options);
+    if (lp.optimal()) {
+      auto sites = te::primary_route_sites(context_.model, lp.routing,
+                                           chain_id);
+      if (sites) return sites;
     }
-    prev = next;
   }
-  return false;
-}
-
-std::optional<std::vector<SiteId>> GlobalSwitchboard::lp_route_sites(
-    ChainId chain) {
-  te::LpRoutingOptions options;
-  options.objective = te::LpObjective::kMaxThroughput;
-  if (lp_basis_valid_) options.warm_start = &lp_basis_;
-  te::LpRoutingResult result = te::solve_lp_routing(context_.model, options);
-  if (!result.optimal()) return std::nullopt;
-  lp_basis_ = std::move(result.basis);
-  lp_basis_valid_ = true;
-  return te::primary_route_sites(context_.model, result.routing, chain);
+  std::function<bool(VnfId, SiteId)> allowed;
+  if (!excluded.empty()) {
+    allowed = [&excluded](VnfId vnf, SiteId site) {
+      return excluded.count({vnf.value(), site.value()}) == 0;
+    };
+  }
+  const te::SingleRoute route =
+      te_.find_route(context_.model.chain(chain_id), allowed);
+  if (!route.found || route.admissible_fraction <= 0) return std::nullopt;
+  // route.sites holds the ingress and egress endpoints too.
+  return std::vector<SiteId>(route.sites.begin() + 1, route.sites.end() - 1);
 }
 
 RecoveryReport GlobalSwitchboard::retire_routes(
     const std::function<bool(const ChainRecord&, const RouteRecord&)>&
         doomed) {
   RecoveryReport report;
-  ensure_loads_current();
   for (ChainRecord& record : state_.chains) {
     if (!record.active) continue;
     std::vector<RouteRecord> removed;
@@ -800,6 +677,7 @@ RecoveryReport GlobalSwitchboard::retire_routes(
     }
     if (removed.empty()) continue;
     ++report.affected_chains;
+    const model::Chain& chain = context_.model.chain(record.id);
 
     for (const RouteRecord& route : removed) {
       ++report.routes_removed;
@@ -826,7 +704,7 @@ RecoveryReport GlobalSwitchboard::retire_routes(
       // Retiring drops the route from record.routes before the record is
       // appended, so a snapshot cut here no longer holds it.
       apply_and_log(RetireRecord{record.id, route.id});
-      apply_route_loads(record, route, -route.weight);
+      te_.add_route_load(chain, route.vnf_sites, -route.weight);
 
       // A failure racing activation: complete the waiting creation with an
       // error instead of leaving it stranded forever.
@@ -850,7 +728,7 @@ RecoveryReport GlobalSwitchboard::retire_routes(
       // affected chain's load deltas are applied (incremental re-solve).
       const double weight = 1.0 / static_cast<double>(record.routes.size());
       for (RouteRecord& route : record.routes) {
-        apply_route_loads(record, route, weight - route.weight);
+        te_.add_route_load(chain, route.vnf_sites, weight - route.weight);
         route.weight = weight;
       }
       publish_routes(record);
@@ -884,20 +762,8 @@ void GlobalSwitchboard::replace_route(ChainId chain) {
         ChainRecord* rec = state_.find_chain(chain);
         SWB_CHECK(rec != nullptr);
         report.labels = rec->labels;
-        ensure_loads_current();
-        std::optional<std::vector<SiteId>> vnf_sites;
-        if (te_mode_ == TeMode::kSbLp) vnf_sites = lp_route_sites(chain);
-        if (!vnf_sites) {
-          const te::SingleRoute route = te::find_single_route(
-              context_.model, context_.model.chain(chain), loads_,
-              dp_options_, 1.0, te::TeContext{nullptr, &scratch_});
-          if (route.found && route.admissible_fraction > 0) {
-            vnf_sites.emplace();
-            for (std::size_t z = 1; z <= rec->spec.vnfs.size(); ++z) {
-              vnf_sites->push_back(route.sites[z]);
-            }
-          }
-        }
+        std::optional<std::vector<SiteId>> vnf_sites =
+            compute_route(chain, {});
         report.events.push_back({"route_computed", context_.sim.now()});
         if (!vnf_sites) {
           SB_LOG(kWarn) << "recovery: no feasible replacement route for "
@@ -1049,16 +915,21 @@ ColdStartReport GlobalSwitchboard::restart(ControllerState state,
   pending_.clear();
 
   // Derived values: weights rebalance to the same 1/N the live path
-  // maintains, and a chain is active iff it has routes.
+  // maintains, a chain is active iff it has routes, and the engine's loads
+  // are rebuilt from every active route, in chain then route order.
+  te_.reset_loads();
   for (ChainRecord& record : state_.chains) {
     record.active = !record.routes.empty();
     if (record.routes.empty()) continue;
+    const model::Chain& chain = context_.model.chain(record.id);
     const double weight = 1.0 / static_cast<double>(record.routes.size());
-    for (RouteRecord& route : record.routes) route.weight = weight;
+    for (RouteRecord& route : record.routes) {
+      route.weight = weight;
+      te_.add_route_load(chain, route.vnf_sites, weight);
+    }
     report.routes_restored += record.routes.size();
   }
   report.chains_restored = state_.chains.size();
-  rebuild_loads();
 
   // The new incarnation outranks everything the journal has seen; persist
   // the bump so a second crash recovers a still-higher epoch.
@@ -1179,6 +1050,7 @@ void GlobalSwitchboard::on_instance_up(VnfId vnf, SiteId site) {
   SB_LOG(kInfo) << "recovery: vnf " << vnf << " back up at site " << site
                 << ", restoring capacity " << it->second;
   context_.model.set_vnf_site_capacity(vnf, site, it->second);
+  te_.invalidate_cost_cache();
   apply_and_log(PoolUpRecord{vnf, site});
   // Re-announce the pool so Local Switchboards rebalance onto it — behind
   // the quorum barrier, like the pool-down drain.

@@ -40,8 +40,6 @@
 #include "control/messages.hpp"
 #include "control/state_journal.hpp"
 #include "control/vnf_controller.hpp"
-#include "te/dp_routing.hpp"
-#include "te/lp_routing.hpp"
 #include "te/te_engine.hpp"
 
 namespace switchboard::control {
@@ -51,7 +49,7 @@ struct CreationEvent {
   sim::SimTime at{0};
 };
 
-/// Summary of one recovery action (on_instance_down / on_link_down).
+/// Summary of one recovery action (on_instance_down).
 struct RecoveryReport {
   std::size_t affected_chains{0};
   /// Routes retired (tombstoned with weight 0, capacity released).
@@ -130,16 +128,19 @@ class GlobalSwitchboard {
   [[nodiscard]] const ChainRecord& record(ChainId chain) const;
   /// Nullable lookup: nullptr when the chain was never created.
   [[nodiscard]] const ChainRecord* find_record(ChainId chain) const;
-  [[nodiscard]] const te::Loads& loads() const { return loads_; }
-  [[nodiscard]] te::DpOptions& dp_options() { return dp_options_; }
+  /// The TE engine's loads: the committed routes' weighted traffic.
+  [[nodiscard]] const te::Loads& loads() const { return te_.loads(); }
+  [[nodiscard]] const te::DpOptions& dp_options() const {
+    return te_.options();
+  }
 
   /// Route-compute mode for new and replacement routes.  kSbDp runs the
   /// greedy DP against current loads (the default); kSbLp re-solves the
-  /// global max-throughput LP (warm-started from the previous basis) and
-  /// takes the chain's primary flow-decomposition path, falling back to
-  /// SB-DP when the LP carries none of the chain's traffic.  2PC retries
-  /// with excluded sites always use SB-DP — the LP formulation cannot
-  /// express per-site exclusions.
+  /// global max-throughput LP (warm-started from the last optimal basis)
+  /// and takes the chain's primary flow-decomposition path, falling back
+  /// to SB-DP when the LP carries none of the chain's traffic.  2PC
+  /// retries with excluded sites always use SB-DP — the LP formulation
+  /// cannot express per-site exclusions.
   enum class TeMode { kSbDp, kSbLp };
   void set_te_mode(TeMode mode) { te_mode_ = mode; }
   [[nodiscard]] TeMode te_mode() const { return te_mode_; }
@@ -231,11 +232,6 @@ class GlobalSwitchboard {
   /// comparison.
   RecoveryReport on_instance_down(VnfId vnf, SiteId site);
 
-  /// A wide-area link died: removes its usable capacity (background
-  /// traffic fills it — topology capacities stay positive) and retires
-  /// every route whose ECMP footprint crosses the link.
-  RecoveryReport on_link_down(LinkId link);
-
   /// Audits the coordinator (aborts via SWB_CHECK on violation): chain ids
   /// and names are unique, every active chain's route weights sum to 1 and
   /// each route places one site per VNF stage, route ids stay below the
@@ -244,6 +240,9 @@ class GlobalSwitchboard {
   void check_invariants() const;
 
  private:
+  /// (vnf, site) placements a 2PC retry excludes: each voted abort.
+  using Exclusions = std::set<std::pair<std::uint32_t, std::uint32_t>>;
+
   struct PendingActivation {
     ChainId chain;
     RouteId route;
@@ -255,8 +254,7 @@ class GlobalSwitchboard {
   /// Runs 2PC for a route, then publishes and tracks readiness.
   void commit_route(ChainRecord& record, RouteRecord route,
                     CreationReport report, CreationCallback done,
-                    std::set<std::pair<std::uint32_t, std::uint32_t>> excluded,
-                    std::size_t attempt);
+                    Exclusions excluded, std::size_t attempt);
 
   /// 2PC prepare round (fault-tolerant): votes are collected from every
   /// reachable participant; unreachable ones (down controllers) time out
@@ -264,11 +262,10 @@ class GlobalSwitchboard {
   /// already-prepared participants dedup the re-delivered prepare.  After
   /// `ControlTimings::max_rpc_retries` timeouts the round aborts
   /// (kUnavailable) and releases the partial reservations.
-  void start_prepare_round(
-      ChainId chain, RouteRecord route, CreationReport report,
-      CreationCallback done,
-      std::set<std::pair<std::uint32_t, std::uint32_t>> excluded,
-      std::size_t attempt, std::size_t rpc_retry);
+  void start_prepare_round(ChainId chain, RouteRecord route,
+                           CreationReport report, CreationCallback done,
+                           Exclusions excluded, std::size_t attempt,
+                           std::size_t rpc_retry);
 
   /// 2PC commit round with the same timeout/retry envelope; re-delivered
   /// commits are idempotent at the participant.  On retry exhaustion the
@@ -289,40 +286,18 @@ class GlobalSwitchboard {
   /// retired by recovery (completion is logged, not reported upward).
   void replace_route(ChainId chain);
 
-  [[nodiscard]] bool route_uses_link(const ChainRecord& record,
-                                     const RouteRecord& route,
-                                     LinkId link) const;
-
-  /// SB-LP compute path: LP re-solve (warm-started when a prior basis is
-  /// on hand) + flow decomposition for `chain`.  nullopt means the LP was
-  /// not optimal or carries none of the chain — fall back to SB-DP.
-  [[nodiscard]] std::optional<std::vector<SiteId>> lp_route_sites(
-      ChainId chain);
+  /// The one route computation behind create_chain, add_route without
+  /// preferred sites, the 2PC retry and replace_route.  In kSbLp mode with
+  /// nothing excluded: the SB-LP refinement's primary path for the chain.
+  /// Otherwise, or when the LP is not optimal or carries none of the
+  /// chain: SB-DP through the TE engine, admitted only when the route can
+  /// carry some of the chain right now (found, admissible fraction > 0).
+  /// Returns one site per VNF stage, or nullopt when no route qualifies.
+  [[nodiscard]] std::optional<std::vector<SiteId>> compute_route(
+      ChainId chain, const Exclusions& excluded);
 
   void publish_routes(const ChainRecord& record);
 
-  // --- load accounting ----------------------------------------------------
-  // loads_ is maintained incrementally: committing a route applies only
-  // that chain's weight deltas (apply_route_loads) instead of re-walking
-  // every active chain.  A full rebuild happens once, and again only when
-  // the model's element counts change under us (late VNF/site/topology
-  // registration), detected by ensure_loads_current().
-  struct ModelShape {
-    std::size_t links{0};
-    std::size_t sites{0};
-    std::size_t vnfs{0};
-    friend bool operator==(const ModelShape&, const ModelShape&) = default;
-  };
-  [[nodiscard]] ModelShape model_shape() const;
-  /// Full rebuild of `loads` from the active chains' routes.
-  void rebuild_loads_into(te::Loads& loads) const;
-  /// Full rebuild of loads_ (also marks it primed for the current shape).
-  void rebuild_loads();
-  /// Rebuilds loads_ only if never primed or the model was resized.
-  void ensure_loads_current();
-  /// Adds `weight_delta` of one route's traffic to loads_.
-  void apply_route_loads(const ChainRecord& record, const RouteRecord& route,
-                         double weight_delta);
   [[nodiscard]] RouteAnnouncement to_announcement(const ChainRecord& record,
                                                   const RouteRecord& route)
       const;
@@ -354,16 +329,10 @@ class GlobalSwitchboard {
   std::vector<LocalSwitchboard*> local_switchboards_; // by SiteId
   ControllerState state_;
   std::vector<PendingActivation> pending_;
-  te::Loads loads_;
-  bool loads_primed_{false};
-  ModelShape loads_shape_{};
-  te::DpOptions dp_options_;
-  te::DpScratch scratch_;   // reusable buffers for find_single_route
+  /// The only TE state: loads of the committed routes, cost cache, DP
+  /// scratch and the SB-LP warm-start basis.
+  te::TeEngine te_;
   TeMode te_mode_{TeMode::kSbDp};
-  /// Previous SB-LP basis, fed back as a warm start so steady-state route
-  /// recomputes converge in a handful of pivots.
-  lp::Basis lp_basis_;
-  bool lp_basis_valid_{false};
 
   StateJournal* journal_{nullptr};
   /// Replication hooks (unset in single-controller mode; see DESIGN.md §18).

@@ -21,17 +21,10 @@ Forwarder::Forwarder(ElementId id, std::size_t flow_capacity,
       worker_count_{std::max<std::size_t>(worker_count, 1)},
       table_{flow_capacity, shard_count_for_workers(worker_count)},
       counter_cells_{table_.shard_count()},
-      selector_seed_{mix64(0x5B1CEB00ULL + id)},
-      selector_state_{selector_seed_} {}
+      selector_seed_{mix64(0x5B1CEB00ULL + id)} {}
 
 void Forwarder::register_attachment(ElementId instance, const Labels& labels) {
   attachment_labels_[instance] = labels;
-}
-
-std::uint64_t Forwarder::next_selector() {
-  const std::uint64_t raw = selector_state_.fetch_add(
-      0x9E3779B97F4A7C15ULL, std::memory_order_relaxed);
-  return mix64(raw + 0x9E3779B97F4A7C15ULL);
 }
 
 ForwarderCounters Forwarder::counters() const {

@@ -31,7 +31,6 @@
 // single-threaded one (tested by forwarder_concurrency_test).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -175,11 +174,6 @@ class Forwarder {
   [[nodiscard]] const ShardedFlowTable& flow_table() const { return table_; }
   [[nodiscard]] ShardedFlowTable& flow_table() { return table_; }
 
-  /// Deterministic per-forwarder selector stream for load-balancing picks.
-  /// Thread-safe; retained for callers that need a shared draw sequence —
-  /// flow pinning itself uses flow_selector() so it is order-independent.
-  [[nodiscard]] std::uint64_t next_selector();
-
  private:
   [[nodiscard]] FiveTuple canonical_tuple(const Packet& packet) const {
     return packet.direction == Direction::kForward ? packet.flow
@@ -228,11 +222,12 @@ class Forwarder {
   }
 
   // Concurrency contract (see DESIGN.md §14): table_ carries its own
-  // per-shard swb::Mutex guards; counter_cells_ and selector_state_ are
-  // relaxed atomics (no lock, quiesce to read a consistent set); rules_
-  // and attachment_labels_ are *externally synchronized* — written only
-  // while workers are quiesced (make-before-break rule swaps), so they
-  // deliberately carry no guard for the read-mostly packet path.
+  // per-shard swb::Mutex guards; counter_cells_ are relaxed atomics (no
+  // lock, quiesce to read a consistent set); selector_seed_ is immutable
+  // after construction; rules_ and attachment_labels_ are *externally
+  // synchronized* — written only while workers are quiesced (make-before-
+  // break rule swaps), so they deliberately carry no guard for the
+  // read-mostly packet path.
   ElementId id_;
   std::size_t worker_count_;
   ReadMode read_mode_{ReadMode::kEpochRead};
@@ -240,7 +235,6 @@ class Forwarder {
   RuleTable rules_;
   std::vector<CounterCell> counter_cells_;   // one per shard
   std::uint64_t selector_seed_;
-  std::atomic<std::uint64_t> selector_state_;
   std::unordered_map<ElementId, Labels> attachment_labels_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -26,6 +27,40 @@ void Loads::reset() {
   ++version_;
   link_epoch_.assign(link_load_.size(), version_);
   vnf_site_epoch_.assign(vnf_site_load_.size(), version_);
+}
+
+void Loads::grow_to_model() {
+  // The topology, and so the link count, is fixed with the model.
+  const std::size_t sites = model_.sites().size();
+  const std::size_t vnf_sites = model_.vnfs().size() * sites;
+  if (sites == site_count_ && vnf_sites == vnf_site_load_.size()) return;
+  // New slots are stamped with a fresh version, like a reset would.
+  ++version_;
+  site_load_.resize(sites, 0.0);
+  // (vnf, site) slots are VNF-major: copy each old row into its place in
+  // the wider layout (an unchanged site count just appends rows).
+  std::vector<double> load(vnf_sites, 0.0);
+  std::vector<std::uint64_t> epoch(vnf_sites, version_);
+  for (std::size_t i = 0; i < vnf_site_load_.size(); ++i) {
+    const std::size_t moved = i / site_count_ * sites + i % site_count_;
+    load[moved] = vnf_site_load_[i];
+    epoch[moved] = vnf_site_epoch_[i];
+  }
+  vnf_site_load_ = std::move(load);
+  vnf_site_epoch_ = std::move(epoch);
+  site_count_ = sites;
+}
+
+void Loads::add_route(const model::Chain& chain,
+                      const std::vector<SiteId>& vnf_sites, double weight) {
+  NodeId prev = chain.ingress;
+  for (std::size_t z = 1; z <= chain.stage_count(); ++z) {
+    const NodeId next = z <= vnf_sites.size()
+        ? model_.site(vnf_sites[z - 1]).node
+        : chain.egress;
+    add_stage_flow(chain, z, prev, next, weight);
+    prev = next;
+  }
 }
 
 void Loads::add_stage_flow(const model::Chain& chain, std::size_t z,
@@ -146,6 +181,29 @@ void Loads::check_invariants(double tolerance) const {
     SWB_CHECK_LE(std::abs(site_load_[s] - total),
                  tolerance * std::max(1.0, total))
         << "site " << s << " total drifted from its per-VNF sum";
+  }
+}
+
+void Loads::check_matches(const Loads& rebuilt, double tolerance) const {
+  SWB_CHECK(&rebuilt.model_ == &model_);
+  SWB_CHECK_EQ(site_count_, rebuilt.site_count_);
+  SWB_CHECK_EQ(link_load_.size(), rebuilt.link_load_.size());
+  SWB_CHECK_EQ(vnf_site_load_.size(), rebuilt.vnf_site_load_.size());
+  for (std::size_t e = 0; e < link_load_.size(); ++e) {
+    SWB_CHECK_LE(std::abs(link_load_[e] - rebuilt.link_load_[e]),
+                 tolerance * std::max(1.0, rebuilt.link_load_[e]))
+        << "link " << e << " load drifted from its routes";
+  }
+  for (std::size_t s = 0; s < site_count_; ++s) {
+    SWB_CHECK_LE(std::abs(site_load_[s] - rebuilt.site_load_[s]),
+                 tolerance * std::max(1.0, rebuilt.site_load_[s]))
+        << "site " << s << " load drifted from its routes";
+  }
+  for (std::size_t i = 0; i < vnf_site_load_.size(); ++i) {
+    SWB_CHECK_LE(std::abs(vnf_site_load_[i] - rebuilt.vnf_site_load_[i]),
+                 tolerance * std::max(1.0, rebuilt.vnf_site_load_[i]))
+        << "vnf " << i / site_count_ << " load at site " << i % site_count_
+        << " drifted from its routes";
   }
 }
 

@@ -26,9 +26,20 @@ class Loads {
   void add_stage_flow(const model::Chain& chain, std::size_t z, NodeId n1,
                       NodeId n2, double fraction);
 
+  /// Adds `weight` (negative removes) of one whole route: stage z runs
+  /// from the route's (z-1)-th endpoint to its z-th — the chain's ingress,
+  /// the sites of `vnf_sites` in stage order, then the chain's egress.
+  void add_route(const model::Chain& chain,
+                 const std::vector<SiteId>& vnf_sites, double weight);
+
   /// Zeroes all accumulated loads (also resizes to the model's current
   /// element counts, so it is safe after chains/VNF deployments change).
   void reset();
+
+  /// Follows a model that gained VNFs or sites since construction: new
+  /// slots start at zero and every existing value keeps its bits.  A no-op
+  /// while the element counts are unchanged.
+  void grow_to_model();
 
   // --- link state ---------------------------------------------------------
   /// Switchboard-attributed load (excludes background traffic).
@@ -73,6 +84,13 @@ class Loads {
   /// negative-fraction removals) non-negative, and the per-site totals
   /// redundantly equal to the sum of that site's per-VNF loads.
   void check_invariants(double tolerance = 1e-6) const;
+
+  /// Drift audit (aborts via SWB_CHECK on violation): every link, site and
+  /// (vnf, site) load equals `rebuilt` — the same routes re-accumulated
+  /// from scratch over the same model — within `tolerance` relative to
+  /// max(1, rebuilt value).  Round-off from incremental add/remove stays
+  /// far below it; a lost or doubled delta does not.
+  void check_matches(const Loads& rebuilt, double tolerance = 1e-6) const;
 
   /// Stricter audit for solutions that claim feasibility: additionally
   /// checks no link exceeds beta * b_e and no (vnf, site) exceeds m_sf,

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/check.hpp"
+#include "te/evaluator.hpp"
 
 namespace switchboard::te {
 
@@ -168,6 +169,7 @@ const DpResult& TeEngine::solve() {
 }
 
 double TeEngine::route_tracked_chain(ChainId c) {
+  loads_.grow_to_model();
   const model::Chain& chain = model_.chain(c);
   const TeContext ctx{&cache_, &scratch_};
   const double routed =
@@ -193,6 +195,7 @@ double TeEngine::add_chain(ChainId c) {
 
 void TeEngine::remove_chain(ChainId c) {
   SWB_CHECK(tracks_chain(c)) << "chain " << c << " not routed";
+  loads_.grow_to_model();
   const model::Chain& chain = model_.chain(c);
   for (std::size_t z = 1; z <= chain.stage_count(); ++z) {
     for (const StageFlow& flow : result_.routing.flows(c, z)) {
@@ -207,6 +210,27 @@ void TeEngine::remove_chain(ChainId c) {
 double TeEngine::reroute_chain(ChainId c) {
   remove_chain(c);
   return add_chain(c);
+}
+
+SingleRoute TeEngine::find_route(
+    const model::Chain& chain,
+    const std::function<bool(VnfId, SiteId)>& allowed) {
+  loads_.grow_to_model();
+  const TeContext ctx{&cache_, &scratch_};
+  if (!allowed) {
+    return find_single_route(model_, chain, loads_, options_, 1.0, ctx);
+  }
+  DpOptions options = options_;
+  options.site_allowed = allowed;
+  return find_single_route(model_, chain, loads_, options, 1.0, ctx);
+}
+
+void TeEngine::add_route_load(const model::Chain& chain,
+                              const std::vector<SiteId>& vnf_sites,
+                              double weight_delta) {
+  if (weight_delta == 0.0) return;
+  loads_.grow_to_model();
+  loads_.add_route(chain, vnf_sites, weight_delta);
 }
 
 std::size_t TeEngine::on_link_capacity_changed(LinkId link) {
@@ -272,11 +296,6 @@ bool TeEngine::tracks_chain(ChainId c) const {
          routed_fraction_[c.value()] != kUntracked;
 }
 
-double TeEngine::routed_fraction(ChainId c) const {
-  SWB_CHECK(tracks_chain(c));
-  return routed_fraction_[c.value()];
-}
-
 bool TeEngine::chain_crosses_link(ChainId c, LinkId link) const {
   const model::Chain& chain = model_.chain(c);
   for (std::size_t z = 1; z <= chain.stage_count(); ++z) {
@@ -296,15 +315,6 @@ bool TeEngine::chain_crosses_link(ChainId c, LinkId link) const {
   return false;
 }
 
-std::vector<ChainId> TeEngine::chains_placing(VnfId f, SiteId s) const {
-  std::vector<ChainId> placing;
-  for (const model::Chain& chain : model_.chains()) {
-    if (!tracks_chain(chain.id)) continue;
-    if (chain_places_vnf_at(chain.id, f, s)) placing.push_back(chain.id);
-  }
-  return placing;
-}
-
 bool TeEngine::chain_places_vnf_at(ChainId c, VnfId f, SiteId s) const {
   const model::Chain& chain = model_.chain(c);
   const NodeId site_node = model_.site(s).node;
@@ -318,52 +328,23 @@ bool TeEngine::chain_places_vnf_at(ChainId c, VnfId f, SiteId s) const {
 }
 
 void TeEngine::check_invariants(double tolerance) const {
+  loads_.grow_to_model();
   loads_.check_invariants(tolerance);
   result_.routing.check_invariants(tolerance);
-
   // The incrementally-maintained loads must match the loads re-accumulated
   // from the routing solution (drift here means a remove/re-add desynced).
-  Loads rebuilt{model_};
-  for (const model::Chain& chain : model_.chains()) {
-    if (!tracks_chain(chain.id)) continue;
-    for (std::size_t z = 1; z <= chain.stage_count(); ++z) {
-      for (const StageFlow& flow : result_.routing.flows(chain.id, z)) {
-        rebuilt.add_stage_flow(chain, z, flow.src, flow.dst, flow.fraction);
-      }
-    }
-  }
-  const std::size_t links = model_.topology().link_count();
-  for (std::size_t e = 0; e < links; ++e) {
-    const LinkId link{static_cast<LinkId::underlying_type>(e)};
-    SWB_CHECK_LE(std::abs(loads_.link_load(link) - rebuilt.link_load(link)),
-                 tolerance * std::max(1.0, rebuilt.link_load(link)))
-        << "link " << e << " load drifted from its routing";
-  }
-  for (std::size_t s = 0; s < model_.sites().size(); ++s) {
-    const SiteId site{static_cast<SiteId::underlying_type>(s)};
-    SWB_CHECK_LE(std::abs(loads_.site_load(site) - rebuilt.site_load(site)),
-                 tolerance * std::max(1.0, rebuilt.site_load(site)))
-        << "site " << s << " load drifted from its routing";
-    for (std::size_t f = 0; f < model_.vnfs().size(); ++f) {
-      const VnfId vnf{static_cast<VnfId::underlying_type>(f)};
-      SWB_CHECK_LE(std::abs(loads_.vnf_site_load(vnf, site) -
-                            rebuilt.vnf_site_load(vnf, site)),
-                   tolerance * std::max(1.0, rebuilt.vnf_site_load(vnf, site)))
-          << "vnf " << f << " load at site " << s
-          << " drifted from its routing";
-    }
-  }
+  loads_.check_matches(accumulate_loads(model_, result_.routing), tolerance);
 }
 
 const LpRoutingResult& TeEngine::refine_with_lp(LpRoutingOptions options) {
-  if (options.warm_start == nullptr && !lp_result_.basis.empty()) {
-    // Replay the previous refinement's basis.  solve_simplex validates the
+  if (options.warm_start == nullptr && !warm_basis_.empty()) {
+    // Replay the last optimal basis.  solve_simplex validates the
     // dimensions itself, so a model-shape change degrades to a cold solve
     // instead of an error.
-    options.warm_start = &lp_result_.basis;
+    options.warm_start = &warm_basis_;
   }
   lp_result_ = solve_lp_routing(model_, options);
-  lp_refined_version_ = loads_.version();
+  if (lp_result_.optimal()) warm_basis_ = lp_result_.basis;
   return lp_result_;
 }
 

@@ -24,10 +24,14 @@
 //     same bits, faster) and an incremental re-solve API: add/remove/
 //     re-route one chain, or react to a link / (vnf, site) capacity change
 //     by re-routing only the chains whose routes the change touches,
-//     instead of recomputing every chain from scratch.
+//     instead of recomputing every chain from scratch.  It is also the
+//     Global Switchboard's only TE state: a cached single-route query,
+//     per-route load deltas for the routes the controller commits and
+//     retires, and the warm-started SB-LP refinement.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/types.hpp"
@@ -125,7 +129,11 @@ class EdgeCostCache {
 /// Stateful DP solver: full solve plus incremental re-solve.  The engine
 /// assumes it is the sole writer of its Loads between calls; model
 /// mutations (capacities, background traffic, new chains/deployments)
-/// are picked up by the next call as documented per method.
+/// are picked up by the next call as documented per method.  Every call
+/// that reads or writes the loads — loads() and check_invariants()
+/// included — first grows them to the current model
+/// (Loads::grow_to_model, which changes no value), so VNFs and sites
+/// added after construction are routable and auditable.
 class TeEngine {
  public:
   explicit TeEngine(const model::NetworkModel& model, DpOptions options = {});
@@ -162,43 +170,58 @@ class TeEngine {
   /// was not told about through the methods above).
   void invalidate_cost_cache() { cache_.invalidate(); }
 
+  /// SB-DP for one route, admitting nothing: the least-cost route for
+  /// `chain` against the current loads, through the engine's cost cache
+  /// and scratch buffers — the same answer, bit for bit, as
+  /// find_single_route on the same loads.  `allowed`, when set, replaces
+  /// options().site_allowed for this query (a 2PC retry excludes the
+  /// placements that voted abort).
+  [[nodiscard]] SingleRoute find_route(
+      const model::Chain& chain,
+      const std::function<bool(VnfId, SiteId)>& allowed = {});
+
+  /// Adds `weight_delta` (negative removes; 0 is a no-op) of one route's
+  /// traffic to the loads — see Loads::add_route for the stage walk.  The
+  /// route is not tracked: a caller that drives the loads this way owns
+  /// its routes, and audits the loads against them with
+  /// Loads::check_matches rather than with check_invariants().
+  void add_route_load(const model::Chain& chain,
+                      const std::vector<SiteId>& vnf_sites,
+                      double weight_delta);
+
+  /// Zeroes the loads, for a caller that re-adds its routes through
+  /// add_route_load (a controller restart).
+  void reset_loads() { loads_.reset(); }
+
   /// Background SB-LP refinement (the paper's split: SB-DP answers route
   /// requests immediately, SB-LP re-optimizes the whole routing in the
   /// background).  Solves the routing LP over the engine's model and
-  /// remembers the optimal basis: subsequent calls warm-start from it, so
-  /// a refinement after a small change re-solves in a few pivots instead
-  /// of from scratch.  An explicit `options.warm_start` wins over the
+  /// remembers the last optimal basis: subsequent calls warm-start from
+  /// it, so a refinement after a small change re-solves in a few pivots
+  /// instead of from scratch.  A non-optimal solve leaves the remembered
+  /// basis as it was.  An explicit `options.warm_start` wins over the
   /// remembered basis; a formulation-shape change silently falls back to
   /// a cold solve.  The result stays cached until the next call.
   const LpRoutingResult& refine_with_lp(LpRoutingOptions options = {});
 
-  /// True when the loads advanced past the state the last refine_with_lp
-  /// call saw — i.e. a new refinement would observe different state.
-  [[nodiscard]] bool lp_refresh_due() const {
-    return loads_.version() != lp_refined_version_;
-  }
   /// The last refine_with_lp result (default-constructed before any call).
   [[nodiscard]] const LpRoutingResult& lp_refinement() const {
     return lp_result_;
   }
 
   [[nodiscard]] const DpResult& result() const { return result_; }
-  [[nodiscard]] const Loads& loads() const { return loads_; }
+  [[nodiscard]] const Loads& loads() const {
+    loads_.grow_to_model();
+    return loads_;
+  }
   [[nodiscard]] const DpOptions& options() const { return options_; }
   [[nodiscard]] const EdgeCostCache& cost_cache() const { return cache_; }
   /// True once `c` has been routed by solve()/add_chain and not removed.
   [[nodiscard]] bool tracks_chain(ChainId c) const;
-  /// Admitted fraction of a tracked chain.
-  [[nodiscard]] double routed_fraction(ChainId c) const;
-
-  /// Tracked chains whose current routing places VNF `f` at site `s` — the
-  /// blast radius of an instance failure there (recovery tests assert the
-  /// incremental re-solve touches exactly these chains).
-  [[nodiscard]] std::vector<ChainId> chains_placing(VnfId f, SiteId s) const;
 
   /// Audits the engine (aborts via SWB_CHECK on violation): loads and
   /// routing invariants hold, and the loads equal the loads re-accumulated
-  /// from the routing within `tolerance` (incremental drift bound).
+  /// from the tracked routing within `tolerance` (incremental drift bound).
   void check_invariants(double tolerance = 1e-6) const;
 
  private:
@@ -214,13 +237,13 @@ class TeEngine {
 
   const model::NetworkModel& model_;
   DpOptions options_;
-  Loads loads_;
+  mutable Loads loads_;   // grown by const readers too (see class comment)
   DpResult result_;
   EdgeCostCache cache_;
   DpScratch scratch_;
   std::vector<double> routed_fraction_;   // per chain id; kUntracked = none
-  LpRoutingResult lp_result_;             // last SB-LP refinement + basis
-  std::uint64_t lp_refined_version_{0};   // Loads version it was solved at
+  LpRoutingResult lp_result_;             // last SB-LP refinement
+  lp::Basis warm_basis_;                  // last optimal SB-LP basis
 };
 
 }  // namespace switchboard::te

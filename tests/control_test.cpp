@@ -322,6 +322,28 @@ TEST(AddRoute, ExistingFlowKeepsItsPath) {
   EXPECT_EQ(after.vnf_instances(), before.vnf_instances());
 }
 
+TEST(AddRoute, FailsWhenEveryRouteCrossesAFullLink) {
+  // Every route from A to B leaves A over the A->M link.  With that link
+  // at its MLU budget, SB-DP still finds a route, but it admits none of
+  // the chain: add_route must refuse it like create_chain does.
+  Fixture fx;
+  Middleware mw{fx.make_model()};
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  const auto created = mw.create_chain(fx.make_spec(edge));
+  ASSERT_TRUE(created.ok()) << created.error().to_string();
+
+  model::NetworkModel& m = mw.deployment().network_model();
+  for (const net::Link& link : m.topology().links()) {
+    if (link.src == NodeId{0} && link.dst == NodeId{1}) {
+      m.set_background_traffic(link.id, m.mlu_limit() * link.capacity);
+    }
+  }
+  const auto added = mw.add_route(created->chain, {});
+  ASSERT_FALSE(added.ok());
+  EXPECT_EQ(added.error().code, ErrorCode::kInfeasible);
+  EXPECT_EQ(mw.chain_record(created->chain).routes.size(), 1u);
+}
+
 TEST(AddRoute, UnknownChainFails) {
   Fixture fx;
   Middleware mw{fx.make_model()};

@@ -58,6 +58,37 @@ TEST(Deployment, RegisterVnfServiceAfterConstruction) {
   EXPECT_EQ(walk.vnf_instances().size(), 1u);
 }
 
+TEST(Deployment, RegisterVnfServiceWhileAChainIsActive) {
+  // A VNF registered after a chain is active gets zeroed load slots while
+  // the active chain's loads stay as they are: the controller's audit
+  // (loads against a rebuild from the committed routes) passes right after
+  // the registration and after a chain on the new VNF, and both chains
+  // carry traffic.
+  Middleware mw{tiny_model()};
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  ChainSpec spec;
+  spec.ingress_service = edge;
+  spec.egress_service = edge;
+  spec.ingress_node = NodeId{0};
+  spec.egress_node = NodeId{2};
+  spec.vnfs = {mw.deployment().network_model().vnfs()[0].id};
+  const auto first = mw.create_chain(spec);
+  ASSERT_TRUE(first.ok()) << first.error().to_string();
+
+  const SiteId mid{1};
+  spec.vnfs = {mw.register_vnf_service("dpi", 2.0, {{mid, 50.0}})};
+  mw.deployment().global().check_invariants();
+  const auto second = mw.create_chain(spec);
+  ASSERT_TRUE(second.ok()) << second.error().to_string();
+
+  const auto walk_first = mw.send(first->chain, tuple(6));
+  EXPECT_TRUE(walk_first.delivered) << walk_first.failure;
+  const auto walk_second = mw.send(second->chain, tuple(7));
+  ASSERT_TRUE(walk_second.delivered) << walk_second.failure;
+  EXPECT_EQ(walk_second.vnf_instances().size(), 1u);
+  mw.deployment().global().check_invariants();
+}
+
 TEST(Deployment, WalkReportsPerHopLatency) {
   Middleware mw{tiny_model()};
   const EdgeServiceId edge = mw.register_edge_service("vpn");

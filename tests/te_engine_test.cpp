@@ -1,10 +1,18 @@
 // Unit tests for the TE engine layer (te/te_engine.hpp): Loads change
-// epochs, the epoch-validated edge-cost cache, and TeEngine's incremental
-// re-solve API.
+// epochs and growth, the epoch-validated edge-cost cache, TeEngine's
+// incremental re-solve API, and the cached single-route query the Global
+// Switchboard routes through.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <random>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "model/network_model.hpp"
 #include "model/scenario.hpp"
@@ -107,6 +115,44 @@ TEST(LoadsEpochs, ResetStampsEverySlot) {
   }
   EXPECT_EQ(loads.vnf_site_epoch(fx.fw, fx.site_m), loads.version());
   EXPECT_EQ(loads.vnf_site_epoch(fx.fw, fx.site_b), loads.version());
+}
+
+TEST(LoadsGrowth, NewSitesAndVnfsGetZeroedSlotsAndOldValuesKeepTheirBits) {
+  NetworkModel m{net::make_line_topology(4, 10.0, 5.0)};
+  const SiteId a = m.add_site(NodeId{0}, 1000.0, "A");
+  const SiteId b = m.add_site(NodeId{1}, 1000.0, "B");
+  const VnfId fw = m.add_vnf("fw", 1.5);
+  m.deploy_vnf(fw, b, 100.0);
+  Chain c;
+  c.ingress = NodeId{0};
+  c.egress = NodeId{0};
+  c.vnfs = {fw};
+  c.forward_traffic = {1.0 / 3.0, 1.0 / 7.0};
+  c.reverse_traffic = {0.1, 0.2};
+  const ChainId chain = m.add_chain(std::move(c));
+  Loads loads{m};
+  loads.add_route(m.chain(chain), {b}, 0.3);
+  const double fw_at_b = loads.vnf_site_load(fw, b);
+  const double site_b = loads.site_load(b);
+  const double link = loads.link_load(LinkId{0});
+  ASSERT_GT(fw_at_b, 0.0);
+  ASSERT_GT(link, 0.0);
+
+  // A late site widens the VNF-major (vnf, site) layout, so every old slot
+  // moves; a late VNF appends a row.
+  const SiteId late_site = m.add_site(NodeId{3}, 500.0, "late");
+  const VnfId late_vnf = m.add_vnf("late", 1.0);
+  m.deploy_vnf(late_vnf, late_site, 10.0);
+  loads.grow_to_model();
+  loads.check_invariants();
+  EXPECT_EQ(loads.vnf_site_load(fw, b), fw_at_b);
+  EXPECT_EQ(loads.site_load(b), site_b);
+  EXPECT_EQ(loads.link_load(LinkId{0}), link);
+  EXPECT_EQ(loads.vnf_site_load(fw, a), 0.0);
+  EXPECT_EQ(loads.vnf_site_load(fw, late_site), 0.0);
+  EXPECT_EQ(loads.vnf_site_load(late_vnf, b), 0.0);
+  EXPECT_EQ(loads.site_load(late_site), 0.0);
+  EXPECT_EQ(loads.vnf_site_epoch(late_vnf, late_site), loads.version());
 }
 
 // ---------------------------------------------------------- EdgeCostCache
@@ -287,6 +333,142 @@ TEST(TeEngine, SecondSolveMatchesFirst) {
   // A warm cache must not change the answer.
   const double second = engine.solve().routed_volume;
   EXPECT_EQ(first, second);
+  EXPECT_GT(engine.cost_cache().hits(), 0u);
+}
+
+TEST(TeEngine, AddChainOnAVnfAddedAfterConstruction) {
+  // Built over 1 VNF x 3 sites; eight VNFs arrive afterwards, and a chain
+  // uses the last of them.  Its load slot lies past the loads the engine
+  // was built with.
+  LineFixture fx;
+  TeEngine engine{fx.m};
+  VnfId late;
+  for (int i = 0; i < 8; ++i) {
+    late = fx.m.add_vnf("late" + std::to_string(i), 1.0);
+    fx.m.deploy_vnf(late, fx.site_b, 100.0);
+  }
+  Chain c;
+  c.ingress = NodeId{0};
+  c.egress = NodeId{2};
+  c.vnfs = {late};
+  c.forward_traffic = {2.0, 2.0};
+  c.reverse_traffic = {0.0, 0.0};
+  const ChainId chain = fx.m.add_chain(std::move(c));
+
+  EXPECT_EQ(engine.add_chain(chain), 1.0);
+  engine.check_invariants();
+  EXPECT_GT(engine.loads().vnf_site_load(late, fx.site_b), 0.0);
+}
+
+/// One committed route the parity property keeps, to remove it later.
+struct HeldRoute {
+  ChainId chain;
+  std::vector<SiteId> vnf_sites;
+  double weight{0.0};
+};
+
+/// engine.find_route (cached) against the uncached reference on the same
+/// loads: same nodes, sites and admissible fraction, bit for bit.
+void expect_route_parity(const NetworkModel& m, TeEngine& engine,
+                         const model::Chain& chain,
+                         const std::function<bool(VnfId, SiteId)>& allowed) {
+  DpOptions options = engine.options();
+  options.site_allowed = allowed;
+  const SingleRoute reference =
+      find_single_route(m, chain, engine.loads(), options);
+  const SingleRoute cached = engine.find_route(chain, allowed);
+  ASSERT_EQ(cached.found, reference.found) << "chain " << chain.id;
+  EXPECT_EQ(cached.nodes, reference.nodes) << "chain " << chain.id;
+  EXPECT_EQ(cached.sites, reference.sites) << "chain " << chain.id;
+  EXPECT_EQ(cached.admissible_fraction, reference.admissible_fraction)
+      << "chain " << chain.id;
+}
+
+class TeEngineRouteParity : public ::testing::TestWithParam<std::uint64_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TeEngineRouteParity,
+                         ::testing::Values(1, 7, 19, 42));
+
+TEST_P(TeEngineRouteParity, CachedFindRouteMatchesUncachedReference) {
+  // Drives the engine the way the Global Switchboard does — route loads in
+  // and out, 2PC-style exclusions, capacity changes followed by
+  // invalidate_cost_cache() — and after every step compares the cached
+  // query with find_single_route for every chain.
+  NetworkModel m = model::make_scenario(small_scenario(GetParam()));
+  TeEngine engine{m};
+  std::mt19937_64 rng{GetParam()};
+  const auto pick = [&rng](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>{0, n - 1}(rng);
+  };
+  std::vector<HeldRoute> held;
+
+  for (int step = 0; step < 60; ++step) {
+    std::function<bool(VnfId, SiteId)> allowed;
+    switch (pick(4)) {
+      case 0: {   // commit part of a chain on its current best route
+        const model::Chain& chain = m.chains()[pick(m.chains().size())];
+        const SingleRoute route = engine.find_route(chain);
+        if (!route.found || route.admissible_fraction <= 0.0) break;
+        const double weight =
+            route.admissible_fraction *
+            std::uniform_real_distribution<double>{0.2, 1.0}(rng);
+        HeldRoute kept{chain.id, {route.sites.begin() + 1,
+                                  route.sites.end() - 1}, weight};
+        engine.add_route_load(chain, kept.vnf_sites, weight);
+        held.push_back(std::move(kept));
+        break;
+      }
+      case 1: {   // retire one
+        if (held.empty()) break;
+        const std::size_t i = pick(held.size());
+        engine.add_route_load(m.chain(held[i].chain), held[i].vnf_sites,
+                              -held[i].weight);
+        held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+        break;
+      }
+      case 2: {   // exclude a few placements, as a 2PC retry does
+        std::set<std::pair<std::uint32_t, std::uint32_t>> excluded;
+        for (int k = 0; k < 3; ++k) {
+          const model::Vnf& vnf = m.vnfs()[pick(m.vnfs().size())];
+          if (vnf.deployments.empty()) continue;
+          const SiteId site = vnf.deployments[pick(vnf.deployments.size())].site;
+          excluded.insert({vnf.id.value(), site.value()});
+        }
+        allowed = [excluded](VnfId vnf, SiteId site) {
+          return excluded.count({vnf.value(), site.value()}) == 0;
+        };
+        break;
+      }
+      default: {   // change a capacity in the model, then invalidate
+        if (pick(2) == 0) {
+          const model::Vnf& vnf = m.vnfs()[pick(m.vnfs().size())];
+          if (vnf.deployments.empty()) break;
+          const model::VnfDeployment& dep =
+              vnf.deployments[pick(vnf.deployments.size())];
+          m.set_vnf_site_capacity(vnf.id, dep.site, 0.5 * dep.capacity + 1.0);
+        } else {
+          const LinkId link{static_cast<LinkId::underlying_type>(
+              pick(m.topology().link_count()))};
+          m.set_background_traffic(
+              link, m.background_traffic(link) +
+                        0.2 * m.topology().link(link).capacity);
+        }
+        engine.invalidate_cost_cache();
+        break;
+      }
+    }
+    for (const model::Chain& chain : m.chains()) {
+      expect_route_parity(m, engine, chain, allowed);
+    }
+    if (HasFatalFailure()) return;
+  }
+
+  // The loads are exactly the held routes' deltas (within round-off).
+  Loads rebuilt{m};
+  for (const HeldRoute& route : held) {
+    rebuilt.add_route(m.chain(route.chain), route.vnf_sites, route.weight);
+  }
+  engine.loads().check_matches(rebuilt);
   EXPECT_GT(engine.cost_cache().hits(), 0u);
 }
 
