@@ -176,7 +176,7 @@ void ablation_dht_failover(swb_bench::Session& session) {
   // DHT: entries replicated across the ring.
   DhtFlowTable dht{kNodes};
   // Baseline: flows partitioned across per-forwarder tables, no replicas.
-  std::vector<FlowTable> local(kNodes);
+  std::vector<ShardedFlowTable> local(kNodes);
   for (std::uint32_t f = 0; f < kFlows; ++f) {
     const FiveTuple t = stream.flow_tuple(f);
     const FlowEntry entry{f, f, f};
@@ -192,7 +192,7 @@ void ablation_dht_failover(swb_bench::Session& session) {
   for (std::uint32_t f = 0; f < kFlows; ++f) {
     const FiveTuple t = stream.flow_tuple(f);
     if (dht.find(kLabels, t).has_value()) ++dht_alive;
-    if (local[flow_hash(kLabels, t) % kNodes].find(kLabels, t) != nullptr) {
+    if (local[flow_hash(kLabels, t) % kNodes].find(kLabels, t).has_value()) {
       ++local_alive;
     }
   }

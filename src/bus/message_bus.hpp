@@ -138,7 +138,6 @@ class MessageBus {
   virtual void publish(const Topic& topic, std::string payload) = 0;
 
   [[nodiscard]] const BusStats& stats() const { return stats_; }
-  [[nodiscard]] BusStats& stats_mutable() { return stats_; }
 
   /// Cancels the retransmit timers of every unacknowledged reliable copy
   /// addressed to `site` and counts each as abandoned.  Called when the

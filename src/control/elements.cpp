@@ -55,11 +55,6 @@ const ElementInfo& ElementRegistry::info(dataplane::ElementId id) const {
   return elements_[id];
 }
 
-ElementInfo& ElementRegistry::info_mutable(dataplane::ElementId id) {
-  SWB_CHECK(exists(id));
-  return elements_[id];
-}
-
 dataplane::Forwarder& ElementRegistry::forwarder(dataplane::ElementId id) {
   SWB_CHECK(exists(id));
   SWB_CHECK(engines_[id] != nullptr);

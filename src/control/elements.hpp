@@ -52,7 +52,6 @@ class ElementRegistry {
                                             dataplane::ElementId forwarder);
 
   [[nodiscard]] const ElementInfo& info(dataplane::ElementId id) const;
-  [[nodiscard]] ElementInfo& info_mutable(dataplane::ElementId id);
   [[nodiscard]] bool exists(dataplane::ElementId id) const {
     return id < elements_.size();
   }

@@ -33,14 +33,6 @@ void GlobalSwitchboard::register_vnf_controller(VnfController* controller) {
   vnf_controllers_[controller->vnf().value()] = controller;
 }
 
-void GlobalSwitchboard::register_local_switchboard(LocalSwitchboard* local) {
-  SWB_CHECK(local != nullptr);
-  if (local_switchboards_.size() <= local->site().value()) {
-    local_switchboards_.resize(local->site().value() + 1, nullptr);
-  }
-  local_switchboards_[local->site().value()] = local;
-}
-
 const ChainRecord& GlobalSwitchboard::record(ChainId chain) const {
   const ChainRecord* found = find_record(chain);
   SWB_CHECK(found != nullptr) << "unknown chain " << chain.value();
@@ -100,12 +92,9 @@ void GlobalSwitchboard::create_chain(const ChainSpec& spec,
 
   // Fig. 4 step 1: obtain ingress/egress sites from the edge controllers
   // (parallel RPC round trip + controller processing).
-  const sim::Duration resolve_delay = 2 * context_.timings.controller_rpc +
-                                      context_.timings.controller_processing;
-  const std::uint64_t ep = state_.epoch;
-  context_.sim.schedule(resolve_delay, [this, ep, spec, report,
-                                        done = std::move(done)]() mutable {
-    if (!up_ || ep != state_.epoch) return;   // the requesting incarnation died
+  later(2 * context_.timings.controller_rpc +
+            context_.timings.controller_processing,
+        [this, spec, report, done = std::move(done)]() mutable {
     if (spec.ingress_service.value() >= edge_controllers_.size() ||
         edge_controllers_[spec.ingress_service.value()] == nullptr ||
         spec.egress_service.value() >= edge_controllers_.size() ||
@@ -144,29 +133,8 @@ void GlobalSwitchboard::create_chain(const ChainSpec& spec,
     report.chain = chain_id;
     report.labels = labels;
 
-    // Fig. 4 step 2: compute the wide-area route.
-    context_.sim.schedule(
-        context_.timings.route_compute,
-        [this, ep, chain_id, report, done = std::move(done)]() mutable {
-          if (!up_ || ep != state_.epoch) return;
-          ChainRecord* rec = state_.find_chain(chain_id);
-          SWB_CHECK(rec != nullptr);
-          std::optional<std::vector<SiteId>> vnf_sites =
-              compute_route(chain_id, {});
-          report.events.push_back({"route_computed", context_.sim.now()});
-          if (!vnf_sites) {
-            done(Result<CreationReport>{ErrorCode::kInfeasible,
-                                        "no feasible wide-area route"});
-            return;
-          }
-          RouteRecord route_record;
-          route_record.id = RouteId{state_.next_route_id++};
-          route_record.weight = 1.0;
-          route_record.vnf_sites = std::move(*vnf_sites);
-          report.route = route_record.id;
-          commit_route(*rec, std::move(route_record), std::move(report),
-                       std::move(done), {}, 0);
-        });
+    // Fig. 4 step 2: compute the wide-area route and run 2PC.
+    route_and_commit(chain_id, {}, {}, 0, std::move(report), std::move(done));
   });
 }
 
@@ -181,13 +149,52 @@ sim::Duration rpc_backoff(const ControlTimings& timings,
 
 }  // namespace
 
-void GlobalSwitchboard::commit_route(ChainRecord& record, RouteRecord route,
+void GlobalSwitchboard::route_and_commit(ChainId chain,
+                                         std::vector<SiteId> preferred,
+                                         Exclusions excluded,
+                                         std::size_t attempt,
+                                         CreationReport report,
+                                         CreationCallback done) {
+  later(context_.timings.route_compute,
+        [this, chain, preferred = std::move(preferred),
+         excluded = std::move(excluded), attempt, report = std::move(report),
+         done = std::move(done)]() mutable {
+    const ChainRecord& rec = record(chain);
+    std::optional<std::vector<SiteId>> vnf_sites;
+    if (preferred.empty()) {
+      vnf_sites = compute_route(chain, excluded);
+    } else if (preferred.size() == rec.spec.vnfs.size()) {
+      vnf_sites = std::move(preferred);
+    } else {
+      done(Result<CreationReport>{ErrorCode::kInvalidArgument,
+                                  "preferred sites must cover every VNF in "
+                                  "the chain"});
+      return;
+    }
+    report.events.push_back({attempt == 0 ? "route_computed"
+                                          : "route_recomputed",
+                             context_.sim.now()});
+    if (!vnf_sites) {
+      done(Result<CreationReport>{ErrorCode::kInfeasible,
+                                  "no feasible wide-area route"});
+      return;
+    }
+    // The new route takes an equal share of the chain's traffic.  Its id is
+    // the allocator's next; the BeginRecord journaled by commit_route in
+    // this same event advances the allocator.
+    RouteRecord route{RouteId{state_.next_route_id}, std::move(*vnf_sites),
+                      1.0 / static_cast<double>(rec.routes.size() + 1)};
+    report.route = route.id;
+    commit_route(chain, std::move(route), std::move(report), std::move(done),
+                 std::move(excluded), attempt);
+  });
+}
+
+void GlobalSwitchboard::commit_route(ChainId chain_id, RouteRecord route,
                                      CreationReport report,
                                      CreationCallback done,
                                      Exclusions excluded,
                                      std::size_t attempt) {
-  const ChainId chain_id = record.id;
-
   // Journal the 2PC intent before any participant hears about it: after a
   // crash anywhere in the round, recovery knows this (chain, route, sites)
   // begun and can re-drive or abort it.
@@ -195,26 +202,22 @@ void GlobalSwitchboard::commit_route(ChainRecord& record, RouteRecord route,
 
   // Two-phase commit, prepare round: parallel RPCs to each VNF controller
   // (round trip + processing).
-  const sim::Duration prepare_delay = 2 * context_.timings.controller_rpc +
-                                      context_.timings.controller_processing;
-  const std::uint64_t ep = state_.epoch;
-  context_.sim.schedule(
-      prepare_delay,
-      [this, ep, chain_id, route, report, done = std::move(done), excluded,
-       attempt]() mutable {
-        if (!up_ || ep != state_.epoch) return;
-        start_prepare_round(chain_id, std::move(route), std::move(report),
-                            std::move(done), std::move(excluded), attempt,
-                            /*rpc_retry=*/0);
-      });
+  later(2 * context_.timings.controller_rpc +
+            context_.timings.controller_processing,
+        [this, chain_id, route = std::move(route), report = std::move(report),
+         done = std::move(done), excluded = std::move(excluded),
+         attempt]() mutable {
+    start_prepare_round(chain_id, std::move(route), std::move(report),
+                        std::move(done), std::move(excluded), attempt,
+                        /*rpc_retry=*/0);
+  });
 }
 
 void GlobalSwitchboard::start_prepare_round(
     ChainId chain_id, RouteRecord route, CreationReport report,
     CreationCallback done, Exclusions excluded, std::size_t attempt,
     std::size_t rpc_retry) {
-  ChainRecord* rec = state_.find_chain(chain_id);
-  SWB_CHECK(rec != nullptr);
+  const ChainRecord& rec = record(chain_id);
   const model::Chain& chain = context_.model.chain(chain_id);
 
   // Parallel prepares: collect a vote from every reachable participant; a
@@ -224,12 +227,14 @@ void GlobalSwitchboard::start_prepare_round(
   bool timed_out = false;
   std::pair<std::uint32_t, std::uint32_t> rejected{0, 0};
   std::set<std::uint32_t> prepared_vnfs;
-  for (std::size_t z = 1; z <= rec->spec.vnfs.size(); ++z) {
-    const VnfId vnf = rec->spec.vnfs[z - 1];
+  for (std::size_t z = 1; z <= rec.spec.vnfs.size(); ++z) {
+    const VnfId vnf = rec.spec.vnfs[z - 1];
     const SiteId site = route.vnf_sites[z - 1];
-    VnfController* controller = vnf_controllers_[vnf.value()];
-    SWB_CHECK(controller != nullptr);
-    if (!controller->up()) {
+    SWB_CHECK(vnf.value() < vnf_controllers_.size() &&
+              vnf_controllers_[vnf.value()] != nullptr)
+        << "vnf " << vnf.value() << " has no registered controller";
+    VnfController* controller = reachable(vnf);
+    if (controller == nullptr) {
       timed_out = true;
       continue;
     }
@@ -245,14 +250,18 @@ void GlobalSwitchboard::start_prepare_round(
       break;
     }
   }
-
-  if (!all_prepared) {
-    // Abort the reservations made so far and recompute with the
-    // rejecting placement excluded (Section 3, chain creation).
+  // Releases the reservations made so far and journals the abort.
+  const auto abort_round = [&] {
     for (const std::uint32_t vnf : prepared_vnfs) {
       vnf_controllers_[vnf]->abort(chain_id, route.id, state_.epoch);
     }
     apply_and_log(AbortRecord{chain_id, route.id});
+  };
+
+  if (!all_prepared) {
+    // Recompute with the rejecting placement excluded (Section 3, chain
+    // creation).
+    abort_round();
     excluded.insert(rejected);
     report.events.push_back({"route_rejected", context_.sim.now()});
     if (attempt + 1 >= 4) {
@@ -261,31 +270,8 @@ void GlobalSwitchboard::start_prepare_round(
           "2PC: no feasible route after repeated rejections"});
       return;
     }
-    const std::uint64_t ep = state_.epoch;
-    context_.sim.schedule(
-        context_.timings.route_compute,
-        [this, ep, chain_id, report, done = std::move(done), excluded,
-         attempt]() mutable {
-          if (!up_ || ep != state_.epoch) return;
-          ChainRecord* rec2 = state_.find_chain(chain_id);
-          SWB_CHECK(rec2 != nullptr);
-          std::optional<std::vector<SiteId>> vnf_sites =
-              compute_route(chain_id, excluded);
-          report.events.push_back({"route_recomputed", context_.sim.now()});
-          if (!vnf_sites) {
-            done(Result<CreationReport>{ErrorCode::kInfeasible,
-                                        "no feasible route after 2PC "
-                                        "rejection"});
-            return;
-          }
-          RouteRecord route_record;
-          route_record.id = RouteId{state_.next_route_id++};
-          route_record.weight = 1.0;
-          route_record.vnf_sites = std::move(*vnf_sites);
-          report.route = route_record.id;
-          commit_route(*rec2, std::move(route_record), std::move(report),
-                       std::move(done), std::move(excluded), attempt + 1);
-        });
+    route_and_commit(chain_id, {}, std::move(excluded), attempt + 1,
+                     std::move(report), std::move(done));
     return;
   }
 
@@ -297,26 +283,20 @@ void GlobalSwitchboard::start_prepare_round(
       SB_LOG(kWarn) << "2pc: prepare for chain " << chain_id << " route "
                     << route.id << " gave up after " << rpc_retry
                     << " retries";
-      for (const std::uint32_t vnf : prepared_vnfs) {
-        vnf_controllers_[vnf]->abort(chain_id, route.id, state_.epoch);
-      }
-      apply_and_log(AbortRecord{chain_id, route.id});
+      abort_round();
       done(Result<CreationReport>{
           ErrorCode::kUnavailable,
           "2PC prepare: participant unreachable after retries"});
       return;
     }
-    const std::uint64_t retry_ep = state_.epoch;
-    context_.sim.schedule(
-        context_.timings.rpc_timeout + rpc_backoff(context_.timings,
-                                                   rpc_retry),
-        [this, retry_ep, chain_id, route, report, done = std::move(done),
-         excluded, attempt, rpc_retry]() mutable {
-          if (!up_ || retry_ep != state_.epoch) return;
-          start_prepare_round(chain_id, std::move(route), std::move(report),
-                              std::move(done), std::move(excluded), attempt,
-                              rpc_retry + 1);
-        });
+    later(context_.timings.rpc_timeout +
+              rpc_backoff(context_.timings, rpc_retry),
+          [this, chain_id, route, report, done = std::move(done), excluded,
+           attempt, rpc_retry]() mutable {
+      start_prepare_round(chain_id, std::move(route), std::move(report),
+                          std::move(done), std::move(excluded), attempt,
+                          rpc_retry + 1);
+    });
     return;
   }
   report.events.push_back({"prepared", context_.sim.now()});
@@ -330,19 +310,15 @@ void GlobalSwitchboard::start_prepare_round(
   // prep record must be durable on a quorum before any participant hears
   // commit, or a failed-over leader could abort a round whose
   // participants already committed.
-  const std::uint64_t commit_ep = state_.epoch;
-  after_quorum([this, commit_ep, chain_id, route = std::move(route),
+  after_quorum([this, chain_id, route = std::move(route),
                 report = std::move(report), done = std::move(done)]() mutable {
-    if (!up_ || commit_ep != state_.epoch) return;
-    context_.sim.schedule(
-        context_.timings.controller_rpc +
-            context_.timings.controller_processing,
-        [this, commit_ep, chain_id, route = std::move(route),
-         report = std::move(report), done = std::move(done)]() mutable {
-          if (!up_ || commit_ep != state_.epoch) return;
-          start_commit_round(chain_id, std::move(route), std::move(report),
-                             std::move(done), /*rpc_retry=*/0);
-        });
+    later(context_.timings.controller_rpc +
+              context_.timings.controller_processing,
+          [this, chain_id, route = std::move(route),
+           report = std::move(report), done = std::move(done)]() mutable {
+      start_commit_round(chain_id, std::move(route), std::move(report),
+                         std::move(done), /*rpc_retry=*/0);
+    });
   });
 }
 
@@ -350,20 +326,19 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
                                            CreationReport report,
                                            CreationCallback done,
                                            std::size_t rpc_retry) {
-  ChainRecord* rec2 = state_.find_chain(chain_id);
-  SWB_CHECK(rec2 != nullptr);
+  ChainRecord* rec = state_.find_chain(chain_id);
+  SWB_CHECK(rec != nullptr);
 
   // Commits to reachable participants; re-delivery on retry is idempotent
   // (kCommitted -> kCommitted, no reservations left to move).
   bool timed_out = false;
-  for (std::size_t z = 1; z <= rec2->spec.vnfs.size(); ++z) {
-    const VnfId vnf = rec2->spec.vnfs[z - 1];
-    VnfController* controller = vnf_controllers_[vnf.value()];
-    if (!controller->up()) {
+  for (const VnfId vnf : rec->spec.vnfs) {
+    VnfController* controller = reachable(vnf);
+    if (controller == nullptr) {
       timed_out = true;
       continue;
     }
-    controller->commit(chain_id, route.id, rec2->labels.egress_site,
+    controller->commit(chain_id, route.id, rec->labels.egress_site,
                        state_.epoch);
   }
 
@@ -381,18 +356,13 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
       // failed-over leader re-drive this prepared round against
       // participants that already rolled back.
       apply_and_log(AbortRecord{chain_id, route.id});
-      const std::uint64_t abort_ep = state_.epoch;
-      after_quorum([this, abort_ep, chain_id, route_id = route.id,
+      after_quorum([this, chain_id, route_id = route.id,
                     done = std::move(done)]() mutable {
-        if (!up_ || abort_ep != state_.epoch) return;
-        const ChainRecord* rec3 = find_record(chain_id);
-        SWB_CHECK(rec3 != nullptr);
-        for (std::size_t z = 1; z <= rec3->spec.vnfs.size(); ++z) {
-          VnfController* controller =
-              vnf_controllers_[rec3->spec.vnfs[z - 1].value()];
-          if (!controller->up()) continue;
-          controller->abort(chain_id, route_id, state_.epoch);
-          controller->release(chain_id, route_id, state_.epoch);
+        for (const VnfId vnf : record(chain_id).spec.vnfs) {
+          if (VnfController* controller = reachable(vnf)) {
+            controller->abort(chain_id, route_id, state_.epoch);
+            controller->release(chain_id, route_id, state_.epoch);
+          }
         }
         done(Result<CreationReport>{
             ErrorCode::kUnavailable,
@@ -400,16 +370,13 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
       });
       return;
     }
-    const std::uint64_t ep = state_.epoch;
-    context_.sim.schedule(
-        context_.timings.rpc_timeout + rpc_backoff(context_.timings,
-                                                   rpc_retry),
-        [this, ep, chain_id, route, report, done = std::move(done),
-         rpc_retry]() mutable {
-          if (!up_ || ep != state_.epoch) return;
-          start_commit_round(chain_id, std::move(route), std::move(report),
-                             std::move(done), rpc_retry + 1);
-        });
+    later(context_.timings.rpc_timeout +
+              rpc_backoff(context_.timings, rpc_retry),
+          [this, chain_id, route, report, done = std::move(done),
+           rpc_retry]() mutable {
+      start_commit_round(chain_id, std::move(route), std::move(report),
+                         std::move(done), rpc_retry + 1);
+    });
     return;
   }
   report.events.push_back({"committed", context_.sim.now()});
@@ -425,12 +392,12 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
   // per-route weight deltas instead of a full rebuild over every
   // active chain.
   const model::Chain& chain = context_.model.chain(chain_id);
-  const double weight = 1.0 / static_cast<double>(rec2->routes.size());
-  const bool was_active = rec2->active;
-  rec2->active = true;
-  for (std::size_t i = 0; i < rec2->routes.size(); ++i) {
-    RouteRecord& r = rec2->routes[i];
-    const bool is_new = i + 1 == rec2->routes.size();
+  const double weight = 1.0 / static_cast<double>(rec->routes.size());
+  const bool was_active = rec->active;
+  rec->active = true;
+  for (std::size_t i = 0; i < rec->routes.size(); ++i) {
+    RouteRecord& r = rec->routes[i];
+    const bool is_new = i + 1 == rec->routes.size();
     const double previous = was_active && !is_new ? r.weight : 0.0;
     te_.add_route_load(chain, r.vnf_sites, weight - previous);
     r.weight = weight;
@@ -438,35 +405,25 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
 
   // Acknowledgment — behind the quorum barrier: routes are published,
   // edge instances announced, readiness tracked, and `done` armed only
-  // once a quorum of replicas has the commit record durable.  The chain is
-  // re-found inside the resume: the chain vector may reallocate while the
-  // barrier is pending.
-  const std::uint64_t activate_ep = state_.epoch;
-  after_quorum([this, activate_ep, chain_id, route = std::move(route),
+  // once a quorum of replicas has the commit record durable.
+  after_quorum([this, chain_id, route = std::move(route),
                 report = std::move(report), done = std::move(done)]() mutable {
-    if (!up_ || activate_ep != state_.epoch) return;
-    const ChainRecord* rec = state_.find_chain(chain_id);
-    SWB_CHECK(rec != nullptr);
-
-    publish_routes(*rec);
+    const ChainRecord& committed = record(chain_id);
+    publish_routes(committed);
     report.events.push_back({"routes_published", context_.sim.now()});
 
     // Edge controllers allocate + announce instances (Fig. 4 step 4).
-    edge_controllers_[rec->spec.ingress_service.value()]
-        ->announce_edge_instance(chain_id, rec->labels.egress_site,
-                                 rec->ingress_site);
-    edge_controllers_[rec->spec.egress_service.value()]
-        ->announce_edge_instance(chain_id, rec->labels.egress_site,
-                                 rec->egress_site);
+    edge_controllers_[committed.spec.ingress_service.value()]
+        ->announce_edge_instance(chain_id, committed.labels.egress_site,
+                                 committed.ingress_site);
+    edge_controllers_[committed.spec.egress_service.value()]
+        ->announce_edge_instance(chain_id, committed.labels.egress_site,
+                                 committed.egress_site);
 
     // Track readiness of every involved site.
-    PendingActivation pending;
-    pending.chain = chain_id;
-    pending.route = route.id;
-    pending.waiting_sites = involved_sites(*rec, route);
-    pending.report = std::move(report);
-    pending.done = std::move(done);
-    pending_.push_back(std::move(pending));
+    pending_.push_back(PendingActivation{chain_id, route.id,
+                                         involved_sites(committed, route),
+                                         std::move(report), std::move(done)});
 #ifndef NDEBUG
     check_invariants();
 #endif
@@ -476,7 +433,7 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
 void GlobalSwitchboard::add_route(ChainId chain,
                                   const std::vector<SiteId>& preferred_vnf_sites,
                                   CreationCallback done) {
-  ChainRecord* rec = state_.find_chain(chain);
+  const ChainRecord* rec = find_record(chain);
   if (rec == nullptr || !rec->active) {
     context_.sim.schedule(0, [done = std::move(done)] {
       done(Result<CreationReport>{ErrorCode::kNotFound,
@@ -490,43 +447,8 @@ void GlobalSwitchboard::add_route(ChainId chain,
   report.chain = chain;
   report.labels = rec->labels;
   report.events.push_back({"route_requested", context_.sim.now()});
-
-  const std::uint64_t ep = state_.epoch;
-  context_.sim.schedule(
-      context_.timings.route_compute,
-      [this, ep, chain, preferred_vnf_sites, report,
-       done = std::move(done)]() mutable {
-        if (!up_ || ep != state_.epoch) return;
-        ChainRecord* rec2 = state_.find_chain(chain);
-        SWB_CHECK(rec2 != nullptr);
-        RouteRecord route_record;
-        route_record.id = RouteId{state_.next_route_id++};
-        // The new route takes an equal share of traffic.
-        route_record.weight =
-            1.0 / static_cast<double>(rec2->routes.size() + 1);
-        if (!preferred_vnf_sites.empty()) {
-          if (preferred_vnf_sites.size() != rec2->spec.vnfs.size()) {
-            done(Result<CreationReport>{ErrorCode::kInvalidArgument,
-                                        "preferred sites must cover every "
-                                        "VNF in the chain"});
-            return;
-          }
-          route_record.vnf_sites = preferred_vnf_sites;
-        } else {
-          std::optional<std::vector<SiteId>> vnf_sites =
-              compute_route(chain, {});
-          if (!vnf_sites) {
-            done(Result<CreationReport>{ErrorCode::kInfeasible,
-                                        "no feasible additional route"});
-            return;
-          }
-          route_record.vnf_sites = std::move(*vnf_sites);
-        }
-        report.events.push_back({"route_computed", context_.sim.now()});
-        report.route = route_record.id;
-        commit_route(*rec2, std::move(route_record), std::move(report),
-                     std::move(done), {}, 0);
-      });
+  route_and_commit(chain, preferred_vnf_sites, {}, 0, std::move(report),
+                   std::move(done));
 }
 
 void GlobalSwitchboard::check_invariants() const {
@@ -616,10 +538,8 @@ RecoveryReport GlobalSwitchboard::on_instance_down(VnfId vnf, SiteId site) {
   // detector's post-failover resync re-reports still-down pools, so a
   // dropped barrier self-heals).
   auto actions = [this, vnf, site]() -> RecoveryReport {
-    if (vnf.value() < vnf_controllers_.size() &&
-        vnf_controllers_[vnf.value()] != nullptr &&
-        vnf_controllers_[vnf.value()]->up()) {
-      vnf_controllers_[vnf.value()]->reannounce_instances(site);
+    if (VnfController* controller = reachable(vnf)) {
+      controller->reannounce_instances(site);
     }
     return retire_routes(
         [vnf, site](const ChainRecord& record, const RouteRecord& route) {
@@ -632,11 +552,7 @@ RecoveryReport GlobalSwitchboard::on_instance_down(VnfId vnf, SiteId site) {
         });
   };
   if (quorum_gate_ == nullptr) return actions();
-  const std::uint64_t ep = state_.epoch;
-  quorum_gate_([this, ep, actions] {
-    if (!up_ || ep != state_.epoch) return;
-    actions();
-  });
+  after_quorum(actions);
   return RecoveryReport{};
 }
 
@@ -695,9 +611,7 @@ RecoveryReport GlobalSwitchboard::retire_routes(
       // unreachable ones reconcile when they come back (their state is
       // kCommitted either way).
       for (const VnfId vnf : record.spec.vnfs) {
-        if (vnf.value() >= vnf_controllers_.size()) continue;
-        VnfController* controller = vnf_controllers_[vnf.value()];
-        if (controller != nullptr && controller->up()) {
+        if (VnfController* controller = reachable(vnf)) {
           controller->release(record.id, route.id, state_.epoch);
         }
       }
@@ -754,42 +668,19 @@ void GlobalSwitchboard::replace_route(ChainId chain) {
   CreationReport report;
   report.started = context_.sim.now();
   report.chain = chain;
+  report.labels = record(chain).labels;
   report.events.push_back({"replacement_requested", context_.sim.now()});
-  const std::uint64_t ep = state_.epoch;
-  context_.sim.schedule(
-      context_.timings.route_compute, [this, ep, chain, report]() mutable {
-        if (!up_ || ep != state_.epoch) return;
-        ChainRecord* rec = state_.find_chain(chain);
-        SWB_CHECK(rec != nullptr);
-        report.labels = rec->labels;
-        std::optional<std::vector<SiteId>> vnf_sites =
-            compute_route(chain, {});
-        report.events.push_back({"route_computed", context_.sim.now()});
-        if (!vnf_sites) {
-          SB_LOG(kWarn) << "recovery: no feasible replacement route for "
-                        << "chain " << chain;
-          return;
-        }
-        RouteRecord route_record;
-        route_record.id = RouteId{state_.next_route_id++};
-        route_record.weight = 1.0;
-        route_record.vnf_sites = std::move(*vnf_sites);
-        report.route = route_record.id;
-        commit_route(*rec, std::move(route_record), std::move(report),
-                     [chain](Result<CreationReport> result) {
-                       if (result.ok()) {
-                         SB_LOG(kInfo)
-                             << "recovery: replacement route active for "
-                             << "chain " << chain;
-                       } else {
-                         SB_LOG(kWarn)
-                             << "recovery: replacement route failed for "
-                             << "chain " << chain << ": "
-                             << result.error().message;
-                       }
-                     },
-                     {}, 0);
-      });
+  route_and_commit(chain, {}, {}, 0, std::move(report),
+                   [chain](Result<CreationReport> result) {
+                     if (result.ok()) {
+                       SB_LOG(kInfo) << "recovery: replacement route active "
+                                     << "for chain " << chain;
+                     } else {
+                       SB_LOG(kWarn) << "recovery: replacement route failed "
+                                     << "for chain " << chain << ": "
+                                     << result.error().message;
+                     }
+                   });
 }
 
 void GlobalSwitchboard::on_route_ready(ChainId chain, RouteId route,
@@ -867,7 +758,23 @@ void GlobalSwitchboard::after_quorum(std::function<void()> resume) {
     resume();   // single-controller mode: no barrier, identical timing
     return;
   }
-  quorum_gate_(std::move(resume));
+  quorum_gate_([this, ep = state_.epoch, resume = std::move(resume)] {
+    if (!up_ || ep != state_.epoch) return;   // a failover dropped it
+    resume();
+  });
+}
+
+void GlobalSwitchboard::later(sim::Duration delay, std::function<void()> fn) {
+  context_.sim.schedule(delay, [this, ep = state_.epoch, fn = std::move(fn)] {
+    if (!up_ || ep != state_.epoch) return;   // the scheduling incarnation died
+    fn();
+  });
+}
+
+VnfController* GlobalSwitchboard::reachable(VnfId vnf) const {
+  if (vnf.value() >= vnf_controllers_.size()) return nullptr;
+  VnfController* controller = vnf_controllers_[vnf.value()];
+  return controller != nullptr && controller->up() ? controller : nullptr;
 }
 
 void GlobalSwitchboard::compact_journal_now() {
@@ -940,13 +847,8 @@ ColdStartReport GlobalSwitchboard::restart(ControllerState state,
 
   // Charge the replay as simulated downtime, then resolve what the crash
   // interrupted and reconcile the participants.
-  const std::uint64_t ep = state_.epoch;
-  context_.sim.schedule(
-      std::max<sim::Duration>(sim::Duration{1}, report.replay_cost),
-      [this, ep] {
-        if (!up_ || ep != state_.epoch) return;
-        resolve_inflight_and_reconcile();
-      });
+  later(std::max<sim::Duration>(sim::Duration{1}, report.replay_cost),
+        [this] { resolve_inflight_and_reconcile(); });
   SB_LOG(kInfo) << "durability: replayed " << report.replayed_records
                 << " record(s) (" << report.rejected_records
                 << " rejected), " << report.chains_restored << " chain(s), "
@@ -968,16 +870,13 @@ void GlobalSwitchboard::resolve_inflight_and_reconcile() {
       ++last_cold_start_.redriven_commits;
       SB_LOG(kInfo) << "durability: re-driving commit for chain " << chain
                     << " route " << route_id;
-      RouteRecord route;
-      route.id = route_id;
-      route.vnf_sites = round.vnf_sites;
-      route.weight = 1.0;
       CreationReport report;
       report.started = context_.sim.now();
       report.chain = chain;
       report.route = route_id;
       start_commit_round(
-          chain, std::move(route), std::move(report),
+          chain, RouteRecord{route_id, round.vnf_sites, 1.0},
+          std::move(report),
           [chain, route_id](Result<CreationReport> result) {
             if (result.ok()) {
               SB_LOG(kInfo) << "durability: re-driven commit active for "
@@ -993,9 +892,7 @@ void GlobalSwitchboard::resolve_inflight_and_reconcile() {
       ++last_cold_start_.aborted_inflight;
       // A round only begins for a known chain.
       for (const VnfId vnf : record(chain).spec.vnfs) {
-        if (vnf.value() >= vnf_controllers_.size()) continue;
-        VnfController* controller = vnf_controllers_[vnf.value()];
-        if (controller != nullptr && controller->up()) {
+        if (VnfController* controller = reachable(vnf)) {
           controller->abort(chain, route_id, state_.epoch);
           ++last_cold_start_.reconciliation_messages;
         }
@@ -1054,13 +951,9 @@ void GlobalSwitchboard::on_instance_up(VnfId vnf, SiteId site) {
   apply_and_log(PoolUpRecord{vnf, site});
   // Re-announce the pool so Local Switchboards rebalance onto it — behind
   // the quorum barrier, like the pool-down drain.
-  const std::uint64_t ep = state_.epoch;
-  after_quorum([this, ep, vnf, site] {
-    if (!up_ || ep != state_.epoch) return;
-    if (vnf.value() < vnf_controllers_.size() &&
-        vnf_controllers_[vnf.value()] != nullptr &&
-        vnf_controllers_[vnf.value()]->up()) {
-      vnf_controllers_[vnf.value()]->reannounce_instances(site);
+  after_quorum([this, vnf, site] {
+    if (VnfController* controller = reachable(vnf)) {
+      controller->reannounce_instances(site);
     }
   });
 }

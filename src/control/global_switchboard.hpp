@@ -36,7 +36,6 @@
 #include "control/context.hpp"
 #include "control/controller_state.hpp"
 #include "control/edge_controller.hpp"
-#include "control/local_switchboard.hpp"
 #include "control/messages.hpp"
 #include "control/state_journal.hpp"
 #include "control/vnf_controller.hpp"
@@ -110,7 +109,6 @@ class GlobalSwitchboard {
 
   void register_edge_controller(EdgeController* controller);
   void register_vnf_controller(VnfController* controller);
-  void register_local_switchboard(LocalSwitchboard* local);
 
   /// Creates and activates a chain (Fig. 4).  `done` fires when every
   /// involved site reported its rules installed; a name holding ';' or
@@ -251,10 +249,21 @@ class GlobalSwitchboard {
     CreationCallback done;
   };
 
-  /// Runs 2PC for a route, then publishes and tracks readiness.
-  void commit_route(ChainRecord& record, RouteRecord route,
-                    CreationReport report, CreationCallback done,
-                    Exclusions excluded, std::size_t attempt);
+  /// The one entry into 2PC — for create_chain, add_route, the prepare-
+  /// rejection retry and replace_route: after `route_compute`, takes the
+  /// `preferred` placement (when non-empty) or compute_route(chain,
+  /// excluded), builds a route of weight 1 / (committed routes + 1) under
+  /// the allocator's next id, and hands it to commit_route.  Attempt 0
+  /// reports "route_computed", a retry "route_recomputed".
+  void route_and_commit(ChainId chain, std::vector<SiteId> preferred,
+                        Exclusions excluded, std::size_t attempt,
+                        CreationReport report, CreationCallback done);
+
+  /// Journals the 2PC intent (its BeginRecord advances the route-id
+  /// allocator), then opens the prepare round after one RPC round trip.
+  void commit_route(ChainId chain, RouteRecord route, CreationReport report,
+                    CreationCallback done, Exclusions excluded,
+                    std::size_t attempt);
 
   /// 2PC prepare round (fault-tolerant): votes are collected from every
   /// reachable participant; unreachable ones (down controllers) time out
@@ -286,8 +295,7 @@ class GlobalSwitchboard {
   /// retired by recovery (completion is logged, not reported upward).
   void replace_route(ChainId chain);
 
-  /// The one route computation behind create_chain, add_route without
-  /// preferred sites, the 2PC retry and replace_route.  In kSbLp mode with
+  /// The route computation of route_and_commit.  In kSbLp mode with
   /// nothing excluded: the SB-LP refinement's primary path for the chain.
   /// Otherwise, or when the LP is not optimal or carries none of the
   /// chain: SB-DP through the TE engine, admitted only when the route can
@@ -312,8 +320,15 @@ class GlobalSwitchboard {
   void apply_and_log(JournalRecord change);
   /// Runs `resume` behind the quorum gate when one is set, synchronously
   /// otherwise (single-controller mode keeps its exact pre-replication
-  /// timing).  Callers epoch-guard inside `resume`.
+  /// timing).  A resume released after the coordinator went down or
+  /// restarted is dropped.
   void after_quorum(std::function<void()> resume);
+  /// Schedules `fn` after `delay`; it is dropped when the coordinator went
+  /// down or restarted meanwhile.  With after_quorum(), the only epoch
+  /// guard: continuations re-find their chain by id.
+  void later(sim::Duration delay, std::function<void()> fn);
+  /// The registered, up controller of `vnf`; nullptr otherwise.
+  [[nodiscard]] VnfController* reachable(VnfId vnf) const;
   /// Shared body of cold_start() and warm_failover(): adopt `state`,
   /// recompute weights, `active` and loads, bump the epoch, and schedule
   /// the resolution sweep after report.replay_cost (one tick at least).
@@ -326,7 +341,6 @@ class GlobalSwitchboard {
   SiteId home_site_;
   std::vector<EdgeController*> edge_controllers_;     // by EdgeServiceId
   std::vector<VnfController*> vnf_controllers_;       // by VnfId
-  std::vector<LocalSwitchboard*> local_switchboards_; // by SiteId
   ControllerState state_;
   std::vector<PendingActivation> pending_;
   /// The only TE state: loads of the committed routes, cost cache, DP

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -34,6 +35,24 @@ std::vector<std::string> sorted_paths(const Map& by_path) {
   for (const auto& entry : by_path) paths.push_back(entry.first);
   std::sort(paths.begin(), paths.end());
   return paths;
+}
+
+/// The pool whose forwarders follow stage `stage` of `route` (stage 0 is
+/// the ingress): the next VNF at its site, or the egress edge after the
+/// last VNF.
+std::pair<VnfId, SiteId> next_forwarders(const RouteAnnouncement& route,
+                                         std::size_t stage) {
+  if (stage < route.hops.size()) {
+    return {route.hops[stage].vnf, route.hops[stage].site};
+  }
+  return {ControlContext::edge_marker(), route.egress_site};
+}
+
+/// Whether at least one announcement arrived on `topic`.
+template <typename Map>
+bool announced(const Map& by_path, const bus::Topic& topic) {
+  const auto it = by_path.find(topic.path);
+  return it != by_path.end() && !it->second.empty();
 }
 
 }  // namespace
@@ -199,13 +218,8 @@ void LocalSwitchboard::handle_route(const RouteAnnouncement& announcement) {
       const RouteHop& hop = route.hops[i];
       if (hop.site != site_) continue;
       subscribe_instances(pc, hop.vnf, site_);
-      // Next hop: following VNF's forwarders, or the egress edge's.
-      if (i + 1 < route.hops.size()) {
-        subscribe_forwarders(pc, route.hops[i + 1].vnf, route.hops[i + 1].site);
-      } else {
-        subscribe_forwarders(pc, ControlContext::edge_marker(),
-                             route.egress_site);
-      }
+      const auto [next_vnf, next_site] = next_forwarders(route, i + 1);
+      subscribe_forwarders(pc, next_vnf, next_site);
       // Mobility: the first VNF's site listens for edge forwarders
       // appearing at any site (on-demand edge addition, Section 6).
       if (i == 0) {
@@ -217,15 +231,10 @@ void LocalSwitchboard::handle_route(const RouteAnnouncement& announcement) {
     }
     if (pc.ingress_site == site_) {
       subscribe_instances(pc, ControlContext::edge_marker(), site_);
-      if (!route.hops.empty()) {
-        subscribe_forwarders(pc, route.hops.front().vnf,
-                             route.hops.front().site);
-      } else {
-        // A chain with no VNFs: the ingress forwards straight to the
-        // egress edge (the demo's "default chain", Section 2).
-        subscribe_forwarders(pc, ControlContext::edge_marker(),
-                             route.egress_site);
-      }
+      // A chain with no VNFs forwards straight to the egress edge (the
+      // demo's "default chain", Section 2).
+      const auto [first_vnf, first_site] = next_forwarders(route, 0);
+      subscribe_forwarders(pc, first_vnf, first_site);
     }
     if (pc.egress_site == site_) {
       subscribe_instances(pc, ControlContext::edge_marker(), site_);
@@ -243,7 +252,6 @@ void LocalSwitchboard::install_rule(PerChain& pc,
   // instance at the egress).  One forwarder fronts one service per site.
   VnfId fronted_vnf;   // invalid if this forwarder fronts an edge
   bool is_ingress_forwarder = false;
-  bool is_egress_forwarder = false;
   for (const std::string& path : sorted_paths(pc.instances)) {
     for (const InstanceAnnouncement& ann : pc.instances.at(path)) {
       if (ann.forwarder != forwarder) continue;
@@ -257,9 +265,8 @@ void LocalSwitchboard::install_rule(PerChain& pc,
         engine.register_attachment(ann.instance, pc.labels);
       } else if (info.type == ElementType::kEdgeInstance) {
         engine.register_attachment(ann.instance, pc.labels);
-        if (pc.egress_site == site_) {
-          is_egress_forwarder = true;
-          if (ann.weight > 0) rule.vnf_instances.add(ann.instance, ann.weight);
+        if (pc.egress_site == site_ && ann.weight > 0) {
+          rule.vnf_instances.add(ann.instance, ann.weight);
         }
         if (pc.ingress_site == site_) is_ingress_forwarder = true;
       }
@@ -267,44 +274,30 @@ void LocalSwitchboard::install_rule(PerChain& pc,
   }
 
   // Next-hop forwarders, merged across routes.
+  const auto add_next = [&](const RouteAnnouncement& route,
+                            std::size_t stage) {
+    const auto [vnf, site] = next_forwarders(route, stage);
+    const auto it = pc.forwarders.find(
+        bus::forwarders_topic(pc.chain, pc.labels.egress_site, vnf, site)
+            .path);
+    if (it == pc.forwarders.end()) return;
+    for (const ForwarderAnnouncement& ann : it->second) {
+      rule.next_forwarders.add(ann.forwarder, route.weight * ann.weight);
+    }
+  };
   for (const RouteAnnouncement& route : pc.routes) {
     if (route.weight <= 0) continue;
-    // The stage this forwarder serves in this route.
     if (fronted_vnf.valid()) {
+      // The stages this forwarder serves in this route.
       for (std::size_t i = 0; i < route.hops.size(); ++i) {
-        if (route.hops[i].site != site_ || route.hops[i].vnf != fronted_vnf) {
-          continue;
-        }
-        const bus::Topic next = i + 1 < route.hops.size()
-            ? bus::forwarders_topic(pc.chain, pc.labels.egress_site,
-                                    route.hops[i + 1].vnf,
-                                    route.hops[i + 1].site)
-            : bus::forwarders_topic(pc.chain, pc.labels.egress_site,
-                                    ControlContext::edge_marker(),
-                                    route.egress_site);
-        const auto it = pc.forwarders.find(next.path);
-        if (it == pc.forwarders.end()) continue;
-        for (const ForwarderAnnouncement& ann : it->second) {
-          rule.next_forwarders.add(ann.forwarder,
-                                   route.weight * ann.weight);
+        if (route.hops[i].site == site_ && route.hops[i].vnf == fronted_vnf) {
+          add_next(route, i + 1);
         }
       }
     } else if (is_ingress_forwarder) {
-      const bus::Topic next = route.hops.empty()
-          ? bus::forwarders_topic(pc.chain, pc.labels.egress_site,
-                                  ControlContext::edge_marker(),
-                                  route.egress_site)
-          : bus::forwarders_topic(pc.chain, pc.labels.egress_site,
-                                  route.hops.front().vnf,
-                                  route.hops.front().site);
-      const auto it = pc.forwarders.find(next.path);
-      if (it == pc.forwarders.end()) continue;
-      for (const ForwarderAnnouncement& ann : it->second) {
-        rule.next_forwarders.add(ann.forwarder, route.weight * ann.weight);
-      }
+      add_next(route, 0);
     }
   }
-  (void)is_egress_forwarder;
 
   engine.rules().install(pc.labels, std::move(rule));
 }
@@ -313,8 +306,6 @@ void LocalSwitchboard::reconcile(PerChain& pc) {
   // Forwarders at this site involved in the chain: those fronting any
   // announced local instance (VNF or edge).
   std::set<dataplane::ElementId> local_forwarders;
-  double published_weight_sum = 0.0;
-  (void)published_weight_sum;
   for (const std::string& path : sorted_paths(pc.instances)) {
     for (const InstanceAnnouncement& ann : pc.instances.at(path)) {
       if (context_.elements.exists(ann.instance) &&
@@ -367,7 +358,20 @@ void LocalSwitchboard::reconcile(PerChain& pc) {
         });
   }
 
-  // Route readiness.
+  // Route readiness.  Every site hears every route, so the edge-instance
+  // topic is built only where this site is the chain's ingress or egress.
+  const bool edge_announced =
+      (pc.ingress_site == site_ || pc.egress_site == site_) &&
+      announced(pc.instances,
+                bus::instances_topic(pc.chain, pc.labels.egress_site,
+                                     ControlContext::edge_marker(), site_));
+  const auto next_announced = [&](const RouteAnnouncement& route,
+                                  std::size_t stage) {
+    const auto [vnf, site] = next_forwarders(route, stage);
+    return announced(pc.forwarders, bus::forwarders_topic(
+                                        pc.chain, pc.labels.egress_site, vnf,
+                                        site));
+  };
   for (const RouteAnnouncement& route : pc.routes) {
     if (pc.ready_routes.count(route.route.value()) != 0) continue;
     bool ready = true;
@@ -376,56 +380,18 @@ void LocalSwitchboard::reconcile(PerChain& pc) {
       const RouteHop& hop = route.hops[i];
       if (hop.site != site_) continue;
       involved = true;
-      const bus::Topic mine = bus::instances_topic(
-          pc.chain, pc.labels.egress_site, hop.vnf, site_);
-      const auto have_instances = pc.instances.find(mine.path);
-      if (have_instances == pc.instances.end() ||
-          have_instances->second.empty()) {
-        ready = false;
-        break;
-      }
-      const bus::Topic next = i + 1 < route.hops.size()
-          ? bus::forwarders_topic(pc.chain, pc.labels.egress_site,
-                                  route.hops[i + 1].vnf,
-                                  route.hops[i + 1].site)
-          : bus::forwarders_topic(pc.chain, pc.labels.egress_site,
-                                  ControlContext::edge_marker(),
-                                  route.egress_site);
-      const auto have_next = pc.forwarders.find(next.path);
-      if (have_next == pc.forwarders.end() || have_next->second.empty()) {
-        ready = false;
-      }
+      ready = announced(pc.instances,
+                        bus::instances_topic(pc.chain, pc.labels.egress_site,
+                                             hop.vnf, site_)) &&
+              next_announced(route, i + 1);
     }
     if (pc.ingress_site == site_) {
       involved = true;
-      const bus::Topic edge = bus::instances_topic(
-          pc.chain, pc.labels.egress_site, ControlContext::edge_marker(),
-          site_);
-      const auto have_edge = pc.instances.find(edge.path);
-      if (have_edge == pc.instances.end() || have_edge->second.empty()) {
-        ready = false;
-      }
-      const bus::Topic first = route.hops.empty()
-          ? bus::forwarders_topic(pc.chain, pc.labels.egress_site,
-                                  ControlContext::edge_marker(),
-                                  route.egress_site)
-          : bus::forwarders_topic(pc.chain, pc.labels.egress_site,
-                                  route.hops.front().vnf,
-                                  route.hops.front().site);
-      const auto have_first = pc.forwarders.find(first.path);
-      if (have_first == pc.forwarders.end() || have_first->second.empty()) {
-        ready = false;
-      }
+      ready = ready && edge_announced && next_announced(route, 0);
     }
     if (pc.egress_site == site_) {
       involved = true;
-      const bus::Topic edge = bus::instances_topic(
-          pc.chain, pc.labels.egress_site, ControlContext::edge_marker(),
-          site_);
-      const auto have_edge = pc.instances.find(edge.path);
-      if (have_edge == pc.instances.end() || have_edge->second.empty()) {
-        ready = false;
-      }
+      ready = ready && edge_announced;
     }
     if (involved && ready) {
       pc.ready_routes.insert(route.route.value());
@@ -567,10 +533,6 @@ void LocalSwitchboard::maybe_finish_edge_addition(
   auto done = std::move(pending.done);
   pending.done = nullptr;
   done(Result<EdgeAdditionTrace>{pending.trace});
-}
-
-std::size_t LocalSwitchboard::active_chain_count() const {
-  return chains_.size();
 }
 
 void LocalSwitchboard::start_heartbeats(sim::Duration period) {

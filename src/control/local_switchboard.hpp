@@ -86,9 +86,6 @@ class LocalSwitchboard {
   void attach_edge(ChainId chain, dataplane::ElementId edge_instance,
                    std::function<void(Result<EdgeAdditionTrace>)> done);
 
-  /// Number of chains this site participates in (for tests).
-  [[nodiscard]] std::size_t active_chain_count() const;
-
   /// Liveness (fault injection): a down Local Switchboard stops emitting
   /// heartbeats (the failure detector's site-death signal) but keeps its
   /// replicated state for restore.
@@ -150,11 +147,6 @@ class LocalSwitchboard {
 
   /// Rebuilds and installs the LB rule on one forwarder for one chain.
   void install_rule(PerChain& pc, dataplane::ElementId forwarder);
-
-  /// Topic helpers bound to this chain's labels.
-  [[nodiscard]] static std::string topic_key(const bus::Topic& topic) {
-    return topic.path;
-  }
 
   ControlContext& context_;
   SiteId site_;

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "dataplane/flow_table.hpp"
+#include "dataplane/packet.hpp"
 
 namespace switchboard::control {
 

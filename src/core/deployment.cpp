@@ -55,7 +55,6 @@ Deployment::Deployment(model::NetworkModel model, DeploymentConfig config)
                                          : nullptr;
     });
     local->start(global_->routes_topic());
-    global_->register_local_switchboard(local.get());
     locals_.push_back(std::move(local));
   }
 

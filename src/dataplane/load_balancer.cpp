@@ -78,11 +78,6 @@ const LoadBalanceRule* RuleTable::find(const Labels& labels) const {
   return it == rules_.end() ? nullptr : &it->second;
 }
 
-LoadBalanceRule* RuleTable::find_mutable(const Labels& labels) {
-  const auto it = rules_.find(labels);
-  return it == rules_.end() ? nullptr : &it->second;
-}
-
 void RuleTable::check_invariants() const {
   for (const auto& [labels, rule] : rules_) rule.check_invariants();
 }

@@ -13,7 +13,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "dataplane/flow_table.hpp"
 #include "dataplane/packet.hpp"
 
 namespace switchboard::dataplane {
@@ -70,7 +69,6 @@ class RuleTable {
   void install(const Labels& labels, LoadBalanceRule rule);
   void remove(const Labels& labels);
   [[nodiscard]] const LoadBalanceRule* find(const Labels& labels) const;
-  [[nodiscard]] LoadBalanceRule* find_mutable(const Labels& labels);
   [[nodiscard]] std::size_t size() const { return rules_.size(); }
 
   /// ROUTE EPOCH: monotone version bumped by every install()/remove().

@@ -121,10 +121,6 @@ class ShardedFlowTable {
   ShardedFlowTable& operator=(const ShardedFlowTable&) = delete;
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  [[nodiscard]] std::size_t shard_of(const Labels& labels,
-                                     const FiveTuple& tuple) const {
-    return rss_shard(flow_hash(labels, tuple), shards_.size());
-  }
 
   /// Lock-free lookup (epoch-read): pins an epoch, probes the published
   /// bucket array, returns a copy.  Never blocks on writers.

@@ -160,10 +160,6 @@ class FaultInjector {
   /// The whole trace as one string ("t=<us> <kind> <subject>\n" lines);
   /// the byte-identical-under-a-seed determinism artifact.
   [[nodiscard]] std::string trace_string() const;
-  void clear_trace() {
-    const swb::MutexLock lock{mutex_};
-    trace_.clear();
-  }
 
   /// Audits internal consistency (aborts via SWB_CHECK on violation):
   /// partition pairs are stored canonically (small id first, no

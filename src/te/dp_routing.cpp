@@ -274,16 +274,6 @@ SingleRoute find_single_route(const model::NetworkModel& model,
   return route;
 }
 
-double route_admissible_fraction(const model::NetworkModel& model,
-                                 const model::Chain& chain,
-                                 const std::vector<NodeId>& route_nodes,
-                                 const std::vector<SiteId>& route_sites,
-                                 const Loads& loads, double remaining) {
-  DpScratch scratch;
-  return max_admissible_fraction(model, loads, chain, route_nodes,
-                                 route_sites, remaining, scratch);
-}
-
 double route_chain_dp(const model::NetworkModel& model,
                       const model::Chain& chain, Loads& loads,
                       ChainRouting& routing, const DpOptions& options,

@@ -88,14 +88,6 @@ struct SingleRoute {
                                             double remaining = 1.0,
                                             TeContext ctx = {});
 
-/// Loads/admission bookkeeping for a known route: the largest fraction the
-/// route can carry against `loads` (same computation the DP router uses).
-[[nodiscard]] double route_admissible_fraction(
-    const model::NetworkModel& model, const model::Chain& chain,
-    const std::vector<NodeId>& route_nodes,
-    const std::vector<SiteId>& route_sites, const Loads& loads,
-    double remaining = 1.0);
-
 struct DpResult {
   ChainRouting routing;
   double routed_volume{0.0};     // total stage-traffic volume admitted

@@ -131,11 +131,6 @@ double Loads::site_load(SiteId s) const {
   return site_load_[s.value()];
 }
 
-double Loads::site_utilization(SiteId s) const {
-  const double cap = model_.site(s).compute_capacity;
-  return cap > 0 ? site_load(s) / cap : 0.0;
-}
-
 double Loads::vnf_site_load(VnfId f, SiteId s) const {
   SWB_DCHECK(vnf_site_index(f, s) < vnf_site_load_.size());
   return vnf_site_load_[vnf_site_index(f, s)];

@@ -51,7 +51,6 @@ class Loads {
 
   // --- compute state ------------------------------------------------------
   [[nodiscard]] double site_load(SiteId s) const;
-  [[nodiscard]] double site_utilization(SiteId s) const;
   [[nodiscard]] double vnf_site_load(VnfId f, SiteId s) const;
   [[nodiscard]] double vnf_site_utilization(VnfId f, SiteId s) const;
   [[nodiscard]] double vnf_site_headroom(VnfId f, SiteId s) const;

@@ -11,8 +11,8 @@
 #include "control/two_phase.hpp"
 #include "core/middleware.hpp"
 #include "dataplane/dht_flow_table.hpp"
-#include "dataplane/flow_table.hpp"
 #include "dataplane/load_balancer.hpp"
+#include "dataplane/sharded_flow_table.hpp"
 #include "model/network_model.hpp"
 #include "net/topology.hpp"
 #include "net/topology_gen.hpp"
@@ -90,10 +90,10 @@ TEST(CheckMacros, DcheckMatchesBuildMode) {
 #endif
 }
 
-// --------------------------------------------------------------- FlowTable
+// -------------------------------------------------------- ShardedFlowTable
 
 TEST(FlowTableAudit, SurvivesChurnAndGrowth) {
-  dataplane::FlowTable table{16};
+  dataplane::ShardedFlowTable table{16, 1};
   const dataplane::Labels labels{1, 2};
   // Push through several growth cycles, with deletions creating
   // tombstones interleaved along probe chains.
@@ -103,8 +103,8 @@ TEST(FlowTableAudit, SurvivesChurnAndGrowth) {
   }
   table.check_invariants();
   for (std::uint32_t i = 4000; i < 5000; ++i) {
-    const auto* entry = table.find(labels, tuple(i));
-    ASSERT_NE(entry, nullptr);
+    const auto entry = table.find(labels, tuple(i));
+    ASSERT_TRUE(entry.has_value());
     EXPECT_EQ(entry->vnf_instance, i);
   }
 }

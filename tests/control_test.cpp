@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "control/messages.hpp"
@@ -342,6 +343,38 @@ TEST(AddRoute, FailsWhenEveryRouteCrossesAFullLink) {
   ASSERT_FALSE(added.ok());
   EXPECT_EQ(added.error().code, ErrorCode::kInfeasible);
   EXPECT_EQ(mw.chain_record(created->chain).routes.size(), 1u);
+}
+
+TEST(AddRoute, RetryPreparesTheNewRoutesShare) {
+  // add_route prepares the new route at its 1/(N+1) share of the chain.
+  // After the pinned site votes abort, the retry must prepare at that same
+  // share: B can hold half of the chain but not all of it.
+  Fixture fx;
+  Middleware mw{fx.make_model(100.0, /*cap_b=*/2.0)};
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  const auto created = mw.create_chain(fx.make_spec(edge));
+  ASSERT_TRUE(created.ok()) << created.error().to_string();
+  const ChainId chain = created->chain;
+  ASSERT_EQ(mw.chain_record(chain).routes[0].vnf_sites[0], fx.site_m);
+  auto& controller = mw.deployment().vnf_controller(fx.fw);
+  ASSERT_DOUBLE_EQ(controller.allocated(fx.site_m), 2.5);   // stage load
+
+  // Out-of-band reservation leaves M 0.5 of headroom: less than the new
+  // route's 1.25.
+  ASSERT_TRUE(controller.prepare(ChainId{900}, RouteId{900}, fx.site_m,
+                                 controller.headroom(fx.site_m) - 0.5));
+  const auto added = mw.add_route(chain, {fx.site_m});
+  ASSERT_TRUE(added.ok()) << added.error().to_string();
+  const ChainRecord& record = mw.chain_record(chain);
+  ASSERT_EQ(record.routes.size(), 2u);
+  EXPECT_EQ(record.routes[1].vnf_sites[0], fx.site_b);
+  EXPECT_DOUBLE_EQ(controller.headroom(fx.site_b), 0.75);
+  std::vector<std::string> names;
+  for (const auto& event : added->events) names.push_back(event.name);
+  EXPECT_NE(std::find(names.begin(), names.end(), "route_rejected"),
+            names.end());
+  EXPECT_NE(std::find(names.begin(), names.end(), "route_recomputed"),
+            names.end());
 }
 
 TEST(AddRoute, UnknownChainFails) {

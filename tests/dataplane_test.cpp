@@ -3,7 +3,6 @@
 #include <set>
 #include <unordered_set>
 
-#include "dataplane/flow_table.hpp"
 #include "dataplane/forwarder.hpp"
 #include "dataplane/load_balancer.hpp"
 #include "dataplane/ovs_forwarder.hpp"
@@ -43,139 +42,6 @@ TEST(Packet, FlowHashDependsOnLabels) {
   const FiveTuple t = make_tuple(1);
   EXPECT_NE(flow_hash(Labels{1, 1}, t), flow_hash(Labels{2, 1}, t));
   EXPECT_NE(flow_hash(Labels{1, 1}, t), flow_hash(Labels{1, 2}, t));
-}
-
-// --------------------------------------------------------------- FlowTable
-
-TEST(FlowTable, InsertFindErase) {
-  FlowTable table;
-  const Labels labels{7, 3};
-  const FiveTuple t = make_tuple(1);
-  EXPECT_EQ(table.find(labels, t), nullptr);
-  table.insert(labels, t, FlowEntry{10, 20, 30});
-  const FlowEntry* entry = table.find(labels, t);
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->vnf_instance, 10u);
-  EXPECT_EQ(entry->next_forwarder, 20u);
-  EXPECT_EQ(entry->prev_element, 30u);
-  EXPECT_TRUE(table.erase(labels, t));
-  EXPECT_EQ(table.find(labels, t), nullptr);
-  EXPECT_FALSE(table.erase(labels, t));
-}
-
-TEST(FlowTable, InsertOverwrites) {
-  FlowTable table;
-  const Labels labels{1, 1};
-  const FiveTuple t = make_tuple(1);
-  table.insert(labels, t, FlowEntry{1, 1, 1});
-  table.insert(labels, t, FlowEntry{2, 2, 2});
-  EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(table.find(labels, t)->vnf_instance, 2u);
-}
-
-TEST(FlowTable, GrowsBeyondInitialCapacity) {
-  FlowTable table{16};
-  const Labels labels{1, 1};
-  for (std::uint32_t i = 0; i < 10000; ++i) {
-    table.insert(labels, make_tuple(i), FlowEntry{i, i, i});
-  }
-  EXPECT_EQ(table.size(), 10000u);
-  EXPECT_GE(table.capacity(), 10000u);
-  for (std::uint32_t i = 0; i < 10000; ++i) {
-    const FlowEntry* e = table.find(labels, make_tuple(i));
-    ASSERT_NE(e, nullptr) << i;
-    EXPECT_EQ(e->vnf_instance, i);
-  }
-}
-
-TEST(FlowTable, SameTupleDifferentLabelsAreDistinct) {
-  FlowTable table;
-  const FiveTuple t = make_tuple(1);
-  table.insert(Labels{1, 1}, t, FlowEntry{1, 1, 1});
-  table.insert(Labels{2, 1}, t, FlowEntry{2, 2, 2});
-  EXPECT_EQ(table.size(), 2u);
-  EXPECT_EQ(table.find(Labels{1, 1}, t)->vnf_instance, 1u);
-  EXPECT_EQ(table.find(Labels{2, 1}, t)->vnf_instance, 2u);
-}
-
-TEST(FlowTable, TombstonesDoNotBreakProbing) {
-  FlowTable table{16};
-  const Labels labels{1, 1};
-  // Fill, erase half, re-find the rest.
-  for (std::uint32_t i = 0; i < 64; ++i) {
-    table.insert(labels, make_tuple(i), FlowEntry{i, i, i});
-  }
-  for (std::uint32_t i = 0; i < 64; i += 2) {
-    EXPECT_TRUE(table.erase(labels, make_tuple(i)));
-  }
-  for (std::uint32_t i = 1; i < 64; i += 2) {
-    ASSERT_NE(table.find(labels, make_tuple(i)), nullptr) << i;
-  }
-  // Reinsert into tombstoned slots.
-  for (std::uint32_t i = 0; i < 64; i += 2) {
-    table.insert(labels, make_tuple(i), FlowEntry{i, i, i});
-  }
-  EXPECT_EQ(table.size(), 64u);
-}
-
-// Regression: erase/grow interaction near the 70% growth threshold.  The
-// table used to double capacity whenever live + tombstones crossed the
-// threshold, so an insert/erase churn workload (connections completing as
-// fast as they arrive) grew without bound even though the live set never
-// did.  grow() now purges tombstones in place unless the live entries
-// alone need the room.
-TEST(FlowTable, EraseInsertChurnAcrossGrowthBoundary) {
-  FlowTable table{16};
-  const Labels labels{1, 1};
-  // Sit just under the growth threshold of the 16-slot table, then churn
-  // insert/erase/find across it many times.
-  for (std::uint32_t i = 0; i < 10; ++i) {
-    table.insert(labels, make_tuple(i), FlowEntry{i, i, i});
-  }
-  for (std::uint32_t round = 0; round < 1000; ++round) {
-    const std::uint32_t dead = 10 + round;
-    const std::uint32_t born = dead + 1;
-    table.insert(labels, make_tuple(born), FlowEntry{born, born, born});
-    EXPECT_TRUE(table.erase(labels, make_tuple(round < 10 ? round : dead - 1)))
-        << round;
-    // Every entry that should be live is still findable mid-churn.
-    if (round >= 10) {
-      const FlowEntry* e = table.find(labels, make_tuple(born));
-      ASSERT_NE(e, nullptr) << round;
-      EXPECT_EQ(e->vnf_instance, born);
-      EXPECT_EQ(table.find(labels, make_tuple(dead - 1)), nullptr) << round;
-    }
-    table.check_invariants();
-  }
-  EXPECT_EQ(table.size(), 10u);
-}
-
-TEST(FlowTable, CapacityStaysBoundedUnderChurn) {
-  FlowTable table{16};
-  const Labels labels{1, 1};
-  // ~11 live entries forever; 50K insert+erase cycles.  Capacity must
-  // converge, not double on every tombstone-driven threshold crossing.
-  for (std::uint32_t i = 0; i < 11; ++i) {
-    table.insert(labels, make_tuple(i), FlowEntry{i, i, i});
-  }
-  for (std::uint32_t round = 0; round < 50000; ++round) {
-    const std::uint32_t born = 11 + round;
-    table.insert(labels, make_tuple(born), FlowEntry{born, born, born});
-    EXPECT_TRUE(table.erase(labels, make_tuple(born - 11)));
-  }
-  EXPECT_EQ(table.size(), 11u);
-  // 11 live entries fit a 32-slot table at <= 35% live occupancy; allow
-  // one extra doubling of slack but nothing unbounded.
-  EXPECT_LE(table.capacity(), 64u);
-  table.check_invariants();
-}
-
-TEST(FlowTable, Clear) {
-  FlowTable table;
-  table.insert(Labels{1, 1}, make_tuple(1), FlowEntry{});
-  table.clear();
-  EXPECT_EQ(table.size(), 0u);
-  EXPECT_EQ(table.find(Labels{1, 1}, make_tuple(1)), nullptr);
 }
 
 // ---------------------------------------------------------- WeightedChoice

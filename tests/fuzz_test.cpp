@@ -4,13 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "dataplane/dht_flow_table.hpp"
-#include "dataplane/flow_table.hpp"
 #include "dataplane/forwarder.hpp"
+#include "dataplane/sharded_flow_table.hpp"
 #include "sim/simulator.hpp"
 
 namespace switchboard {
@@ -25,7 +26,7 @@ FiveTuple tuple_for(std::uint32_t i) {
                    static_cast<std::uint8_t>(i % 2 ? 6 : 17)};
 }
 
-// ----------------------------------------------------- FlowTable vs std::map
+// ---------------------------------------------- ShardedFlowTable vs std::map
 
 struct KeyLess {
   bool operator()(const std::pair<Labels, FiveTuple>& a,
@@ -47,7 +48,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FlowTableFuzz,
 
 TEST_P(FlowTableFuzz, MatchesReferenceMap) {
   Rng rng{GetParam()};
-  FlowTable table{16};   // small: forces growth + tombstone churn
+  ShardedFlowTable table{16, 1};   // small: forces growth + tombstone churn
   std::map<std::pair<Labels, FiveTuple>, FlowEntry, KeyLess> reference;
 
   for (int op = 0; op < 20000; ++op) {
@@ -61,12 +62,12 @@ TEST_P(FlowTableFuzz, MatchesReferenceMap) {
       table.insert(labels, t, entry);
       reference[key] = entry;
     } else if (dice < 0.8) {
-      const FlowEntry* found = table.find(labels, t);
+      const std::optional<FlowEntry> found = table.find(labels, t);
       const auto ref = reference.find(key);
       if (ref == reference.end()) {
-        EXPECT_EQ(found, nullptr);
+        EXPECT_FALSE(found.has_value());
       } else {
-        ASSERT_NE(found, nullptr);
+        ASSERT_TRUE(found.has_value());
         EXPECT_EQ(found->vnf_instance, ref->second.vnf_instance);
         EXPECT_EQ(found->next_forwarder, ref->second.next_forwarder);
         EXPECT_EQ(found->prev_element, ref->second.prev_element);

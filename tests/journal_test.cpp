@@ -657,6 +657,40 @@ TEST(ColdStart, QuietCrashAtEverySnapshotIntervalRestoresTheExactState) {
   }
 }
 
+// --------------------------------------------------- route-id allocator
+
+TEST(ColdStart, RejectedAddRouteLeavesTheAllocatorToTheJournal) {
+  // Route ids advance only through journaled begin records: a request
+  // rejected before its 2PC begins must leave the live allocator where the
+  // journal has it, so a cold start restores the exact state.
+  model::NetworkModel m = make_two_pool_model();
+  const VnfId fw = m.vnfs()[0].id;
+  DeploymentConfig config;
+  config.durable_controller = true;
+  Middleware mw{std::move(m), config};
+  core::Deployment& dep = mw.deployment();
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  const auto a = mw.create_chain(make_span_spec(edge, fw, "a"));
+  ASSERT_TRUE(a.ok()) << a.error().to_string();
+
+  // Two placements for a one-VNF chain.
+  const auto bad = mw.add_route(a->chain, {SiteId{1}, SiteId{2}});
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.error().code, ErrorCode::kInvalidArgument);
+  const std::vector<std::string> persisted = state_without_epoch(dep);
+
+  dep.register_fault_targets();
+  const sim::SimTime t0 = dep.simulator().now();
+  dep.fault_injector().crash_at(t0 + sim::from_ms(10.0), "controller:global");
+  dep.fault_injector().restore_at(t0 + sim::from_ms(50.0),
+                                  "controller:global");
+  dep.simulator().run_until(t0 + sim::from_ms(2000.0));
+
+  EXPECT_EQ(dep.global().last_cold_start().epoch, 2u);
+  EXPECT_EQ(state_without_epoch(dep), persisted);
+  dep.global().check_invariants();
+}
+
 // ------------------------------------------------------- chain names
 
 TEST(ChainNames, UnjournalableNameFailsThroughTheCallback) {

@@ -2,6 +2,7 @@
 // Concurrency coverage lives in sharded_flow_table_concurrency_test.cpp.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -176,6 +177,150 @@ TEST(ShardedFlowTable, GrowsPerShardBeyondInitialCapacity) {
     ASSERT_TRUE(e.has_value()) << i;
     EXPECT_EQ(e->vnf_instance, i);
   }
+  table.check_invariants();
+}
+
+TEST(ShardedFlowTable, InsertOverwrites) {
+  ShardedFlowTable table{64, 1};
+  const Labels labels{1, 1};
+  const FiveTuple t = make_tuple(1);
+  table.insert(labels, t, FlowEntry{1, 1, 1});
+  table.insert(labels, t, FlowEntry{2, 2, 2});
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.find(labels, t)->vnf_instance, 2u);
+}
+
+TEST(ShardedFlowTable, SameTupleDifferentLabelsAreDistinct) {
+  ShardedFlowTable table{64, 1};
+  const FiveTuple t = make_tuple(1);
+  table.insert(Labels{1, 1}, t, FlowEntry{1, 1, 1});
+  table.insert(Labels{2, 1}, t, FlowEntry{2, 2, 2});
+  EXPECT_EQ(table.size(), 2u);
+  EXPECT_EQ(table.find(Labels{1, 1}, t)->vnf_instance, 1u);
+  EXPECT_EQ(table.find(Labels{2, 1}, t)->vnf_instance, 2u);
+}
+
+TEST(ShardedFlowTable, TombstonesDoNotBreakProbing) {
+  ShardedFlowTable table{16, 1};
+  const Labels labels{1, 1};
+  // Fill, erase half, re-find the rest.
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    table.insert(labels, make_tuple(i), FlowEntry{i, i, i});
+  }
+  for (std::uint32_t i = 0; i < 64; i += 2) {
+    EXPECT_TRUE(table.erase(labels, make_tuple(i)));
+  }
+  for (std::uint32_t i = 1; i < 64; i += 2) {
+    ASSERT_TRUE(table.find(labels, make_tuple(i)).has_value()) << i;
+  }
+  // Reinsert into tombstoned slots.
+  for (std::uint32_t i = 0; i < 64; i += 2) {
+    table.insert(labels, make_tuple(i), FlowEntry{i, i, i});
+  }
+  EXPECT_EQ(table.size(), 64u);
+  table.check_invariants();
+}
+
+// Insert/erase churn that keeps crossing the 70% growth threshold of a
+// 16-slot shard (connections completing as fast as they arrive): every
+// live entry stays findable and the shard audits clean after each round.
+TEST(ShardedFlowTable, EraseInsertChurnAcrossGrowthBoundary) {
+  ShardedFlowTable table{16, 1};
+  const Labels labels{1, 1};
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    table.insert(labels, make_tuple(i), FlowEntry{i, i, i});
+  }
+  for (std::uint32_t round = 0; round < 1000; ++round) {
+    const std::uint32_t dead = 10 + round;
+    const std::uint32_t born = dead + 1;
+    table.insert(labels, make_tuple(born), FlowEntry{born, born, born});
+    EXPECT_TRUE(table.erase(labels, make_tuple(round < 10 ? round : dead - 1)))
+        << round;
+    if (round >= 10) {
+      const std::optional<FlowEntry> e = table.find(labels, make_tuple(born));
+      ASSERT_TRUE(e.has_value()) << round;
+      EXPECT_EQ(e->vnf_instance, born);
+      EXPECT_FALSE(table.find(labels, make_tuple(dead - 1)).has_value())
+          << round;
+    }
+    table.check_invariants();
+  }
+  EXPECT_EQ(table.size(), 10u);
+}
+
+// ~11 live entries forever, 50K insert+erase cycles: the footprint must
+// converge, not double on every tombstone-driven rehash.
+TEST(ShardedFlowTable, MemoryStaysBoundedUnderChurn) {
+  ShardedFlowTable table{16, 1};
+  const Labels labels{1, 1};
+  for (std::uint32_t i = 0; i < 11; ++i) {
+    table.insert(labels, make_tuple(i), FlowEntry{i, i, i});
+  }
+  for (std::uint32_t round = 0; round < 50000; ++round) {
+    const std::uint32_t born = 11 + round;
+    table.insert(labels, make_tuple(born), FlowEntry{born, born, born});
+    EXPECT_TRUE(table.erase(labels, make_tuple(born - 11)));
+  }
+  EXPECT_EQ(table.size(), 11u);
+  // 11 live entries fit a 32-slot array at <= 35% live occupancy; allow
+  // one extra doubling of slack (a 64-slot table holding the same
+  // entries) but nothing unbounded.
+  ShardedFlowTable slack{64, 1};
+  for (std::uint32_t i = 50000; i < 50011; ++i) {
+    slack.insert(labels, make_tuple(i), FlowEntry{i, i, i});
+  }
+  EXPECT_LE(table.memory_bytes(), slack.memory_bytes());
+  table.check_invariants();
+}
+
+// ------------------------------------------------- one-shard flow table
+//
+// A one-shard ShardedFlowTable is the plain single-threaded flow table
+// (the default construction): the same contract on one bucket array.
+
+TEST(FlowTable, InsertFindErase) {
+  ShardedFlowTable table;
+  ASSERT_EQ(table.shard_count(), 1u);
+  const Labels labels{7, 3};
+  const FiveTuple t = make_tuple(1);
+  EXPECT_FALSE(table.find(labels, t).has_value());
+  table.insert(labels, t, FlowEntry{10, 20, 30});
+  const std::optional<FlowEntry> entry = table.find(labels, t);
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->vnf_instance, 10u);
+  EXPECT_EQ(entry->next_forwarder, 20u);
+  EXPECT_EQ(entry->prev_element, 30u);
+  EXPECT_TRUE(table.erase(labels, t));
+  EXPECT_FALSE(table.find(labels, t).has_value());
+  EXPECT_FALSE(table.erase(labels, t));
+  table.check_invariants();
+}
+
+TEST(FlowTable, GrowsBeyondInitialCapacity) {
+  ShardedFlowTable table{16, 1};
+  const Labels labels{1, 1};
+  for (std::uint32_t i = 0; i < 10000; ++i) {
+    table.insert(labels, make_tuple(i), FlowEntry{i, i, i});
+  }
+  EXPECT_EQ(table.size(), 10000u);
+  // The bucket array grew to at least the one a table pre-sized for
+  // 10000 flows starts with (and holds the entries on top of it).
+  const ShardedFlowTable presized{10000, 1};
+  EXPECT_GT(table.memory_bytes(), presized.memory_bytes());
+  for (std::uint32_t i = 0; i < 10000; ++i) {
+    const std::optional<FlowEntry> e = table.find(labels, make_tuple(i));
+    ASSERT_TRUE(e.has_value()) << i;
+    EXPECT_EQ(e->vnf_instance, i);
+  }
+  table.check_invariants();
+}
+
+TEST(FlowTable, Clear) {
+  ShardedFlowTable table;
+  table.insert(Labels{1, 1}, make_tuple(1), FlowEntry{});
+  table.clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_FALSE(table.find(Labels{1, 1}, make_tuple(1)).has_value());
   table.check_invariants();
 }
 
