@@ -25,6 +25,12 @@ bool ProxyEgress::send(SiteId from, SiteId to, std::function<void()> deliver) {
 
 // ---------------------------------------------------------------- MessageBus
 
+MessageBus::MessageBus(sim::Simulator& sim, BusConfig config)
+    : sim_{sim}, config_{std::move(config)} {
+  SWB_CHECK(config_.site_count > 0);
+  SWB_CHECK(config_.inter_site_delay);
+}
+
 void MessageBus::count_egress_drop(SiteId from, SiteId to,
                                    const std::string& topic_path) {
   ++stats_.drops;
@@ -33,12 +39,11 @@ void MessageBus::count_egress_drop(SiteId from, SiteId to,
                  << from << "->" << to;
 }
 
-bool MessageBus::wire_copy(sim::Simulator& sim, const BusConfig& config,
-                           ProxyEgress& egress, SiteId from, SiteId to,
+bool MessageBus::wire_copy(ProxyEgress& egress, SiteId from, SiteId to,
                            const std::string& topic_path,
                            const std::function<void()>& arrival) {
   sim::MessageVerdict verdict;
-  if (config.fault_hook) verdict = config.fault_hook(from, to, topic_path);
+  if (config_.fault_hook) verdict = config_.fault_hook(from, to, topic_path);
 
   // A dropped copy still leaves the egress (serialized, then lost in
   // flight); a delayed copy arrives late; a duplicated copy serializes —
@@ -47,9 +52,8 @@ bool MessageBus::wire_copy(sim::Simulator& sim, const BusConfig& config,
   if (verdict.drop) {
     wrapped = [] {};
   } else if (verdict.extra_delay > 0) {
-    auto* simp = &sim;
-    wrapped = [simp, extra = verdict.extra_delay, arrival] {
-      simp->schedule(extra, arrival);
+    wrapped = [this, extra = verdict.extra_delay, arrival] {
+      sim_.schedule(extra, arrival);
     };
   }
   const std::size_t copies = (verdict.duplicate && !verdict.drop) ? 2u : 1u;
@@ -71,16 +75,13 @@ bool MessageBus::wire_copy(sim::Simulator& sim, const BusConfig& config,
 }
 
 void MessageBus::reliable_attempt(
-    sim::Simulator& sim, const BusConfig& config,
     const std::shared_ptr<ReliableMessage>& message) {
-  auto* simp = &sim;
-  const auto* cfg = &config;   // refers to the bus's long-lived config_
   {
     const swb::MutexLock lock{reliable_mutex_};
     ++message->sends;
   }
-  wire_copy(sim, config, *message->egress, message->from, message->to,
-            message->topic_path, [this, simp, cfg, message] {
+  wire_copy(*message->egress, message->from, message->to, message->topic_path,
+            [this, message] {
               bool first_delivery = false;
               {
                 const swb::MutexLock lock{reliable_mutex_};
@@ -99,16 +100,16 @@ void MessageBus::reliable_attempt(
               // still exposed to the fault hook — a partition starves
               // acks in both directions.
               sim::MessageVerdict ack_verdict;
-              if (cfg->fault_hook) {
+              if (config_.fault_hook) {
                 ack_verdict =
-                    cfg->fault_hook(message->to, message->from,
-                                    message->topic_path + "#ack");
+                    config_.fault_hook(message->to, message->from,
+                                       message->topic_path + "#ack");
               }
               if (ack_verdict.drop) return;
-              simp->schedule(
-                  cfg->inter_site_delay(message->to, message->from) +
+              sim_.schedule(
+                  config_.inter_site_delay(message->to, message->from) +
                       ack_verdict.extra_delay,
-                  [this, simp, message] {
+                  [this, message] {
                     {
                       const swb::MutexLock lock{reliable_mutex_};
                       if (message->acked || message->done) return;
@@ -117,18 +118,18 @@ void MessageBus::reliable_attempt(
                       // A non-done entry always has a live retry timer
                       // (reliable_attempt arms it in the same event that
                       // created or retransmitted the copy).
-                      simp->cancel(message->retry);
+                      sim_.cancel(message->retry);
                     }
                     ++stats_.acks;
                   });
             });
   const sim::EventHandle retry =
-      sim.schedule(config.ack_timeout, [this, simp, cfg, message] {
+      sim_.schedule(config_.ack_timeout, [this, message] {
         bool give_up = false;
         {
           const swb::MutexLock lock{reliable_mutex_};
           if (message->acked || message->done) return;
-          if (message->sends > cfg->max_retransmits) {
+          if (message->sends > config_.max_retransmits) {
             message->done = true;
             give_up = true;
           }
@@ -141,7 +142,7 @@ void MessageBus::reliable_attempt(
           return;
         }
         ++stats_.retransmits;
-        reliable_attempt(*simp, *cfg, message);
+        reliable_attempt(message);
       });
   {
     const swb::MutexLock lock{reliable_mutex_};
@@ -172,8 +173,8 @@ void MessageBus::abandon_retransmits_to(SiteId site,
       // their timers live kept the entries pinned until ack_timeout and
       // made pending_events() overcount.  Any wire copy already in flight
       // just arrives unacked.
-      if (message->retry.valid() && message->sim != nullptr) {
-        message->sim->cancel(message->retry);
+      if (message->retry.valid()) {
+        sim_.cancel(message->retry);
         message->retry = sim::EventHandle{};
       }
       SB_LOG(kDebug) << "bus: abandoning " << message->topic_path << " "
@@ -193,12 +194,16 @@ std::size_t MessageBus::reliable_in_flight() const {
   return in_flight;
 }
 
-void MessageBus::wide_area_send(sim::Simulator& sim, const BusConfig& config,
-                                ProxyEgress& egress, SiteId from, SiteId to,
-                                const std::string& topic_path,
-                                std::function<void()> deliver) {
-  if (!config.reliable_delivery || transient_topic(config, topic_path)) {
-    wire_copy(sim, config, egress, from, to, topic_path, deliver);
+void MessageBus::send_copy(ProxyEgress& egress, SiteId from, SiteId to,
+                           const std::string& topic_path,
+                           std::function<void()> deliver) {
+  if (from == to) {
+    // Same-site subscriber: local queue only.
+    sim_.schedule(config_.local_delivery_delay, std::move(deliver));
+    return;
+  }
+  if (!config_.reliable_delivery || transient_topic(topic_path)) {
+    wire_copy(egress, from, to, topic_path, deliver);
     return;
   }
   auto message = std::make_shared<ReliableMessage>();
@@ -207,7 +212,6 @@ void MessageBus::wide_area_send(sim::Simulator& sim, const BusConfig& config,
   message->topic_path = topic_path;
   message->deliver = std::move(deliver);
   message->egress = &egress;
-  message->sim = &sim;
   {
     const swb::MutexLock lock{reliable_mutex_};
     // Reap finished copies (acked / given up / abandoned) so bookkeeping
@@ -217,15 +221,47 @@ void MessageBus::wide_area_send(sim::Simulator& sim, const BusConfig& config,
     });
     reliable_.push_back(message);
   }
-  reliable_attempt(sim, config, message);
+  reliable_attempt(message);
+}
+
+void MessageBus::deliver_to(const SubscriberCallback& callback,
+                            const Message& message) {
+  ++stats_.local_deliveries;
+  stats_.delivery_latency_ms.add(sim::to_ms(sim_.now() - message.published_at));
+  callback(message);
+}
+
+void MessageBus::retain(const Topic& topic, const std::string& payload) {
+  if (!config_.retain_messages || transient_topic(topic.path)) return;
+  std::vector<std::string>& payloads =
+      retained_[{topic.publisher_site, topic.path}];
+  const auto it = std::find(payloads.begin(), payloads.end(), payload);
+  if (it == payloads.end()) {
+    payloads.push_back(payload);
+  } else {
+    // Republished: it is the topic's latest state again.
+    std::rotate(it, it + 1, payloads.end());
+  }
+}
+
+void MessageBus::replay(ProxyEgress& egress, SiteId subscriber_site,
+                        const Topic& topic,
+                        const SubscriberCallback& callback) {
+  const auto it = retained_.find({topic.publisher_site, topic.path});
+  if (it == retained_.end()) return;
+  for (const std::string& payload : it->second) {
+    send_copy(egress, topic.publisher_site, subscriber_site, topic.path,
+              [this, callback, message = Message{topic.path, payload,
+                                                 sim_.now()}] {
+                deliver_to(callback, message);
+              });
+  }
 }
 
 // ------------------------------------------------------------------ ProxyBus
 
 ProxyBus::ProxyBus(sim::Simulator& sim, BusConfig config)
-    : sim_{sim}, config_{std::move(config)} {
-  SWB_CHECK(config_.site_count > 0);
-  SWB_CHECK(config_.inter_site_delay);
+    : MessageBus{sim, std::move(config)} {
   proxies_.resize(config_.site_count);
   for (SiteProxy& proxy : proxies_) {
     proxy.egress = std::make_unique<ProxyEgress>(sim_, config_);
@@ -242,80 +278,41 @@ void ProxyBus::subscribe(SiteId subscriber_site, const Topic& topic,
   if (std::find(sites.begin(), sites.end(), subscriber_site) == sites.end()) {
     sites.push_back(subscriber_site);
   }
-  // Local fan-out at the subscriber's proxy.
-  SubscriberCallback stored = callback;   // copy for retained replay
-  proxies_[subscriber_site.value()].locals[topic.path].push_back(
-      LocalSubscriber{std::move(callback)});
-
-  // Replay retained state to the late subscriber only.
-  if (config_.retain_messages) {
-    const auto it = publisher_proxy.retained.find(topic.path);
-    if (it == publisher_proxy.retained.end()) return;
-    for (const std::string& payload : it->second) {
-      Message message{topic.path, payload, sim_.now()};
-      auto deliver = [this, stored, message] {
-        ++stats_.local_deliveries;
-        stats_.delivery_latency_ms.add(
-            sim::to_ms(sim_.now() - message.published_at));
-        stored(message);
-      };
-      if (subscriber_site == topic.publisher_site) {
-        sim_.schedule(config_.local_delivery_delay, std::move(deliver));
-      } else {
-        wide_area_send(sim_, config_, *publisher_proxy.egress,
-                       topic.publisher_site, subscriber_site, topic.path,
-                       std::move(deliver));
-      }
-    }
-  }
+  // Local fan-out at the subscriber's proxy; retained state replays to
+  // the late subscriber only.
+  proxies_[subscriber_site.value()].locals[topic.path].push_back(callback);
+  replay(*publisher_proxy.egress, subscriber_site, topic, callback);
 }
 
 void ProxyBus::publish(const Topic& topic, std::string payload) {
   ++stats_.published;
   const SiteId origin = topic.publisher_site;
   SiteProxy& proxy = proxies_[origin.value()];
-  if (config_.retain_messages && !transient_topic(config_, topic.path)) {
-    auto& payloads = proxy.retained[topic.path];
-    if (std::find(payloads.begin(), payloads.end(), payload) ==
-        payloads.end()) {
-      payloads.push_back(payload);
-    }
-  }
+  retain(topic, payload);
   Message message{topic.path, std::move(payload), sim_.now()};
 
   const auto it = proxy.filters.find(topic.path);
   if (it == proxy.filters.end()) return;   // nobody anywhere subscribed
+  // One copy per subscribed *site*, whatever the number of subscribers
+  // there.
   for (const SiteId site : it->second) {
-    if (site == origin) {
-      // Same-site subscriber: local queue only.
-      sim_.schedule(config_.local_delivery_delay,
-                    [this, site, message] { deliver_locally(site, message); });
-      continue;
-    }
-    // One wide-area copy per subscribed *site*, whatever the number of
-    // subscribers there.
-    wide_area_send(sim_, config_, *proxy.egress, origin, site, topic.path,
-                   [this, site, message] { deliver_locally(site, message); });
+    send_copy(*proxy.egress, origin, site, topic.path,
+              [this, site, message] { deliver_locally(site, message); });
   }
 }
 
 void ProxyBus::deliver_locally(SiteId site, const Message& message) {
   const auto it = proxies_[site.value()].locals.find(message.topic_path);
   if (it == proxies_[site.value()].locals.end()) return;
-  for (const LocalSubscriber& sub : it->second) {
-    ++stats_.local_deliveries;
-    stats_.delivery_latency_ms.add(
-        sim::to_ms(sim_.now() - message.published_at));
-    sub.callback(message);
+  for (const SubscriberCallback& callback : it->second) {
+    deliver_to(callback, message);
   }
 }
 
 // --------------------------------------------------------------- FullMeshBus
 
 FullMeshBus::FullMeshBus(sim::Simulator& sim, BusConfig config)
-    : sim_{sim}, config_{std::move(config)} {
-  SWB_CHECK(config_.site_count > 0);
-  SWB_CHECK(config_.inter_site_delay);
+    : MessageBus{sim, std::move(config)} {
   egress_.resize(config_.site_count);
   for (auto& egress : egress_) {
     egress = std::make_unique<ProxyEgress>(sim_, config_);
@@ -324,41 +321,15 @@ FullMeshBus::FullMeshBus(sim::Simulator& sim, BusConfig config)
 
 void FullMeshBus::subscribe(SiteId subscriber_site, const Topic& topic,
                             SubscriberCallback callback) {
-  SubscriberCallback stored = callback;   // copy for retained replay
-  subscribers_[topic.path].push_back(
-      Subscriber{subscriber_site, std::move(callback)});
-  if (config_.retain_messages) {
-    const auto it = retained_.find(topic.path);
-    if (it == retained_.end()) return;
-    const SiteId origin = topic.publisher_site;
-    for (const std::string& payload : it->second) {
-      Message message{topic.path, payload, sim_.now()};
-      auto deliver = [this, stored, message] {
-        ++stats_.local_deliveries;
-        stats_.delivery_latency_ms.add(
-            sim::to_ms(sim_.now() - message.published_at));
-        stored(message);
-      };
-      if (subscriber_site == origin) {
-        sim_.schedule(config_.local_delivery_delay, std::move(deliver));
-      } else {
-        wide_area_send(sim_, config_, *egress_[origin.value()], origin,
-                       subscriber_site, topic.path, std::move(deliver));
-      }
-    }
-  }
+  subscribers_[topic.path].push_back(Subscriber{subscriber_site, callback});
+  replay(*egress_[topic.publisher_site.value()], subscriber_site, topic,
+         callback);
 }
 
 void FullMeshBus::publish(const Topic& topic, std::string payload) {
   ++stats_.published;
   const SiteId origin = topic.publisher_site;
-  if (config_.retain_messages && !transient_topic(config_, topic.path)) {
-    auto& payloads = retained_[topic.path];
-    if (std::find(payloads.begin(), payloads.end(), payload) ==
-        payloads.end()) {
-      payloads.push_back(payload);
-    }
-  }
+  retain(topic, payload);
   const auto it = subscribers_.find(topic.path);
   if (it == subscribers_.end()) return;
   Message message{topic.path, std::move(payload), sim_.now()};
@@ -366,18 +337,10 @@ void FullMeshBus::publish(const Topic& topic, std::string payload) {
   // A separate copy per *subscriber*: this is what overloads the
   // publisher's egress under fan-out.
   for (const Subscriber& sub : it->second) {
-    auto deliver = [this, callback = sub.callback, message] {
-      ++stats_.local_deliveries;
-      stats_.delivery_latency_ms.add(
-          sim::to_ms(sim_.now() - message.published_at));
-      callback(message);
-    };
-    if (sub.site == origin) {
-      sim_.schedule(config_.local_delivery_delay, std::move(deliver));
-      continue;
-    }
-    wide_area_send(sim_, config_, *egress_[origin.value()], origin, sub.site,
-                   topic.path, std::move(deliver));
+    send_copy(*egress_[origin.value()], origin, sub.site, topic.path,
+              [this, callback = sub.callback, message] {
+                deliver_to(callback, message);
+              });
   }
 }
 

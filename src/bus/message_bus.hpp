@@ -30,6 +30,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bus/topic.hpp"
@@ -125,7 +126,9 @@ class ProxyEgress {
   sim::SimTime egress_free_at_{0};
 };
 
-/// Common interface so experiments can swap topologies.
+/// Common interface so experiments can swap topologies.  The base owns
+/// what both topologies share: the retained store, the one wide-area send
+/// path (fault hook, drops, reliable delivery) and local delivery.
 class MessageBus {
  public:
   virtual ~MessageBus() = default;
@@ -170,25 +173,37 @@ class MessageBus {
   }
 
  protected:
-  /// One wide-area copy through `egress`, honoring the fault hook, drop
-  /// accounting, and (for non-transient topics) reliable delivery.
-  /// `deliver` runs at the receiving site on arrival.
-  void wide_area_send(sim::Simulator& sim, const BusConfig& config,
-                      ProxyEgress& egress, SiteId from, SiteId to,
-                      const std::string& topic_path,
-                      std::function<void()> deliver);
+  MessageBus(sim::Simulator& sim, BusConfig config);
 
-  [[nodiscard]] static bool transient_topic(const BusConfig& config,
-                                            const std::string& topic_path) {
-    return !config.transient_prefix.empty() &&
-           topic_path.starts_with(config.transient_prefix);
-  }
+  /// One copy of a message from `from` to `to`: a local-queue delivery
+  /// when both are the same site, else a wide-area copy through `egress`
+  /// honoring the fault hook, drop accounting, and (for non-transient
+  /// topics) reliable delivery.  `deliver` runs at `to` on arrival.
+  void send_copy(ProxyEgress& egress, SiteId from, SiteId to,
+                 const std::string& topic_path, std::function<void()> deliver);
+
+  /// Hands `message` to one subscriber callback (delivery accounting).
+  void deliver_to(const SubscriberCallback& callback, const Message& message);
+
+  /// Records `payload` as retained state of (publisher site, topic path).
+  /// Identical payloads are stored once; a republished one moves to the
+  /// end, so a replay always ends with the latest publish.
+  void retain(const Topic& topic, const std::string& payload);
+
+  /// Replays the retained state of `topic` to one late subscriber at
+  /// `subscriber_site`, one copy per payload through the publisher's
+  /// `egress`.
+  void replay(ProxyEgress& egress, SiteId subscriber_site, const Topic& topic,
+              const SubscriberCallback& callback);
+
+  sim::Simulator& sim_;
+  BusConfig config_;
 
  private:
   /// In-flight state of one reliable wide-area copy.  Entries are shared
   /// with the scheduled closures (in-flight wire copies and ack/retry
   /// timers may outlive the bus-side bookkeeping); the bus reaps finished
-  /// entries on the next wide_area_send instead of accumulating every
+  /// entries on the next wide-area send instead of accumulating every
   /// copy ever sent.
   ///
   /// Guard: the mutable fields (delivered/acked/done/sends/retry) are
@@ -204,9 +219,6 @@ class MessageBus {
     std::string topic_path;
     std::function<void()> deliver;
     ProxyEgress* egress{nullptr};
-    /// The simulator the retry timer lives on (for cancelling it when the
-    /// copy is abandoned).
-    sim::Simulator* sim{nullptr};
     bool delivered{false};
     bool acked{false};
     /// Terminal: acked, gave up, or abandoned — eligible for reaping.
@@ -215,25 +227,33 @@ class MessageBus {
     sim::EventHandle retry{};
   };
 
+  [[nodiscard]] bool transient_topic(const std::string& topic_path) const {
+    return !config_.transient_prefix.empty() &&
+           topic_path.starts_with(config_.transient_prefix);
+  }
+
   /// Egress-overflow accounting: total, per-topic, and a debug log line
   /// (previously these drops were silent).
   void count_egress_drop(SiteId from, SiteId to,
                          const std::string& topic_path);
   /// Sends one physical wire copy with the fault hook applied; returns
   /// true when the egress accepted (at least) one copy.
-  bool wire_copy(sim::Simulator& sim, const BusConfig& config,
-                 ProxyEgress& egress, SiteId from, SiteId to,
+  bool wire_copy(ProxyEgress& egress, SiteId from, SiteId to,
                  const std::string& topic_path,
                  const std::function<void()>& arrival);
   /// One (re)transmission attempt of a reliable copy + its retry timer.
-  void reliable_attempt(sim::Simulator& sim, const BusConfig& config,
-                        const std::shared_ptr<ReliableMessage>& message);
+  void reliable_attempt(const std::shared_ptr<ReliableMessage>& message);
 
   /// Leaf lock for the reliable-delivery tracker: no other lock is ever
   /// taken while it is held, and no user/delivery callback runs under it.
   mutable swb::Mutex reliable_mutex_;
   std::vector<std::shared_ptr<ReliableMessage>> reliable_
       SWB_GUARDED_BY(reliable_mutex_);
+
+  /// Retained payloads per (publisher site, topic path), in the order of
+  /// their latest publish.  Simulator-thread-owned like stats_.
+  std::map<std::pair<SiteId, std::string>, std::vector<std::string>>
+      retained_;
 
  protected:
   /// Simulator-thread-owned (every mutation happens inside an event
@@ -251,24 +271,17 @@ class ProxyBus final : public MessageBus {
   void publish(const Topic& topic, std::string payload) override;
 
  private:
-  struct LocalSubscriber {
-    SubscriberCallback callback;
-  };
   struct SiteProxy {
     /// Subscription filters installed at this (publisher-side) proxy:
     /// topic path -> subscriber sites (deduplicated).
     std::unordered_map<std::string, std::vector<SiteId>> filters;
     /// Local fan-out at this (subscriber-side) proxy.
-    std::unordered_map<std::string, std::vector<LocalSubscriber>> locals;
-    /// Retained state per topic (distinct payloads, publish order).
-    std::unordered_map<std::string, std::vector<std::string>> retained;
+    std::unordered_map<std::string, std::vector<SubscriberCallback>> locals;
     std::unique_ptr<ProxyEgress> egress;
   };
 
   void deliver_locally(SiteId site, const Message& message);
 
-  sim::Simulator& sim_;
-  BusConfig config_;
   std::vector<SiteProxy> proxies_;
 };
 
@@ -286,10 +299,7 @@ class FullMeshBus final : public MessageBus {
     SubscriberCallback callback;
   };
 
-  sim::Simulator& sim_;
-  BusConfig config_;
   std::unordered_map<std::string, std::vector<Subscriber>> subscribers_;
-  std::unordered_map<std::string, std::vector<std::string>> retained_;
   std::vector<std::unique_ptr<ProxyEgress>> egress_;   // per publisher site
 };
 

@@ -1,6 +1,5 @@
 #include "control/local_switchboard.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -23,18 +22,15 @@ void upsert(std::vector<T>& list, const T& item, IdFn id_of) {
   list.push_back(item);
 }
 
-/// Topic paths of an announcement map in sorted order.  The maps are
-/// unordered (hash iteration order is seed- and library-dependent), but
-/// what their contents feed — WeightedChoice rule construction, published
-/// weight sums — must not depend on iteration order (determinism
-/// contract, DESIGN.md §14).
-template <typename Map>
-std::vector<std::string> sorted_paths(const Map& by_path) {
-  std::vector<std::string> paths;
-  paths.reserve(by_path.size());
-  for (const auto& entry : by_path) paths.push_back(entry.first);
-  std::sort(paths.begin(), paths.end());
-  return paths;
+/// The one liveness rule (DESIGN.md §12): an element or a route announced
+/// at weight 0 is dead.
+bool live(double weight) { return weight > 0; }
+
+/// Adds `element` to a weighted choice unless it is dead — a dead element
+/// never enters a choice (WeightedChoice requires positive weights).
+void add_live(dataplane::WeightedChoice& choice, dataplane::ElementId element,
+              double weight) {
+  if (live(weight)) choice.add(element, weight);
 }
 
 /// The pool whose forwarders follow stage `stage` of `route` (stage 0 is
@@ -161,7 +157,8 @@ void LocalSwitchboard::handle_new_edge_forwarder(
   if (edge_site == pc.egress_site) return;    // the egress edge, not mobility
   bool hosts_first_vnf = false;
   for (const RouteAnnouncement& route : pc.routes) {
-    if (!route.hops.empty() && route.hops.front().site == site_) {
+    if (live(route.weight) && !route.hops.empty() &&
+        route.hops.front().site == site_) {
       hosts_first_vnf = true;
       break;
     }
@@ -243,37 +240,10 @@ void LocalSwitchboard::handle_route(const RouteAnnouncement& announcement) {
   reconcile(pc);
 }
 
-void LocalSwitchboard::install_rule(PerChain& pc,
-                                    dataplane::ElementId forwarder) {
-  dataplane::Forwarder& engine = context_.elements.forwarder(forwarder);
-  dataplane::LoadBalanceRule rule;
-
-  // Local attachments this forwarder fronts (VNF instances, or the edge
-  // instance at the egress).  One forwarder fronts one service per site.
-  VnfId fronted_vnf;   // invalid if this forwarder fronts an edge
-  bool is_ingress_forwarder = false;
-  for (const std::string& path : sorted_paths(pc.instances)) {
-    for (const InstanceAnnouncement& ann : pc.instances.at(path)) {
-      if (ann.forwarder != forwarder) continue;
-      const ElementInfo& info = context_.elements.info(ann.instance);
-      // Weight 0 marks a dead attachment: keep the attachment wiring (the
-      // element may come back) but exclude it from the weighted choice —
-      // WeightedChoice requires strictly positive weights.
-      if (info.type == ElementType::kVnfInstance) {
-        fronted_vnf = info.vnf;
-        if (ann.weight > 0) rule.vnf_instances.add(ann.instance, ann.weight);
-        engine.register_attachment(ann.instance, pc.labels);
-      } else if (info.type == ElementType::kEdgeInstance) {
-        engine.register_attachment(ann.instance, pc.labels);
-        if (pc.egress_site == site_ && ann.weight > 0) {
-          rule.vnf_instances.add(ann.instance, ann.weight);
-        }
-        if (pc.ingress_site == site_) is_ingress_forwarder = true;
-      }
-    }
-  }
-
-  // Next-hop forwarders, merged across routes.
+void LocalSwitchboard::install_rule(const PerChain& pc,
+                                    dataplane::ElementId forwarder,
+                                    Fronted& fronted) {
+  // Next-hop forwarders, merged across live routes.
   const auto add_next = [&](const RouteAnnouncement& route,
                             std::size_t stage) {
     const auto [vnf, site] = next_forwarders(route, stage);
@@ -282,75 +252,68 @@ void LocalSwitchboard::install_rule(PerChain& pc,
             .path);
     if (it == pc.forwarders.end()) return;
     for (const ForwarderAnnouncement& ann : it->second) {
-      rule.next_forwarders.add(ann.forwarder, route.weight * ann.weight);
+      add_live(fronted.rule.next_forwarders, ann.forwarder,
+               route.weight * ann.weight);
     }
   };
   for (const RouteAnnouncement& route : pc.routes) {
-    if (route.weight <= 0) continue;
-    if (fronted_vnf.valid()) {
+    if (!live(route.weight)) continue;
+    if (fronted.vnf.valid()) {
       // The stages this forwarder serves in this route.
       for (std::size_t i = 0; i < route.hops.size(); ++i) {
-        if (route.hops[i].site == site_ && route.hops[i].vnf == fronted_vnf) {
+        if (route.hops[i].site == site_ && route.hops[i].vnf == fronted.vnf) {
           add_next(route, i + 1);
         }
       }
-    } else if (is_ingress_forwarder) {
-      add_next(route, 0);
+    } else if (pc.ingress_site == site_) {
+      add_next(route, 0);   // the ingress edge forwarder
     }
   }
-
-  engine.rules().install(pc.labels, std::move(rule));
+  context_.elements.forwarder(forwarder).rules().install(
+      pc.labels, std::move(fronted.rule));
 }
 
 void LocalSwitchboard::reconcile(PerChain& pc) {
-  // Forwarders at this site involved in the chain: those fronting any
-  // announced local instance (VNF or edge).
-  std::set<dataplane::ElementId> local_forwarders;
-  for (const std::string& path : sorted_paths(pc.instances)) {
-    for (const InstanceAnnouncement& ann : pc.instances.at(path)) {
-      if (context_.elements.exists(ann.instance) &&
-          context_.elements.info(ann.instance).site == site_) {
-        local_forwarders.insert(ann.forwarder);
+  // One walk over the local instance announcements, grouped by the
+  // forwarder fronting them (one forwarder fronts one service per site).
+  // Dead instances keep their attachment wiring (the element may come
+  // back) but stay out of the rule; an edge instance is a choice only at
+  // the egress.
+  std::map<dataplane::ElementId, Fronted> fronted;
+  for (const auto& [path, announcements] : pc.instances) {
+    for (const InstanceAnnouncement& ann : announcements) {
+      if (!context_.elements.exists(ann.instance)) continue;
+      const ElementInfo& info = context_.elements.info(ann.instance);
+      if (info.site != site_ || info.type == ElementType::kForwarder) {
+        continue;
+      }
+      Fronted& f = fronted[ann.forwarder];
+      f.weight += ann.weight;
+      context_.elements.forwarder(ann.forwarder)
+          .register_attachment(ann.instance, pc.labels);
+      if (info.type == ElementType::kVnfInstance) f.vnf = info.vnf;
+      if (f.vnf.valid() || pc.egress_site == site_) {
+        add_live(f.rule.vnf_instances, ann.instance, ann.weight);
       }
     }
   }
-  for (const dataplane::ElementId forwarder : local_forwarders) {
-    install_rule(pc, forwarder);
-  }
+  for (auto& [forwarder, f] : fronted) install_rule(pc, forwarder, f);
 
   // Publish forwarder announcements for fronted services whose aggregate
   // weight changed (weight = sum of fronted instance weights, Sec. 5.2).
-  for (const dataplane::ElementId forwarder : local_forwarders) {
-    double weight = 0.0;
-    VnfId fronted;
-    bool edge_fronted = false;
-    // Sorted path order: the float sum's rounding (and therefore the
-    // 1e-12 change detection below) must not depend on hash order.
-    for (const std::string& path : sorted_paths(pc.instances)) {
-      for (const InstanceAnnouncement& ann : pc.instances.at(path)) {
-        if (ann.forwarder != forwarder) continue;
-        weight += ann.weight;
-        const ElementInfo& info = context_.elements.info(ann.instance);
-        if (info.type == ElementType::kVnfInstance) {
-          fronted = info.vnf;
-        } else {
-          edge_fronted = true;
-        }
-      }
-    }
-    // A drop to 0 must publish too: upstream sites drain their pinned
-    // next-forwarder choices on a weight-0 announcement.  The map default
-    // (last = 0) keeps forwarders that never had live instances silent.
+  // A drop to 0 must publish too: upstream sites drain their pinned
+  // next-forwarder choices on a weight-0 announcement.  The map default
+  // (last = 0) keeps forwarders that never had live instances silent.
+  for (const auto& [forwarder, f] : fronted) {
     auto& last = pc.published_weight[forwarder];
-    if (std::abs(last - weight) < 1e-12) continue;
-    last = weight;
+    if (std::abs(last - f.weight) < 1e-12) continue;
+    last = f.weight;
     ForwarderAnnouncement announcement;
     announcement.forwarder = forwarder;
-    announcement.weight = weight;
-    const VnfId topic_vnf =
-        edge_fronted ? ControlContext::edge_marker() : fronted;
+    announcement.weight = f.weight;
     const bus::Topic topic = bus::forwarders_topic(
-        pc.chain, pc.labels.egress_site, topic_vnf, site_);
+        pc.chain, pc.labels.egress_site,
+        f.vnf.valid() ? f.vnf : ControlContext::edge_marker(), site_);
     context_.sim.schedule(
         context_.timings.controller_processing,
         [this, topic, announcement] {
@@ -404,7 +367,6 @@ void LocalSwitchboard::reconcile(PerChain& pc) {
       }
     }
   }
-
 }
 
 void LocalSwitchboard::attach_edge(
@@ -426,7 +388,7 @@ void LocalSwitchboard::attach_edge(
   const RouteAnnouncement* best = nullptr;
   double best_latency = std::numeric_limits<double>::infinity();
   for (const RouteAnnouncement& route : pc.routes) {
-    if (route.hops.empty()) continue;
+    if (!live(route.weight) || route.hops.empty()) continue;
     double latency = context_.model.delay_ms(
         here, context_.model.site(route.hops.front().site).node);
     for (std::size_t i = 0; i + 1 < route.hops.size(); ++i) {
@@ -477,15 +439,15 @@ void LocalSwitchboard::attach_edge(
         if (index >= pending_edges_.size()) return;
         PendingEdgeAddition& p = pending_edges_[index];
         if (p.local_configured) return;
+        dataplane::LoadBalanceRule rule;
+        add_live(rule.next_forwarders, announcement->forwarder,
+                 announcement->weight);
+        if (rule.next_forwarders.empty()) return;   // a retracted forwarder
         p.trace.forwarder_info_received = context_.sim.now();
 
         // Step 3: configure the edge forwarder's data plane.
-        dataplane::Forwarder& engine =
-            context_.elements.forwarder(p.edge_forwarder);
-        engine.register_attachment(p.edge_instance, labels);
-        dataplane::LoadBalanceRule rule;
-        rule.next_forwarders.add(announcement->forwarder,
-                                 announcement->weight);
+        context_.elements.forwarder(p.edge_forwarder)
+            .register_attachment(p.edge_instance, labels);
         context_.sim.schedule(
             context_.timings.rule_install,
             [this, index, labels, rule = std::move(rule)]() mutable {

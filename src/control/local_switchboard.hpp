@@ -113,9 +113,12 @@ class LocalSwitchboard {
     /// Routes merged by route id (weights update in place).
     std::vector<RouteAnnouncement> routes;
     /// Announcements gathered from the bus, keyed by topic path; within a
-    /// topic, entries are upserted by element id.
-    std::unordered_map<std::string, std::vector<InstanceAnnouncement>>
-        instances;
+    /// topic, entries are upserted by element id.  `instances` is walked,
+    /// so it is ordered: topic path, then announcement order, fixes the
+    /// order of rule construction and of the published weight sums
+    /// (determinism contract, DESIGN.md §14).  `forwarders` is only
+    /// looked up.
+    std::map<std::string, std::vector<InstanceAnnouncement>> instances;
     std::unordered_map<std::string, std::vector<ForwarderAnnouncement>>
         forwarders;
     std::set<std::string> subscribed;
@@ -123,6 +126,14 @@ class LocalSwitchboard {
     std::map<dataplane::ElementId, double> published_weight;
     /// Edge forwarders whose return path this site already configured.
     std::set<dataplane::ElementId> return_paths_configured;
+  };
+
+  /// One local forwarder's share of a chain, gathered by reconcile's one
+  /// walk over the instance announcements.
+  struct Fronted {
+    VnfId vnf;                          // invalid: it fronts an edge
+    double weight{0.0};                 // sum of its instance weights
+    dataplane::LoadBalanceRule rule;    // its live instances, so far
   };
 
   struct PendingEdgeAddition {
@@ -145,8 +156,10 @@ class LocalSwitchboard {
   void maybe_finish_edge_addition(PendingEdgeAddition& pending);
   void publish_heartbeat();
 
-  /// Rebuilds and installs the LB rule on one forwarder for one chain.
-  void install_rule(PerChain& pc, dataplane::ElementId forwarder);
+  /// Adds the next hops of every live route `fronted` serves to its rule
+  /// and installs the rule on `forwarder`.
+  void install_rule(const PerChain& pc, dataplane::ElementId forwarder,
+                    Fronted& fronted);
 
   ControlContext& context_;
   SiteId site_;

@@ -13,6 +13,12 @@ namespace {
 /// find_batch chunk so one epoch pin covers one prefetch wave.
 constexpr std::size_t kBatchChunk = 32;
 
+/// Counts a dropped packet and returns the drop action.
+ForwardAction drop(ForwarderCounters& counters) {
+  ++counters.drops;
+  return {ActionType::kDrop, kNoElement};
+}
+
 }  // namespace
 
 Forwarder::Forwarder(ElementId id, std::size_t flow_capacity,
@@ -39,6 +45,45 @@ ForwarderCounters Forwarder::counters() const {
   return total;
 }
 
+FlowEntry Forwarder::pick(const LoadBalanceRule& rule, const Labels& labels,
+                          const FiveTuple& key) const {
+  const std::uint64_t selector =
+      mix64(selector_seed_ ^ flow_hash(labels, key));
+  FlowEntry pinning;
+  if (!rule.vnf_instances.empty()) {
+    pinning.vnf_instance = rule.vnf_instances.pick(selector);
+  }
+  if (!rule.next_forwarders.empty()) {
+    pinning.next_forwarder = rule.next_forwarders.pick(mix64(selector));
+  }
+  return pinning;
+}
+
+std::optional<FlowEntry> Forwarder::first_pinning(
+    const Packet& packet, const FiveTuple& key,
+    ForwarderCounters& counters) const {
+  ++counters.flow_misses;
+  const LoadBalanceRule* rule = rules_.find(packet.labels);
+  if (packet.direction == Direction::kReverse || rule == nullptr ||
+      rule->vnf_instances.empty()) {
+    drop(counters);
+    return std::nullopt;
+  }
+  FlowEntry pinning = pick(*rule, packet.labels, key);
+  pinning.prev_element = packet.arrival_source;
+  return pinning;
+}
+
+ForwardAction Forwarder::repin(const Labels& labels, const FiveTuple& key,
+                               FlowEntry entry, const FlowEntry& pinning) {
+  entry.vnf_instance = pinning.vnf_instance;
+  if (entry.next_forwarder == kNoElement) {
+    entry.next_forwarder = pinning.next_forwarder;
+  }
+  table_.insert(labels, key, entry);
+  return {ActionType::kDeliverToAttached, entry.vnf_instance};
+}
+
 ForwardAction Forwarder::wire_resolve(const Packet& packet,
                                       const FiveTuple& key,
                                       ForwarderCounters& counters,
@@ -48,59 +93,21 @@ ForwardAction Forwarder::wire_resolve(const Packet& packet,
       return {ActionType::kDeliverToAttached, entry->vnf_instance};
     }
     // Drained pinning: the instance serving this flow died.  Re-pin onto a
-    // survivor from the current rule.  The pick is a pure function of the
-    // flow key, so workers racing on the same flow write identical entries;
-    // prev_element is preserved — the reverse path stays symmetric.
+    // survivor from the current rule; workers racing on the same flow
+    // write identical entries.
     const LoadBalanceRule* rule = rules_.find(packet.labels);
-    if (rule == nullptr || rule->vnf_instances.empty()) {
-      ++counters.drops;
-      return {ActionType::kDrop, kNoElement};
-    }
-    const std::uint64_t selector = flow_selector(packet.labels, key);
-    FlowEntry updated = *entry;
-    updated.vnf_instance = rule->vnf_instances.pick(selector);
-    if (updated.next_forwarder == kNoElement &&
-        !rule->next_forwarders.empty()) {
-      updated.next_forwarder = rule->next_forwarders.pick(mix64(selector));
-    }
-    table_.insert(packet.labels, key, updated);
-    return {ActionType::kDeliverToAttached, updated.vnf_instance};
+    if (rule == nullptr || rule->vnf_instances.empty()) return drop(counters);
+    return repin(packet.labels, key, *entry, pick(*rule, packet.labels, key));
   }
 
-  // First packet of the connection at this forwarder.
-  ++counters.flow_misses;
-  if (packet.direction == Direction::kReverse) {
-    // Reverse packets must hit state created by the forward direction;
-    // a miss means the flow is unknown (e.g. expired) — drop.
-    ++counters.drops;
-    return {ActionType::kDrop, kNoElement};
-  }
-  const LoadBalanceRule* rule = rules_.find(packet.labels);
-  if (rule == nullptr || rule->vnf_instances.empty()) {
-    ++counters.drops;
-    return {ActionType::kDrop, kNoElement};
-  }
-
-  const std::uint64_t selector = flow_selector(packet.labels, key);
-  FlowEntry fresh;
-  fresh.vnf_instance = rule->vnf_instances.pick(selector);
-  fresh.next_forwarder = rule->next_forwarders.empty()
-      ? kNoElement
-      : rule->next_forwarders.pick(mix64(selector));
-  fresh.prev_element = packet.arrival_source;
+  const std::optional<FlowEntry> fresh = first_pinning(packet, key, counters);
+  if (!fresh) return ForwardAction{};
   // insert_if_absent: if another worker raced us to the first packet, adopt
-  // its pinning so every packet of the flow sees one consistent entry.
-  FlowEntry stored = table_.insert_if_absent(packet.labels, key, fresh);
+  // its pinning so every packet of the flow sees one consistent entry —
+  // re-pinned if it was drained between our lookup miss and the insert.
+  const FlowEntry stored = table_.insert_if_absent(packet.labels, key, *fresh);
   if (stored.vnf_instance == kNoElement) {
-    // The adopted entry was drained between our lookup miss and the
-    // insert.  Re-pin it exactly like the drained-hit path above — the
-    // pick is the same pure function of the flow key, so racing workers
-    // still write identical entries.
-    stored.vnf_instance = fresh.vnf_instance;
-    if (stored.next_forwarder == kNoElement) {
-      stored.next_forwarder = fresh.next_forwarder;
-    }
-    table_.insert(packet.labels, key, stored);
+    return repin(packet.labels, key, stored, *fresh);
   }
   return {ActionType::kDeliverToAttached, stored.vnf_instance};
 }
@@ -163,45 +170,20 @@ std::size_t Forwarder::process_batch(std::span<const Packet> packets,
   return delivered;
 }
 
-ForwardAction Forwarder::annotate(Packet& packet, const FiveTuple& key,
-                                  ForwarderCounters& counters) {
-  // Miss/stale path of the annotation mode: re-derive the pinning from
-  // the current rule and affix it.  The pick is the same pure function
-  // of (seed, flow key) the table modes use, so the annotation a packet
-  // ends up carrying equals the entry the flow table would hold.
-  ++counters.flow_misses;
-  if (packet.direction == Direction::kReverse) {
-    // Reverse packets need the forward path's affix (symmetric return
-    // rides the annotation); without one the flow is unknown — drop.
-    ++counters.drops;
-    return {ActionType::kDrop, kNoElement};
-  }
-  const LoadBalanceRule* rule = rules_.find(packet.labels);
-  if (rule == nullptr || rule->vnf_instances.empty()) {
-    ++counters.drops;
-    return {ActionType::kDrop, kNoElement};
-  }
-  const std::uint64_t selector = flow_selector(packet.labels, key);
-  FlowEntry pinning;
-  pinning.vnf_instance = rule->vnf_instances.pick(selector);
-  pinning.next_forwarder = rule->next_forwarders.empty()
-      ? kNoElement
-      : rule->next_forwarders.pick(mix64(selector));
-  pinning.prev_element = packet.arrival_source;
-  packet.steering = SteeringAnnotation{pinning, rules_.version()};
-  return {ActionType::kDeliverToAttached, pinning.vnf_instance};
-}
-
 ForwardAction Forwarder::process_annotated(Packet& packet) {
   const FiveTuple key = canonical_tuple(packet);
   ForwarderCounters& counters = cell_for(packet.labels, key);
   ++counters.from_wire;
-  if (packet.steering.valid_for(rules_.version())) {
-    // Steering rides in the packet: no per-flow state touched at all.
-    return {ActionType::kDeliverToAttached,
-            packet.steering.pinning.vnf_instance};
+  if (!packet.steering.valid_for(rules_.version())) {
+    // Missing or stale: affix the pinning the flow table would hold.
+    const std::optional<FlowEntry> pinning =
+        first_pinning(packet, key, counters);
+    if (!pinning) return ForwardAction{};
+    packet.steering = SteeringAnnotation{*pinning, rules_.version()};
   }
-  return annotate(packet, key, counters);
+  // Steering rides in the packet: no per-flow state touched at all.
+  return {ActionType::kDeliverToAttached,
+          packet.steering.pinning.vnf_instance};
 }
 
 std::size_t Forwarder::process_batch_annotated(
@@ -209,20 +191,9 @@ std::size_t Forwarder::process_batch_annotated(
   SWB_CHECK(actions.empty() || actions.size() == packets.size())
       << "actions span must be empty or match the packet batch";
   // No table, no prefetch wave needed: the annotation IS the lookup.
-  const std::uint32_t version = rules_.version();
   std::size_t delivered = 0;
   for (std::size_t i = 0; i < packets.size(); ++i) {
-    Packet& packet = packets[i];
-    const FiveTuple key = canonical_tuple(packet);
-    ForwarderCounters& counters = cell_for(packet.labels, key);
-    ++counters.from_wire;
-    ForwardAction action;
-    if (packet.steering.valid_for(version)) {
-      action = {ActionType::kDeliverToAttached,
-                packet.steering.pinning.vnf_instance};
-    } else {
-      action = annotate(packet, key, counters);
-    }
+    const ForwardAction action = process_annotated(packets[i]);
     if (!actions.empty()) actions[i] = action;
     if (action.type != ActionType::kDrop) ++delivered;
   }
@@ -239,8 +210,7 @@ ForwardAction Forwarder::process_from_attached(Packet& packet) {
       ForwarderCounters& counters =
           cell_for(packet.labels, canonical_tuple(packet));
       ++counters.from_attached;
-      ++counters.drops;
-      return {ActionType::kDrop, kNoElement};
+      return drop(counters);
     }
     packet.labels = it->second;
     reaffixed = true;
@@ -255,22 +225,12 @@ ForwardAction Forwarder::process_from_attached(Packet& packet) {
   if (!entry) {
     // First packet of a connection entering from an attached ingress edge.
     ++counters.flow_misses;
-    if (packet.direction == Direction::kReverse) {
-      ++counters.drops;
-      return {ActionType::kDrop, kNoElement};
-    }
     const LoadBalanceRule* rule = rules_.find(packet.labels);
-    if (rule == nullptr) {
-      ++counters.drops;
-      return {ActionType::kDrop, kNoElement};
+    if (packet.direction == Direction::kReverse || rule == nullptr) {
+      return drop(counters);
     }
-    FlowEntry fresh;
+    FlowEntry fresh = pick(*rule, packet.labels, key);
     fresh.vnf_instance = packet.arrival_source;   // the ingress edge
-    fresh.next_forwarder = rule->next_forwarders.empty()
-        ? kNoElement
-        : rule->next_forwarders.pick(
-              mix64(flow_selector(packet.labels, key)));
-    fresh.prev_element = kNoElement;
     entry = table_.insert_if_absent(packet.labels, key, fresh);
   }
 
@@ -278,23 +238,20 @@ ForwardAction Forwarder::process_from_attached(Packet& packet) {
       ? entry->next_forwarder
       : entry->prev_element;
   if (target == kNoElement && packet.direction == Direction::kForward) {
-    // Drained next hop: re-pick from the current rule (same pure-function
-    // selector — racing workers converge on one pinning).  An egress
+    // Drained next hop: re-pick from the current rule.  An egress
     // forwarder keeps an empty next_forwarders rule, so terminal flows
     // still fall through to the drop below.
     const LoadBalanceRule* rule = rules_.find(packet.labels);
-    if (rule != nullptr && !rule->next_forwarders.empty()) {
+    if (rule != nullptr) {
+      target = pick(*rule, packet.labels, key).next_forwarder;
+    }
+    if (target != kNoElement) {
       FlowEntry updated = *entry;
-      updated.next_forwarder = rule->next_forwarders.pick(
-          mix64(flow_selector(packet.labels, key)));
+      updated.next_forwarder = target;
       table_.insert(packet.labels, key, updated);
-      target = updated.next_forwarder;
     }
   }
-  if (target == kNoElement) {
-    ++counters.drops;
-    return {ActionType::kDrop, kNoElement};
-  }
+  if (target == kNoElement) return drop(counters);
   return {ActionType::kSendToForwarder, target};
 }
 

@@ -16,19 +16,23 @@
 // Threading (the paper's per-core scaling, Fig. 8): one Forwarder can be
 // driven by N worker threads RSS-style.  Packets hash by (labels,
 // forward-direction 5-tuple) to a worker (worker_for()); each worker owns a
-// disjoint set of flow-table shards, so steady-state processing takes only
-// uncontended locks.  process_from_wire / process_from_attached /
-// process_batch are thread-safe for any interleaving (shard locks + atomic
-// counters); honoring the worker mapping is what makes them *fast*.
+// disjoint set of flow-table shards.  Flow lookups are lock-free epoch
+// reads (DESIGN.md §15); only flow-state writes (first packets, re-pins,
+// teardown) take their shard's lock.  process_from_wire /
+// process_from_attached / process_batch are thread-safe for any
+// interleaving (per-shard writer locks + atomic counters); honoring the
+// worker mapping is what keeps writers off each other's shards.
 // Control-plane mutations (rules(), register_attachment()) are NOT
 // synchronized against packet processing — install rules before starting
 // workers or quiesce them first (the paper's make-before-break updates swap
 // whole rules between packet bursts).
 //
-// Load-balancing picks are a pure function of (forwarder seed, flow key):
-// the pinning a flow gets does not depend on packet interleaving or worker
-// count, which keeps the threaded data plane bit-identical to the
-// single-threaded one (tested by forwarder_concurrency_test).
+// Load-balancing picks are a pure function of (forwarder seed, flow key),
+// made in one place (pick()) for every pinning — first packet, drained
+// re-pin and annotation: the pinning a flow gets does not depend on packet
+// interleaving, worker count or mode, which keeps the threaded data plane
+// bit-identical to the single-threaded one (tested by
+// forwarder_concurrency_test).
 #pragma once
 
 #include <cstdint>
@@ -194,18 +198,28 @@ class Forwarder {
                              ForwarderCounters& counters,
                              const std::optional<FlowEntry>& entry);
 
-  /// Re-derives a flow's pinning from the current rule: the annotation
-  /// mode's miss/stale path.  Pure function of (seed, flow key).
-  ForwardAction annotate(Packet& packet, const FiveTuple& key,
-                         ForwarderCounters& counters);
+  /// The one pick: the attached instance and the next hop `rule` gives a
+  /// flow (kNoElement for an empty set).  A pure function of (forwarder
+  /// seed, flow key), so pinning is independent of packet order, thread
+  /// count and racing first packets, and annotation picks equal table
+  /// picks by construction.
+  [[nodiscard]] FlowEntry pick(const LoadBalanceRule& rule,
+                               const Labels& labels,
+                               const FiveTuple& key) const;
 
-  /// Pick seed for a flow: pure function of (forwarder seed, flow key), so
-  /// pinning is independent of packet order, thread count, and racing
-  /// first packets.
-  [[nodiscard]] std::uint64_t flow_selector(const Labels& labels,
-                                            const FiveTuple& key) const {
-    return mix64(selector_seed_ ^ flow_hash(labels, key));
-  }
+  /// First packet of a flow at this forwarder — a table miss, or no valid
+  /// annotation: counts the miss and returns the flow's pinning.  A
+  /// reverse packet (it needs state the forward direction created) or a
+  /// flow no rule serves counts a drop and gets nothing.
+  std::optional<FlowEntry> first_pinning(const Packet& packet,
+                                         const FiveTuple& key,
+                                         ForwarderCounters& counters) const;
+
+  /// Re-pins a drained entry onto `pinning`'s instance, and onto its next
+  /// hop if that was drained too.  prev_element is kept, so the reverse
+  /// path stays symmetric.
+  ForwardAction repin(const Labels& labels, const FiveTuple& key,
+                      FlowEntry entry, const FlowEntry& pinning);
 
   /// One counter stripe, padded to its own cacheline so the per-packet
   /// bumps of different workers never share a line.

@@ -13,11 +13,6 @@ void WeightedChoice::add(ElementId element, double weight) {
   cumulative_.push_back(total_weight() + weight);
 }
 
-void WeightedChoice::clear() {
-  elements_.clear();
-  cumulative_.clear();
-}
-
 ElementId WeightedChoice::pick(std::uint64_t selector) const {
   SWB_DCHECK(!elements_.empty());
   // Map the selector uniformly onto [0, total_weight).
@@ -57,7 +52,6 @@ void WeightedChoice::check_invariants() const {
 void LoadBalanceRule::check_invariants() const {
   vnf_instances.check_invariants();
   next_forwarders.check_invariants();
-  prev_forwarders.check_invariants();
 }
 
 void RuleTable::install(const Labels& labels, LoadBalanceRule rule) {

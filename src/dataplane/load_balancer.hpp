@@ -3,10 +3,10 @@
 // A forwarder holds, per (chain label, egress-site label):
 //   1. the VNF instances it fronts, weighted by instance weight;
 //   2. the forwarders adjoining the *next* VNF in the chain, weighted by
-//      site-level routing weight x forwarder weight;
-//   3. the forwarders adjoining the *previous* VNF (reverse direction).
+//      site-level routing weight x forwarder weight.
 // Selections are made per connection on the first packet and then pinned
-// in the flow table.
+// in the flow table.  Reverse packets need no rule: they follow the
+// previous hop each flow learned from its first packet.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,6 @@ namespace switchboard::dataplane {
 class WeightedChoice {
  public:
   void add(ElementId element, double weight);
-  void clear();
   [[nodiscard]] bool empty() const { return elements_.empty(); }
   [[nodiscard]] std::size_t size() const { return elements_.size(); }
 
@@ -49,13 +48,10 @@ class WeightedChoice {
   std::vector<double> cumulative_;
 };
 
-/// The three weighted rule sets for one (chain, egress) pair.
+/// The two weighted rule sets for one (chain, egress) pair.
 struct LoadBalanceRule {
   WeightedChoice vnf_instances;
   WeightedChoice next_forwarders;
-  WeightedChoice prev_forwarders;
-  /// When the chain ends at this site, the egress edge element.
-  ElementId egress_edge{kNoElement};
 
   /// Audits each weighted set.  (A rule may legitimately carry only
   /// next_forwarders — e.g. an ingress edge forwarder — so emptiness of a

@@ -15,13 +15,20 @@ EventHandle Simulator::schedule_at(SimTime when, Callback fn) {
   SWB_DCHECK(fn);
   const std::uint64_t seq = next_sequence_++;
   queue_.push(Event{when, seq, std::move(fn)});
-  return EventHandle{seq};
+  return EventHandle{seq, when};
 }
 
 bool Simulator::cancel(EventHandle handle) {
   if (!handle.valid() || handle.sequence >= next_sequence_) return false;
+  // Already fired (or skipped as cancelled): nothing left to cancel.
+  if (std::pair{handle.when, handle.sequence} <= popped_) return false;
   // Lazy deletion: remember the sequence, skip it when popped.
   return cancelled_.insert(handle.sequence).second;
+}
+
+void Simulator::pop_head() {
+  popped_ = {queue_.top().when, queue_.top().sequence};
+  queue_.pop();
 }
 
 void Simulator::drop_cancelled_head() {
@@ -29,7 +36,7 @@ void Simulator::drop_cancelled_head() {
     const auto it = cancelled_.find(queue_.top().sequence);
     if (it == cancelled_.end()) return;
     cancelled_.erase(it);
-    queue_.pop();
+    pop_head();
   }
 }
 
@@ -37,7 +44,7 @@ bool Simulator::step() {
   drop_cancelled_head();
   if (queue_.empty()) return false;
   Event event = queue_.top();
-  queue_.pop();
+  pop_head();
   now_ = event.when;
   ++executed_;
   event.fn();

@@ -9,6 +9,7 @@
 #include <functional>
 #include <queue>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -18,6 +19,9 @@ namespace switchboard::sim {
 /// Handle for cancelling a scheduled event.
 struct EventHandle {
   std::uint64_t sequence{0};
+  /// The event's scheduled time: with the sequence, its place in the
+  /// firing order, which is what cancel() compares against.
+  SimTime when{0};
   [[nodiscard]] bool valid() const { return sequence != 0; }
 };
 
@@ -59,6 +63,8 @@ class Simulator {
 
  private:
   void drop_cancelled_head();
+  /// Takes the head event off the queue, fired or skipped.
+  void pop_head();
 
   struct Event {
     SimTime when;
@@ -75,6 +81,10 @@ class Simulator {
   SimTime now_{0};
   std::uint64_t next_sequence_{1};
   std::uint64_t executed_{0};
+  /// (time, sequence) of the last event fired or skipped.  Events leave
+  /// the queue in that order, so an event is gone iff its own pair is at
+  /// or before this one.
+  std::pair<SimTime, std::uint64_t> popped_{0, 0};
   std::unordered_set<std::uint64_t> cancelled_;   // lazily-deleted events
 };
 

@@ -104,7 +104,6 @@ class ForwarderTest : public ::testing::Test {
     rule.vnf_instances.add(kVnf1, 1.0);
     rule.vnf_instances.add(kVnf2, 1.0);
     rule.next_forwarders.add(kNextFw, 1.0);
-    rule.prev_forwarders.add(kPrevFw, 1.0);
     fw_.rules().install(kLabels, std::move(rule));
   }
 
@@ -235,6 +234,62 @@ TEST_F(ForwarderTest, MakeBeforeBreakRuleChangeKeepsExistingFlows) {
   EXPECT_EQ(fw_.process_from_wire(wire_packet(1)), before);
   // ...new flows use the new rule.
   EXPECT_EQ(fw_.process_from_wire(wire_packet(2)).element, 999u);
+}
+
+// Drained re-pin (recovery): the next forward packet of a flow whose
+// instance died re-picks from the current rule in place — no flow miss,
+// one table insert — and keeps the previous hop the flow learned.
+TEST_F(ForwarderTest, DrainedInstanceRepinsOntoTheSurvivor) {
+  const ElementId pinned = fw_.process_from_wire(wire_packet(1)).element;
+  const ElementId survivor = pinned == kVnf1 ? kVnf2 : kVnf1;
+  EXPECT_EQ(fw_.drain_element(pinned), 1u);
+  LoadBalanceRule rule;
+  rule.vnf_instances.add(survivor, 1.0);
+  rule.next_forwarders.add(kNextFw, 1.0);
+  fw_.rules().install(kLabels, std::move(rule));
+  const std::uint64_t misses = fw_.counters().flow_misses.value();
+  const std::uint64_t inserts = fw_.flow_table().stats().inserts;
+
+  EXPECT_EQ(fw_.process_from_wire(wire_packet(1)),
+            (ForwardAction{ActionType::kDeliverToAttached, survivor}));
+  EXPECT_EQ(fw_.counters().flow_misses.value(), misses);
+  EXPECT_EQ(fw_.flow_table().stats().inserts, inserts + 1);
+  const auto entry = fw_.flow_table().find(kLabels, make_tuple(1));
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->vnf_instance, survivor);
+  EXPECT_EQ(entry->next_forwarder, kNextFw);
+  EXPECT_EQ(entry->prev_element, kPrevFw);
+
+  // Symmetric return survives the drain: reverse traffic handed back by
+  // the survivor goes to the learned previous hop.
+  Packet reverse = wire_packet(1, Direction::kReverse);
+  reverse.arrival_source = survivor;
+  EXPECT_EQ(fw_.process_from_attached(reverse),
+            (ForwardAction{ActionType::kSendToForwarder, kPrevFw}));
+}
+
+TEST_F(ForwarderTest, DrainedNextHopRepinsWhenTheInstanceHandsBack) {
+  const ElementId instance = fw_.process_from_wire(wire_packet(1)).element;
+  EXPECT_EQ(fw_.drain_element(kNextFw), 1u);
+  LoadBalanceRule rule;
+  rule.vnf_instances.add(kVnf1, 1.0);
+  rule.vnf_instances.add(kVnf2, 1.0);
+  rule.next_forwarders.add(202, 1.0);
+  fw_.rules().install(kLabels, std::move(rule));
+  const std::uint64_t misses = fw_.counters().flow_misses.value();
+  const std::uint64_t inserts = fw_.flow_table().stats().inserts;
+
+  Packet from_vnf = wire_packet(1);
+  from_vnf.arrival_source = instance;
+  EXPECT_EQ(fw_.process_from_attached(from_vnf),
+            (ForwardAction{ActionType::kSendToForwarder, 202}));
+  EXPECT_EQ(fw_.counters().flow_misses.value(), misses);
+  EXPECT_EQ(fw_.flow_table().stats().inserts, inserts + 1);
+  const auto entry = fw_.flow_table().find(kLabels, make_tuple(1));
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->next_forwarder, 202u);
+  EXPECT_EQ(entry->vnf_instance, instance);
+  EXPECT_EQ(entry->prev_element, kPrevFw);
 }
 
 TEST_F(ForwarderTest, MutexReadModeMatchesEpochRead) {

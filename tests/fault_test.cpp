@@ -310,6 +310,116 @@ TEST(Recovery, DuplicatedControlMessagesAreIdempotent) {
   dep.global().check_invariants();
 }
 
+/// Crashes every instance of the chain's first route pool, runs recovery
+/// for two simulated seconds, and returns the dead pool's site.
+SiteId kill_route_pool(Middleware& mw, ChainId chain, VnfId fw) {
+  core::Deployment& dep = mw.deployment();
+  dep.enable_recovery();
+  const SiteId dead_site = mw.chain_record(chain).routes[0].vnf_sites[0];
+  for (const dataplane::ElementId id :
+       dep.elements().vnf_instances_at(dead_site, fw)) {
+    dep.fault_injector().crash("element:" + std::to_string(id));
+  }
+  dep.simulator().run_until(dep.simulator().now() + sim::from_ms(2000.0));
+  dep.stop_recovery();
+  return dead_site;
+}
+
+// With the controller far from the chain, the dead pool's weight-0
+// forwarder announcement reaches the ingress site A before the route's
+// weight-0 tombstone arrives from C.  The dead next hop must stay out of
+// the ingress forwarder's weighted choice instead of aborting the rule
+// install.
+TEST(Recovery, DeadNextHopAnnouncedBeforeTheTombstoneStaysOutOfTheRule) {
+  model::NetworkModel m{net::make_line_topology(6, 100.0, 5.0)};
+  m.add_site(NodeId{0}, 100.0, "A");
+  m.add_site(NodeId{1}, 100.0, "X");
+  m.add_site(NodeId{2}, 100.0, "Y");
+  m.add_site(NodeId{3}, 100.0, "B");
+  m.add_site(NodeId{5}, 100.0, "C");
+  const VnfId fw = m.add_vnf("fw", 1.0);
+  m.deploy_vnf(fw, SiteId{1}, 100.0);
+  m.deploy_vnf(fw, SiteId{2}, 100.0);
+
+  DeploymentConfig config;
+  config.controller_site = SiteId{4};   // C
+  Middleware mw{std::move(m), config};
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  const auto report = mw.create_chain(make_span_spec(edge, fw));
+  ASSERT_TRUE(report.ok()) << report.error().to_string();
+
+  const SiteId dead_site = kill_route_pool(mw, report->chain, fw);
+  const auto walk = mw.send(report->chain, tuple(11));
+  ASSERT_TRUE(walk.delivered) << walk.failure;
+  for (const dataplane::ElementId instance : walk.vnf_instances()) {
+    EXPECT_NE(mw.deployment().elements().info(instance).site, dead_site);
+  }
+}
+
+// Mobility after a pool death: the new edge site hosts the dead pool, so
+// the retired route is the nearest one.  attach_edge must stitch the edge
+// into the live route, and never into a weight-0 forwarder.
+TEST(Recovery, EdgeAttachedAfterAPoolDeathJoinsTheLiveRoute) {
+  model::NetworkModel m = make_two_pool_model();
+  const VnfId fw = m.vnfs()[0].id;
+  Middleware mw{std::move(m)};
+  core::Deployment& dep = mw.deployment();
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  const auto report = mw.create_chain(make_span_spec(edge, fw));
+  ASSERT_TRUE(report.ok()) << report.error().to_string();
+  const ChainId chain = report->chain;
+
+  const SiteId dead_site = kill_route_pool(mw, chain, fw);
+  const auto attached = mw.attach_edge(chain, dead_site, edge);
+  ASSERT_TRUE(attached.ok()) << attached.error().to_string();
+
+  const dataplane::ElementId roaming =
+      dep.edge_controller(edge).ensure_edge_instance(dead_site);
+  const auto walk = dep.inject_from(chain, roaming, tuple(7));
+  ASSERT_TRUE(walk.delivered) << walk.failure;
+  for (const dataplane::ElementId instance : walk.vnf_instances()) {
+    EXPECT_NE(dep.elements().info(instance).site, dead_site);
+  }
+}
+
+// The return path of an edge addition is configured by the first VNF's
+// site of a live route only.  A retired route's first site is nearer to
+// the new edge here, so answering from it would finish the addition
+// before the live route's site even heard of the new edge.
+TEST(Recovery, RetiredRouteSiteDoesNotAnswerAnEdgeAddition) {
+  // E1(0) - A(1) - X(2) - Y(3) - B(4) - E2(5); the chain runs A -> B.
+  model::NetworkModel m{net::make_line_topology(6, 100.0, 5.0)};
+  const SiteId e1 = m.add_site(NodeId{0}, 100.0, "E1");
+  m.add_site(NodeId{1}, 100.0, "A");
+  const SiteId x = m.add_site(NodeId{2}, 100.0, "X");
+  m.add_site(NodeId{3}, 100.0, "Y");
+  m.add_site(NodeId{4}, 100.0, "B");
+  const SiteId e2 = m.add_site(NodeId{5}, 100.0, "E2");
+  const VnfId fw = m.add_vnf("fw", 1.0);
+  m.deploy_vnf(fw, x, 100.0);
+  m.deploy_vnf(fw, SiteId{3}, 100.0);
+  Middleware mw{std::move(m)};
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  ChainSpec spec = make_span_spec(edge, fw);
+  spec.ingress_node = NodeId{1};
+  spec.egress_node = NodeId{4};
+  const auto report = mw.create_chain(spec);
+  ASSERT_TRUE(report.ok()) << report.error().to_string();
+
+  const SiteId dead_site = kill_route_pool(mw, report->chain, fw);
+  const SiteId survivor = dead_site == x ? SiteId{3} : x;
+  // The new edge sits on the dead pool's side of the line.
+  const SiteId roaming = dead_site == x ? e1 : e2;
+  const auto trace = mw.attach_edge(report->chain, roaming, edge);
+  ASSERT_TRUE(trace.ok()) << trace.error().to_string();
+  const model::NetworkModel& model = mw.deployment().network_model();
+  const double to_survivor_ms = model.delay_ms(model.site(roaming).node,
+                                               model.site(survivor).node);
+  EXPECT_GE(trace->remote_received - trace->edge_configured,
+            sim::from_ms(to_survivor_ms))
+      << "the return path was answered by the retired route's site";
+}
+
 // ------------------------------------------- concurrent drain (TSan)
 
 // The failure drain runs on the control plane while packet workers keep

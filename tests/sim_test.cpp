@@ -72,6 +72,22 @@ TEST(Simulator, CancelInvalidHandleFails) {
   EXPECT_FALSE(sim.cancel(EventHandle{999}));
 }
 
+// Cancelling an event that already fired is a no-op: it returns false and
+// leaves no lazy-deletion record behind to skew pending_events().
+TEST(Simulator, CancelAfterFiringFailsAndLeavesNoRecord) {
+  Simulator sim;
+  const EventHandle first = sim.schedule(milliseconds(5), [] {});
+  const EventHandle second = sim.schedule(milliseconds(10), [] {});
+  sim.run_until(milliseconds(6));
+  EXPECT_FALSE(sim.cancel(first));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_TRUE(sim.cancel(second));
+  EXPECT_FALSE(sim.cancel(second));
+  sim.run();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.check_invariants();
+}
+
 TEST(Simulator, RunUntilStopsAtDeadline) {
   Simulator sim;
   std::vector<int> order;

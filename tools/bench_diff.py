@@ -66,9 +66,35 @@ GATED = {
     },
     # Recovery work done is simulated-time deterministic for a fixed fault
     # seed: losing reroutes or rerouted volume means failover regressed.
+    # The packet counts of the recovery window are bit-deterministic too:
+    # they move only when the announcement path (bus replay, rule builds,
+    # drains and re-pins) changes behaviour.
     ("bench_fig13_recovery", "recovery"): {
         "routes_rerouted": "up",
         "rerouted_volume": "up",
+        "packets_sent": "exact",
+        "packets_lost": "exact",
+    },
+    # Edge addition (Table 2) replays retained forwarder state on the
+    # simulated clock: every step time is bit-deterministic.
+    ("bench_table2_edge_addition", "edge_addition_latency"): {
+        "site_chosen_ms": "exact",
+        "edge_configured_ms": "exact",
+        "total_ms": "exact",
+    },
+    # Bus fan-out (Fig. 9) counts are bit-deterministic per topology.
+    ("bench_fig9_message_bus", "bus_fanout"): {
+        "delivered": "exact",
+        "drops": "exact",
+    },
+    # Data-plane ablations with seeded, order-independent outcomes.
+    ("bench_ablation_dataplane", "dht_failover"): {
+        "dht_survival_pct": "exact",
+        "local_survival_pct": "exact",
+    },
+    ("bench_ablation_dataplane", "make_before_break"): {
+        "mbb_broken": "exact",
+        "reset_broken": "exact",
     },
     # Controller crash-with-amnesia recovery is simulated-time
     # deterministic: journal growth or a slower cold start is a real
