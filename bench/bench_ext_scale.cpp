@@ -13,7 +13,9 @@
 
 #include "bench_json.hpp"
 #include "common/check.hpp"
+#include "reference/dense_simplex.hpp"
 #include "switchboard/switchboard.hpp"
+#include "te/lp_routing_detail.hpp"
 
 namespace {
 
@@ -102,9 +104,10 @@ int main(int argc, char** argv) {
         .metric("latency_ms", metrics.mean_latency_ms);
   }
   // ---- sparse engine vs dense reference on the same LP -----------------
-  // Both engines solve the identical formulation; status parity and
-  // objective agreement (1e-6 relative) are asserted in-binary so the
-  // nightly run doubles as a large-instance correctness check.
+  // The routing LP is built once and both engines solve that Problem;
+  // status parity and objective agreement (1e-6 relative) are asserted
+  // in-binary so the nightly run doubles as a large-instance correctness
+  // check.
   std::printf("\n-- sparse simplex vs dense reference (same LP) --\n");
   std::printf("%8s %12s %12s %10s\n", "chains", "sparse sec", "dense sec",
               "speedup");
@@ -113,14 +116,15 @@ int main(int argc, char** argv) {
     const model::NetworkModel m = make_lp_instance(chains);
     te::LpRoutingOptions options;
     options.objective = te::LpObjective::kMaxThroughput;
+    const lp::Problem problem =
+        te::detail::build_routing_lp(m, options).problem;
 
     auto start = std::chrono::steady_clock::now();
-    const te::LpRoutingResult sparse = te::solve_lp_routing(m, options);
+    const lp::Solution sparse = lp::solve(problem);
     const double sparse_sec = seconds_since(start);
 
-    options.simplex.algorithm = lp::SimplexAlgorithm::kDenseReference;
     start = std::chrono::steady_clock::now();
-    const te::LpRoutingResult dense = te::solve_lp_routing(m, options);
+    const lp::Solution dense = lp::solve_dense_reference(problem);
     const double dense_sec = seconds_since(start);
 
     SWB_CHECK(sparse.status == dense.status)

@@ -23,3 +23,4 @@ sb_add_bench(bench_table3_shared_cache)
 sb_add_bench(bench_ablation_dataplane)
 sb_add_bench(bench_ext_dynamics)
 sb_add_bench(bench_ext_scale)
+target_link_libraries(bench_ext_scale PRIVATE sb_lp_reference)

@@ -7,6 +7,12 @@
 #include "common/log.hpp"
 
 namespace switchboard::bus {
+namespace {
+
+/// Delay of a local (same-site) delivery.
+constexpr sim::Duration kLocalDeliveryDelay = sim::microseconds(50);
+
+}  // namespace
 
 bool ProxyEgress::send(SiteId from, SiteId to, std::function<void()> deliver) {
   const sim::SimTime now = sim_.now();
@@ -199,7 +205,7 @@ void MessageBus::send_copy(ProxyEgress& egress, SiteId from, SiteId to,
                            std::function<void()> deliver) {
   if (from == to) {
     // Same-site subscriber: local queue only.
-    sim_.schedule(config_.local_delivery_delay, std::move(deliver));
+    sim_.schedule(kLocalDeliveryDelay, std::move(deliver));
     return;
   }
   if (!config_.reliable_delivery || transient_topic(topic_path)) {

@@ -58,16 +58,11 @@ struct BusConfig {
   sim::Duration per_message_service{sim::microseconds(100)};
   /// Egress buffer (messages); sends beyond it are dropped.
   std::size_t egress_buffer{1024};
-  /// Delay of a local (same-site) delivery.
-  sim::Duration local_delivery_delay{sim::microseconds(50)};
   /// Retain published control state per topic and replay it to late
   /// subscribers (control-plane topics carry configuration state, so a
   /// subscriber arriving after the publish must still converge — the
   /// prototype's bus replicates state the same way, Section 6).
   bool retain_messages{true};
-  /// Topics with this path prefix are transient telemetry (heartbeats):
-  /// never retained and never retransmitted, whatever the other knobs say.
-  std::string transient_prefix{"/health/"};
   /// Per-wide-area-copy fault verdict (wired to sim::FaultInjector::
   /// on_message by the deployment).  Null means no injected faults.
   std::function<sim::MessageVerdict(SiteId from, SiteId to,
@@ -227,9 +222,10 @@ class MessageBus {
     sim::EventHandle retry{};
   };
 
-  [[nodiscard]] bool transient_topic(const std::string& topic_path) const {
-    return !config_.transient_prefix.empty() &&
-           topic_path.starts_with(config_.transient_prefix);
+  /// Transient telemetry (kTransientPrefix, bus/topic.hpp) is never
+  /// retained and never retransmitted, whatever the other knobs say.
+  [[nodiscard]] static bool transient_topic(const std::string& topic_path) {
+    return topic_path.starts_with(kTransientPrefix);
   }
 
   /// Egress-overflow accounting: total, per-topic, and a debug log line

@@ -30,11 +30,14 @@ Topic chain_routes_topic(ChainId chain, SiteId controller_site) {
 }
 
 Topic health_topic(SiteId site) {
-  return Topic{"/health/site_" + std::to_string(site.value()), site};
+  return Topic{std::string{kTransientPrefix} + "site_" +
+                   std::to_string(site.value()),
+               site};
 }
 
 Topic anycast_topic(SiteId from, SiteId to) {
-  return Topic{"/health/anycast/" + std::to_string(from.value()) + "_" +
+  return Topic{std::string{kTransientPrefix} + "anycast/" +
+                   std::to_string(from.value()) + "_" +
                    std::to_string(to.value()),
                from};
 }
@@ -55,7 +58,8 @@ Topic replication_ack_topic(std::uint32_t from_replica,
 }
 
 Topic replica_health_topic(std::uint32_t replica, SiteId publisher_site) {
-  return Topic{"/health/ctl/replica_" + std::to_string(replica),
+  return Topic{std::string{kTransientPrefix} + "ctl/replica_" +
+                   std::to_string(replica),
                publisher_site};
 }
 

@@ -9,10 +9,15 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/types.hpp"
 
 namespace switchboard::bus {
+
+/// Path prefix of transient topics (heartbeats, anycast announcements):
+/// the bus never retains and never retransmits them.
+inline constexpr std::string_view kTransientPrefix = "/health/";
 
 struct Topic {
   std::string path;
@@ -41,8 +46,8 @@ struct Topic {
 
 /// "/health/site_<s>" — liveness heartbeats of a site's Local Switchboard
 /// (plus its down-element list), consumed by the failure detector.  The
-/// "/health/" prefix marks the topic transient: never retained, never
-/// retransmitted (see BusConfig::transient_prefix).
+/// "/health/" prefix (kTransientPrefix) marks the topic transient: never
+/// retained, never retransmitted.
 [[nodiscard]] Topic health_topic(SiteId site);
 
 /// "/health/anycast/<from>_<to>" — one directed flooding edge of the

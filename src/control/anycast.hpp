@@ -125,9 +125,6 @@ class AnycastRouter {
   [[nodiscard]] std::uint64_t duplicates_dropped() const {
     return duplicates_dropped_;
   }
-  [[nodiscard]] std::size_t known_chain_count() const {
-    return chains_.size();
-  }
 
   /// Audits the router (aborts via SWB_CHECK on violation): no table
   /// entry for the router's own site, per-origin sequence numbers only

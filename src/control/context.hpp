@@ -23,21 +23,6 @@ struct ControlTimings {
   sim::Duration rule_install{sim::from_ms(30.0)};
   /// Setting up a wide-area tunnel endpoint at a forwarder.
   sim::Duration tunnel_setup{sim::from_ms(60.0)};
-
-  // --- fault tolerance ----------------------------------------------------
-  /// Coordinator-side wait before retrying a 2PC round whose participant
-  /// did not answer (an unreachable controller never replies; the
-  /// coordinator times out instead of hanging).
-  sim::Duration rpc_timeout{sim::from_ms(200.0)};
-  /// Extra backoff added per retry (doubles each attempt).
-  sim::Duration rpc_retry_backoff{sim::from_ms(50.0)};
-  /// Retries per 2PC round before the coordinator aborts the transaction.
-  std::size_t max_rpc_retries{3};
-  /// A reservation still prepared this long after its last prepare is
-  /// garbage-collected (auto-aborted) by its controller — the coordinator
-  /// that reserved it is presumed dead.  0 disables GC (the default:
-  /// long-running experiments keep out-of-band reservations alive).
-  sim::Duration reservation_ttl{0};
 };
 
 struct ControlContext {

@@ -13,7 +13,6 @@ FailureDetector::FailureDetector(ControlContext& context, SiteId home_site,
     : context_{context}, home_site_{home_site}, config_{config} {
   SWB_CHECK(config_.period > 0) << "detector period must be positive";
   SWB_CHECK(config_.suspicion_threshold > 0);
-  SWB_CHECK(config_.element_debounce_beats > 0);
 }
 
 void FailureDetector::set_site_down_callback(SiteCallback callback) {
@@ -108,7 +107,7 @@ void FailureDetector::on_heartbeat(const Heartbeat& beat) {
     }
 
     // Element liveness rides in the beat: relay an element only after it
-    // has been down `element_debounce_beats` beats in a row (a flap that
+    // has been down kElementDebounceBeats beats in a row (a flap that
     // heals within the debounce window triggers nothing), relay once, and
     // forget recovered ones so a re-failure is debounced and reported
     // again.
@@ -116,7 +115,7 @@ void FailureDetector::on_heartbeat(const Heartbeat& beat) {
                                             beat.down_elements.end()};
     for (const dataplane::ElementId element : down_now) {
       const std::uint32_t streak = ++state.down_streak[element];
-      if (streak < config_.element_debounce_beats) continue;
+      if (streak < kElementDebounceBeats) continue;
       if (state.down_reported.insert(element).second) {
         ++element_failures_reported_;
         SB_LOG(kInfo) << "detector: element " << element << " down at site "
@@ -185,7 +184,7 @@ void FailureDetector::check_invariants() const {
     for (const dataplane::ElementId element : state.down_reported) {
       const auto streak = state.down_streak.find(element);
       SWB_CHECK(streak != state.down_streak.end() &&
-                streak->second >= config_.element_debounce_beats)
+                streak->second >= kElementDebounceBeats)
           << "element " << element << " relayed before the debounce window";
     }
   }

@@ -24,17 +24,17 @@
 
 namespace switchboard::control {
 
+/// Consecutive beats an element must be reported down before the failure
+/// is relayed upward.  Debouncing keeps a flapping element — down in one
+/// beat, back in the next — from triggering a route retirement per flap.
+inline constexpr std::uint32_t kElementDebounceBeats = 2;
+
 struct FailureDetectorConfig {
   /// Expected heartbeat period (sweep cadence; Local Switchboards should
   /// beat at the same period).
   sim::Duration period{sim::from_ms(50.0)};
   /// Beats missed before a site is suspected down.
   std::uint32_t suspicion_threshold{3};
-  /// Consecutive beats an element must be reported down before the
-  /// failure is relayed upward (1 = relay on first sight).  Debouncing
-  /// keeps a flapping element — down in one beat, back in the next — from
-  /// triggering a route retirement per flap.
-  std::uint32_t element_debounce_beats{2};
 };
 
 class FailureDetector {
@@ -80,10 +80,6 @@ class FailureDetector {
   [[nodiscard]] bool running() const {
     const swb::MutexLock lock{mutex_};
     return running_;
-  }
-  [[nodiscard]] std::size_t watched_count() const {
-    const swb::MutexLock lock{mutex_};
-    return sites_.size();
   }
   [[nodiscard]] bool suspects(SiteId site) const;
   /// Total site-down declarations (re-suspecting after a recovery counts

@@ -140,11 +140,17 @@ void GlobalSwitchboard::create_chain(const ChainSpec& spec,
 
 namespace {
 
-/// Bounded exponential backoff before RPC retry `rpc_retry` (0-based).
-sim::Duration rpc_backoff(const ControlTimings& timings,
-                          std::size_t rpc_retry) {
-  return timings.rpc_retry_backoff
-         << static_cast<sim::Duration>(std::min<std::size_t>(rpc_retry, 6));
+// The 2PC timeout envelope: an unreachable controller never replies, so
+// the coordinator waits kRpcTimeout plus a backoff that starts at
+// kRpcRetryBackoff and doubles per retry, and aborts the transaction after
+// kMaxRpcRetries timeouts.
+constexpr sim::Duration kRpcTimeout = sim::from_ms(200.0);
+constexpr sim::Duration kRpcRetryBackoff = sim::from_ms(50.0);
+constexpr std::size_t kMaxRpcRetries = 3;
+
+/// Wait before 2PC retry `rpc_retry` (0-based, below kMaxRpcRetries).
+sim::Duration retry_delay(std::size_t rpc_retry) {
+  return kRpcTimeout + (kRpcRetryBackoff << rpc_retry);
 }
 
 }  // namespace
@@ -279,7 +285,7 @@ void GlobalSwitchboard::start_prepare_round(
     // Some participant never answered.  The timeout clock runs from round
     // entry; the round retries with bounded exponential backoff.
     report.events.push_back({"prepare_timeout", context_.sim.now()});
-    if (rpc_retry >= context_.timings.max_rpc_retries) {
+    if (rpc_retry >= kMaxRpcRetries) {
       SB_LOG(kWarn) << "2pc: prepare for chain " << chain_id << " route "
                     << route.id << " gave up after " << rpc_retry
                     << " retries";
@@ -289,8 +295,7 @@ void GlobalSwitchboard::start_prepare_round(
           "2PC prepare: participant unreachable after retries"});
       return;
     }
-    later(context_.timings.rpc_timeout +
-              rpc_backoff(context_.timings, rpc_retry),
+    later(retry_delay(rpc_retry),
           [this, chain_id, route, report, done = std::move(done), excluded,
            attempt, rpc_retry]() mutable {
       start_prepare_round(chain_id, std::move(route), std::move(report),
@@ -344,10 +349,11 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
 
   if (timed_out) {
     report.events.push_back({"commit_timeout", context_.sim.now()});
-    if (rpc_retry >= context_.timings.max_rpc_retries) {
+    if (rpc_retry >= kMaxRpcRetries) {
       // Roll the route back: reachable participants get abort (rejected-
       // and-counted where already committed) and release their committed
-      // capacity; unreachable ones recover via the reservation TTL GC.
+      // capacity; unreachable ones are reconciled when they come back
+      // (reconcile_participant: the journal no longer owns the round).
       SB_LOG(kWarn) << "2pc: commit for chain " << chain_id << " route "
                     << route.id << " gave up after " << rpc_retry
                     << " retries";
@@ -370,8 +376,7 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
       });
       return;
     }
-    later(context_.timings.rpc_timeout +
-              rpc_backoff(context_.timings, rpc_retry),
+    later(retry_delay(rpc_retry),
           [this, chain_id, route, report, done = std::move(done),
            rpc_retry]() mutable {
       start_commit_round(chain_id, std::move(route), std::move(report),
@@ -608,8 +613,8 @@ RecoveryReport GlobalSwitchboard::retire_routes(
       context_.bus.publish(routes_topic(), serialize(tombstone));
 
       // Return the committed 2PC capacity at every reachable participant;
-      // unreachable ones reconcile when they come back (their state is
-      // kCommitted either way).
+      // unreachable ones are reconciled when they come back
+      // (reconcile_participant: the journal no longer owns the route).
       for (const VnfId vnf : record.spec.vnfs) {
         if (VnfController* controller = reachable(vnf)) {
           controller->release(record.id, route.id, state_.epoch);
@@ -901,30 +906,15 @@ void GlobalSwitchboard::resolve_inflight_and_reconcile() {
     }
   }
 
-  // Reconciliation sweep: any capacity a participant holds committed for a
-  // (chain, route) the journal does not own — routes retired or aborted
-  // whose release the crash swallowed — is orphaned; release it.
+  // Reconciliation sweep: every reachable participant drops the 2PC state
+  // the journal does not own — rounds aborted or routes retired whose
+  // abort or release the crash swallowed.
   for (VnfController* controller : vnf_controllers_) {
     if (controller == nullptr || !controller->up()) continue;
-    ++last_cold_start_.reconciliation_messages;   // the sweep query itself
-    for (const auto& [chain, route_id] : controller->committed_routes()) {
-      bool owned =
-          state_.inflight.count({chain.value(), route_id.value()}) > 0;
-      if (!owned) {
-        const ChainRecord* rec = find_record(chain);
-        if (rec != nullptr) {
-          owned = std::any_of(
-              rec->routes.begin(), rec->routes.end(),
-              [&](const RouteRecord& r) { return r.id == route_id; });
-        }
-      }
-      if (owned) continue;
-      SB_LOG(kInfo) << "durability: releasing orphaned capacity for chain "
-                    << chain << " route " << route_id;
-      controller->release(chain, route_id, state_.epoch);
-      ++last_cold_start_.orphans_released;
-      ++last_cold_start_.reconciliation_messages;
-    }
+    const std::size_t orphans = reconcile_participant(*controller);
+    last_cold_start_.orphans_released += orphans;
+    // The sweep query itself, then one abort or release per orphan.
+    last_cold_start_.reconciliation_messages += 1 + orphans;
   }
 
   // Re-publish every active chain under the new epoch so the Local
@@ -938,6 +928,37 @@ void GlobalSwitchboard::resolve_inflight_and_reconcile() {
 #ifndef NDEBUG
   check_invariants();
 #endif
+}
+
+std::size_t GlobalSwitchboard::reconcile_participant(
+    VnfController& controller) {
+  const auto owned = [this](ChainId chain, RouteId route_id) {
+    if (state_.inflight.count({chain.value(), route_id.value()}) > 0) {
+      return true;
+    }
+    const ChainRecord* rec = find_record(chain);
+    return rec != nullptr &&
+           std::any_of(rec->routes.begin(), rec->routes.end(),
+                       [&](const RouteRecord& r) { return r.id == route_id; });
+  };
+  std::size_t orphans = 0;
+  for (const auto& [chain, route_id] : controller.pending_routes()) {
+    if (owned(chain, route_id)) continue;
+    SB_LOG(kInfo) << "reconcile: aborting orphaned reservation for chain "
+                  << chain << " route " << route_id << " at vnf "
+                  << controller.vnf();
+    controller.abort(chain, route_id, state_.epoch);
+    ++orphans;
+  }
+  for (const auto& [chain, route_id] : controller.committed_routes()) {
+    if (owned(chain, route_id)) continue;
+    SB_LOG(kInfo) << "reconcile: releasing orphaned capacity for chain "
+                  << chain << " route " << route_id << " at vnf "
+                  << controller.vnf();
+    controller.release(chain, route_id, state_.epoch);
+    ++orphans;
+  }
+  return orphans;
 }
 
 void GlobalSwitchboard::on_instance_up(VnfId vnf, SiteId site) {

@@ -87,8 +87,8 @@ struct ColdStartReport {
   std::size_t redriven_commits{0};
   /// Begun-but-unprepared rounds aborted after replay.
   std::size_t aborted_inflight{0};
-  /// Committed (chain, route) pairs found at participants with no
-  /// journaled owner — their capacity was released.
+  /// (Chain, route) pairs found at participants with no journaled owner —
+  /// their reservation was aborted or their committed capacity released.
   std::size_t orphans_released{0};
   /// Sweep + release + re-publish messages sent while reconciling.
   std::size_t reconciliation_messages{0};
@@ -166,8 +166,8 @@ class GlobalSwitchboard {
   /// records that do not decode or apply — bumps the epoch, then
   /// (after the journal's replay cost in simulated time) re-drives
   /// prepared in-flight 2PC rounds, aborts unprepared ones, reconciles
-  /// committed capacity against every participant, and re-publishes all
-  /// routes under the new epoch.  Requires enable_durability().
+  /// every reachable participant (reconcile_participant), and re-publishes
+  /// all routes under the new epoch.  Requires enable_durability().
   ColdStartReport cold_start();
   [[nodiscard]] const ColdStartReport& last_cold_start() const {
     return last_cold_start_;
@@ -213,6 +213,16 @@ class GlobalSwitchboard {
   /// resolution sweep (re-drive prepared 2PC, abort unprepared,
   /// reconcile, re-publish), scheduled one tick out.
   ColdStartReport warm_failover(StateJournal* journal, ControllerState state);
+
+  /// Participant sweep against the journal: every (chain, route) that
+  /// `controller` holds reserved but uncommitted and that is neither in
+  /// flight nor a route of its chain is aborted; every committed one the
+  /// journal does not own is released.  Recovers the 2PC state of rounds
+  /// given up on and routes retired while the controller was unreachable.
+  /// Runs at cold start for every reachable controller and when a
+  /// controller is restored while the coordinator is up.  Returns the
+  /// number of pairs aborted or released.
+  std::size_t reconcile_participant(VnfController& controller);
 
   /// A previously-failed VNF pool at `site` is back: restores the
   /// capacity zeroed by on_instance_down and re-announces the pool so
@@ -269,8 +279,8 @@ class GlobalSwitchboard {
   /// reachable participant; unreachable ones (down controllers) time out
   /// and the whole round retries with bounded exponential backoff —
   /// already-prepared participants dedup the re-delivered prepare.  After
-  /// `ControlTimings::max_rpc_retries` timeouts the round aborts
-  /// (kUnavailable) and releases the partial reservations.
+  /// three timeouts (kMaxRpcRetries, global_switchboard.cpp) the round
+  /// aborts (kUnavailable) and releases the partial reservations.
   void start_prepare_round(ChainId chain, RouteRecord route,
                            CreationReport report, CreationCallback done,
                            Exclusions excluded, std::size_t attempt,
@@ -279,7 +289,8 @@ class GlobalSwitchboard {
   /// 2PC commit round with the same timeout/retry envelope; re-delivered
   /// commits are idempotent at the participant.  On retry exhaustion the
   /// route rolls back: reachable participants get abort (rejected-and-
-  /// counted where already committed) + release.
+  /// counted where already committed) + release; unreachable ones are
+  /// left to reconcile_participant().
   void start_commit_round(ChainId chain, RouteRecord route,
                           CreationReport report, CreationCallback done,
                           std::size_t rpc_retry);

@@ -120,6 +120,21 @@ std::optional<ReplicationFrame> parse_replication(const std::string& payload) {
     m.records.emplace_back(body.substr(0, end));
     body.remove_prefix(std::min(end + 1, body.size()));
   }
+  // The record count must fit the kind: receivers index a kRecord frame's
+  // one record, and an install replaces the follower's whole state.
+  const std::size_t count = m.records.size();
+  switch (m.kind) {
+    case ReplicationKind::kRecord:
+      if (count != 1) return std::nullopt;
+      break;
+    case ReplicationKind::kSnapshotInstall:
+      if (count == 0) return std::nullopt;
+      break;
+    case ReplicationKind::kAck:
+    case ReplicationKind::kSnapshotAck:
+      if (count != 0) return std::nullopt;
+      break;
+  }
   return m;
 }
 

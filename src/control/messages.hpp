@@ -169,9 +169,10 @@ struct ReplicationFrame {
   /// FNV-1a applied-record digest — the sender's for acks (divergence
   /// check), the leader's post-install digest for snapshot installs.
   std::uint64_t digest{0};
-  /// Journal records: exactly one for kRecord, the full snapshot for
-  /// kSnapshotInstall, empty for acks.  Serialized as the LAST field
-  /// ('\n'-joined): records embed ';' and '=' freely but never '\n'.
+  /// Journal records: exactly one for kRecord, the full (non-empty)
+  /// snapshot for kSnapshotInstall, empty for acks — parse_replication
+  /// rejects any other count.  Serialized as the LAST field ('\n'-joined):
+  /// records embed ';' and '=' freely but never '\n'.
   std::vector<std::string> records;
 };
 

@@ -17,6 +17,11 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
+/// Beat periods a live follower's ack may stall below the stream head
+/// before the leader re-syncs it with a snapshot install (heals gaps left
+/// by exhausted retransmit budgets after a partition).
+constexpr std::uint32_t kRepairStallBeats = 3;
+
 std::uint64_t fold_record(std::uint64_t digest, const std::string& record) {
   for (const char c : record) {
     digest ^= static_cast<unsigned char>(c);
@@ -424,7 +429,7 @@ void ReplicaGroup::beat() {
                           serialize(hb));
     }
     // Leader-side repair: a live follower whose ack has stalled below the
-    // stream head for `repair_stall_beats` checks lost frames for good
+    // stream head for kRepairStallBeats checks lost frames for good
     // (retransmit budget exhausted across a partition) — re-sync it with
     // a full snapshot install.
     if (replicas_[leader_].up && global_.up()) {
@@ -434,7 +439,7 @@ void ReplicaGroup::beat() {
           replicas_[f].stalled_beats = 0;
           continue;
         }
-        if (++replicas_[f].stalled_beats >= config_.repair_stall_beats) {
+        if (++replicas_[f].stalled_beats >= kRepairStallBeats) {
           push_install_to(f);
         }
       }

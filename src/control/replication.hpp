@@ -67,10 +67,6 @@ struct ReplicationConfig {
   /// Replica heartbeat / detector timing.  Detection latency is
   /// period * suspicion_threshold — the failover window's fixed part.
   FailureDetectorConfig detector{};
-  /// Beat periods a live follower's ack may stall below the stream head
-  /// before the leader re-syncs it with a snapshot install (heals gaps
-  /// left by exhausted retransmit budgets after a partition).
-  std::uint32_t repair_stall_beats{3};
 };
 
 class ReplicaGroup {

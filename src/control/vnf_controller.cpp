@@ -13,6 +13,19 @@ std::pair<std::uint32_t, std::uint32_t> key(ChainId chain, RouteId route) {
   return {chain.value(), route.value()};
 }
 
+/// The (chain, route) keys of a reservation map.
+template <typename ReservationMap>
+std::vector<std::pair<ChainId, RouteId>> route_keys(
+    const ReservationMap& reservations) {
+  std::vector<std::pair<ChainId, RouteId>> routes;
+  routes.reserve(reservations.size());
+  for (const auto& [chain_route, held] : reservations) {
+    routes.emplace_back(ChainId{chain_route.first},
+                        RouteId{chain_route.second});
+  }
+  return routes;
+}
+
 }  // namespace
 
 VnfController::VnfController(ControlContext& context, VnfId vnf)
@@ -48,7 +61,6 @@ bool VnfController::prepare(ChainId chain, RouteId route, SiteId site,
   if (const auto it = pending_.find(key(chain, route)); it != pending_.end()) {
     for (const Reservation& r : it->second) {
       if (r.stage == stage) {
-        ++duplicate_prepares_;
         SB_LOG(kDebug) << "vnf " << vnf_ << ": duplicate prepare for chain "
                        << chain << " route " << route << " stage " << stage;
         return true;
@@ -69,35 +81,17 @@ bool VnfController::prepare(ChainId chain, RouteId route, SiteId site,
   two_phase_.transition(chain, route, TwoPhaseState::kPrepared);
   pending_load_[site.value()] += load;
   pending_[key(chain, route)].push_back(Reservation{site, load, stage});
-  prepared_at_[key(chain, route)] = context_.sim.now();
-
-  // Reservation GC: if the coordinator dies between prepare and commit,
-  // the reservation would pin capacity forever.  With a TTL configured,
-  // re-check when it elapses and abort if still prepared and unrefreshed.
-  const sim::Duration ttl = context_.timings.reservation_ttl;
-  if (ttl > 0) {
-    context_.sim.schedule(ttl, [this, chain, route, ttl] {
-      const auto at = prepared_at_.find(key(chain, route));
-      if (at == prepared_at_.end()) return;   // committed or aborted already
-      if (context_.sim.now() - at->second < ttl) return;   // refreshed
-      if (two_phase_.state(chain, route) != TwoPhaseState::kPrepared) return;
-      ++gc_aborts_;
-      SB_LOG(kDebug) << "vnf " << vnf_ << ": GC-aborting stale reservation "
-                     << "for chain " << chain << " route " << route;
-      abort(chain, route);
-    });
-  }
   return true;
 }
 
 void VnfController::commit(ChainId chain, RouteId route,
                            std::uint32_t egress_label, std::uint64_t epoch) {
   if (fenced(epoch, "commit")) return;
-  // A commit racing the reservation GC (or a duplicated commit after an
-  // abort) finds kAborted: the reservation is gone, so there is nothing
-  // to allocate — reject-and-count, don't crash.  kIdle still dies below:
-  // a commit for a route never prepared here is a coordinator bug, and
-  // the matrix check is the loud failure we want.
+  // A commit racing an abort (or a duplicated commit after one) finds
+  // kAborted: the reservation is gone, so there is nothing to allocate —
+  // reject-and-count, don't crash.  kIdle still dies below: a commit for
+  // a route never prepared here is a coordinator bug, and the matrix
+  // check is the loud failure we want.
   if (two_phase_.state(chain, route) == TwoPhaseState::kAborted) {
     const bool applied =
         two_phase_.try_transition(chain, route, TwoPhaseState::kCommitted);
@@ -110,7 +104,6 @@ void VnfController::commit(ChainId chain, RouteId route,
   // (a chain using this VNF at two stages commits once per stage); a
   // commit while kIdle aborts here.
   two_phase_.transition(chain, route, TwoPhaseState::kCommitted);
-  prepared_at_.erase(key(chain, route));
   const auto it = pending_.find(key(chain, route));
   if (it == pending_.end()) return;
   for (const Reservation& r : it->second) {
@@ -146,7 +139,6 @@ void VnfController::abort(ChainId chain, RouteId route, std::uint64_t epoch) {
   // Legal from kIdle (abort of a route never seen here), kPrepared, or
   // kAborted (repeat).
   two_phase_.transition(chain, route, TwoPhaseState::kAborted);
-  prepared_at_.erase(key(chain, route));
   const auto it = pending_.find(key(chain, route));
   if (it == pending_.end()) return;
   for (const Reservation& r : it->second) {
@@ -166,15 +158,14 @@ void VnfController::release(ChainId chain, RouteId route,
   committed_.erase(it);
 }
 
+std::vector<std::pair<ChainId, RouteId>> VnfController::pending_routes()
+    const {
+  return route_keys(pending_);
+}
+
 std::vector<std::pair<ChainId, RouteId>> VnfController::committed_routes()
     const {
-  std::vector<std::pair<ChainId, RouteId>> routes;
-  routes.reserve(committed_.size());
-  for (const auto& [chain_route, reservations] : committed_) {
-    routes.emplace_back(ChainId{chain_route.first},
-                        RouteId{chain_route.second});
-  }
-  return routes;
+  return route_keys(committed_);
 }
 
 double VnfController::allocated(SiteId site) const {

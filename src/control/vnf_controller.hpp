@@ -9,12 +9,13 @@
 //
 // Fault tolerance: the participant side of the hardened 2PC.  Duplicate
 // prepares (coordinator retries / message duplication) are deduplicated
-// per stage; a late abort for a committed route and a late commit for a
-// garbage-collected route are rejected-and-counted instead of crashing;
-// reservations left prepared past `ControlTimings::reservation_ttl` are
-// auto-aborted (their coordinator is presumed dead).  An `up()` flag
-// models crash/restore: a down controller is unreachable (RPCs time out
-// at the coordinator), but keeps its state for when it returns.
+// per stage; a late abort for a committed route and a late commit for an
+// aborted route are rejected-and-counted instead of crashing.  An `up()`
+// flag models crash/restore: a down controller is unreachable (RPCs time
+// out at the coordinator), but keeps its state for when it returns — the
+// coordinator then reconciles that state against its journal
+// (GlobalSwitchboard::reconcile_participant), aborting reservations and
+// releasing capacity of rounds it gave up on or retired meanwhile.
 //
 // Epoch fencing: every 2PC verb carries the coordinator's incarnation
 // epoch.  The participant tracks the highest epoch it has seen and
@@ -67,8 +68,8 @@ class VnfController {
   /// Converts the reservation into a committed allocation, allocates (or
   /// reuses) an instance at each reserved site, and publishes the
   /// instance on the chain's instances topic.  A commit arriving after
-  /// the reservation was garbage-collected (kAborted) is rejected and
-  /// counted; a commit while kIdle still crashes (coordinator bug).
+  /// the reservation was aborted (kAborted) is rejected and counted; a
+  /// commit while kIdle still crashes (coordinator bug).
   void commit(ChainId chain, RouteId route, std::uint32_t egress_label,
               std::uint64_t epoch = kUnfencedEpoch);
 
@@ -114,18 +115,6 @@ class VnfController {
     return two_phase_.state(chain, route);
   }
 
-  // Fault-handling counters.
-  /// Illegal re-deliveries shed by the transition matrix (late aborts of
-  /// committed routes, late commits of GC'd routes).
-  [[nodiscard]] std::uint64_t rejected_transitions() const {
-    return two_phase_.rejected();
-  }
-  /// Duplicate (chain, route, stage) prepares deduplicated.
-  [[nodiscard]] std::uint64_t duplicate_prepares() const {
-    return duplicate_prepares_;
-  }
-  /// Reservations auto-aborted by the TTL garbage collector.
-  [[nodiscard]] std::uint64_t gc_aborts() const { return gc_aborts_; }
   /// Commands fenced because they carried an epoch older than the highest
   /// seen (stale controller incarnation).
   [[nodiscard]] std::uint64_t stale_commands_rejected() const {
@@ -133,8 +122,12 @@ class VnfController {
   }
   [[nodiscard]] std::uint64_t highest_epoch() const { return highest_epoch_; }
 
-  /// Every (chain, route) holding committed capacity here — what a
-  /// cold-started coordinator reconciles against to find orphans.
+  /// Every (chain, route) holding reserved, uncommitted capacity here.
+  [[nodiscard]] std::vector<std::pair<ChainId, RouteId>> pending_routes()
+      const;
+  /// Every (chain, route) holding committed capacity here.  With
+  /// pending_routes(), what the coordinator reconciles against its
+  /// journal to find orphans.
   [[nodiscard]] std::vector<std::pair<ChainId, RouteId>> committed_routes()
       const;
 
@@ -168,9 +161,6 @@ class VnfController {
   // recovery path retires a route.
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<Reservation>>
       committed_;
-  // Reservation GC: last prepare time per pending (chain, route).
-  std::map<std::pair<std::uint32_t, std::uint32_t>, sim::SimTime>
-      prepared_at_;
   // Committed announcement topics: (chain, egress label, site) — used to
   // re-announce when instances scale.
   std::set<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>>
@@ -178,8 +168,6 @@ class VnfController {
   std::vector<double> committed_load_;   // per site
   std::vector<double> pending_load_;     // per site
   TwoPhaseTracker two_phase_;            // per-(chain, route) protocol state
-  std::uint64_t duplicate_prepares_{0};
-  std::uint64_t gc_aborts_{0};
   std::uint64_t highest_epoch_{0};
   std::uint64_t stale_commands_rejected_{0};
 };

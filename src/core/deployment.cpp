@@ -6,6 +6,14 @@
 #include "common/check.hpp"
 
 namespace switchboard::core {
+namespace {
+
+/// Per-message egress service time at the bus proxies.
+constexpr sim::Duration kBusMessageService = sim::microseconds(100);
+/// Egress buffer of each bus proxy, in messages.
+constexpr std::size_t kBusEgressBuffer = 4096;
+
+}  // namespace
 
 Deployment::Deployment(model::NetworkModel model, DeploymentConfig config)
     : config_{config},
@@ -16,8 +24,8 @@ Deployment::Deployment(model::NetworkModel model, DeploymentConfig config)
 
   bus::BusConfig bus_config;
   bus_config.site_count = model_.sites().size();
-  bus_config.per_message_service = config_.bus_message_service;
-  bus_config.egress_buffer = config_.bus_egress_buffer;
+  bus_config.per_message_service = kBusMessageService;
+  bus_config.egress_buffer = kBusEgressBuffer;
   bus_config.inter_site_delay = [this](SiteId a, SiteId b) {
     const double ms =
         model_.delay_ms(model_.site(a).node, model_.site(b).node);
@@ -176,8 +184,12 @@ void Deployment::register_fault_targets() {
   for (std::size_t f = 0; f < vnf_controllers_.size(); ++f) {
     control::VnfController* controller = vnf_controllers_[f].get();
     faults_.register_target(
-        "controller:vnf" + std::to_string(f),
-        [controller](bool up) { controller->set_up(up); });
+        "controller:vnf" + std::to_string(f), [this, controller](bool up) {
+          controller->set_up(up);
+          // The coordinator may have given up on a round or retired a route
+          // while this participant was unreachable.
+          if (up && global_->up()) global_->reconcile_participant(*controller);
+        });
   }
   for (std::size_t i = 0; i < elements_.size(); ++i) {
     const auto id = static_cast<dataplane::ElementId>(i);

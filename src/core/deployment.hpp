@@ -27,9 +27,6 @@ namespace switchboard::core {
 
 struct DeploymentConfig {
   control::ControlTimings timings{};
-  /// Per-message egress service time at bus proxies.
-  sim::Duration bus_message_service{sim::microseconds(100)};
-  std::size_t bus_egress_buffer{4096};
   /// Site hosting Global Switchboard (default: site 0).
   SiteId controller_site{0};
   /// Latency a VNF instance adds to a packet (data-plane walk).

@@ -34,7 +34,6 @@ class OvsForwarder {
   /// Running checksum of all header work — forces the work to be real
   /// (prevents the optimizer from deleting it) and is checkable in tests.
   [[nodiscard]] std::uint64_t work_digest() const { return digest_; }
-  void clear_rules() { learned_.clear(); }
 
  private:
   struct LearnedRule {

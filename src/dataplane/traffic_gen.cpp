@@ -4,6 +4,12 @@
 #include "dataplane/sharded_flow_table.hpp"
 
 namespace switchboard::dataplane {
+namespace {
+
+/// Size of every generated packet.
+constexpr std::uint16_t kPacketSize = 64;
+
+}  // namespace
 
 PacketStream::PacketStream(const TrafficGenConfig& config) : config_{config} {
   SWB_CHECK(config.flow_count > 0);
@@ -46,7 +52,7 @@ Packet PacketStream::next() {
     packet.flow = flow_tuple(owned_flows_[next_flow_]);
   }
   packet.labels = config_.labels;
-  packet.size_bytes = config_.packet_size;
+  packet.size_bytes = kPacketSize;
   // Deterministic direction pattern approximating the requested mix.
   if (config_.reverse_fraction > 0.0) {
     const std::uint64_t h = mix64(packet_counter_ ^ config_.seed);

@@ -13,7 +13,6 @@ namespace switchboard::dataplane {
 struct TrafficGenConfig {
   std::uint32_t flow_count{1};
   Labels labels{1, 1};
-  std::uint16_t packet_size{64};
   /// Fraction of generated packets in the reverse direction.
   double reverse_fraction{0.0};
   std::uint64_t seed{1};

@@ -10,6 +10,13 @@
 namespace switchboard::lp {
 namespace {
 
+/// Branch-and-bound nodes explored before the search gives up.
+constexpr std::size_t kMaxNodes = 10'000;
+/// A binary within this distance of 0 or 1 counts as integral.
+constexpr double kIntegralityTol = 1e-6;
+/// Relative optimality gap at which search stops.
+constexpr double kGapTol = 1e-6;
+
 struct Fixing {
   VarIndex var;
   double value;   // 0.0 or 1.0
@@ -28,8 +35,7 @@ struct Node {
 }  // namespace
 
 MipSolution solve_mip(const Problem& problem,
-                      const std::vector<VarIndex>& binary_vars,
-                      const MipOptions& options) {
+                      const std::vector<VarIndex>& binary_vars) {
   MipSolution best;
   const bool minimize = problem.sense() == Sense::kMinimize;
   const double worst = minimize ? std::numeric_limits<double>::infinity()
@@ -43,7 +49,7 @@ MipSolution solve_mip(const Problem& problem,
   // Can a relaxation bound still beat the incumbent (within gap)?
   const auto promising = [&](double bound) {
     if (incumbent == worst) return true;
-    const double slack = std::abs(incumbent) * options.gap_tol + 1e-12;
+    const double slack = std::abs(incumbent) * kGapTol + 1e-12;
     return minimize ? bound < incumbent - slack : bound > incumbent + slack;
   };
 
@@ -58,7 +64,7 @@ MipSolution solve_mip(const Problem& problem,
   stack.push_back({});
   bool any_feasible = false;
 
-  while (!stack.empty() && best.nodes_explored < options.max_nodes) {
+  while (!stack.empty() && best.nodes_explored < kMaxNodes) {
     const Node node = std::move(stack.back());
     stack.pop_back();
     ++best.nodes_explored;
@@ -66,8 +72,7 @@ MipSolution solve_mip(const Problem& problem,
     for (const Fixing& f : node.fixings) {
       node_problem.set_bounds(f.var, f.value, f.value);
     }
-    const Solution relax =
-        solve_simplex(node_problem, options.lp, node.warm.get());
+    const Solution relax = solve_simplex(node_problem, {}, node.warm.get());
     for (const Fixing& f : node.fixings) {
       node_problem.set_bounds(f.var, 0.0, 1.0);
     }
@@ -85,7 +90,7 @@ MipSolution solve_mip(const Problem& problem,
 
     // Most fractional binary variable.
     VarIndex branch_var = problem.variable_count();
-    double branch_score = options.integrality_tol;
+    double branch_score = kIntegralityTol;
     for (const VarIndex v : binary_vars) {
       const double x = relax.values[v];
       const double frac = std::abs(x - std::round(x));

@@ -13,14 +13,6 @@
 
 namespace switchboard::lp {
 
-struct MipOptions {
-  SimplexOptions lp;
-  std::size_t max_nodes{10'000};
-  double integrality_tol{1e-6};
-  /// Relative optimality gap at which search stops.
-  double gap_tol{1e-6};
-};
-
 struct MipSolution {
   SolveStatus status{SolveStatus::kIterationLimit};
   double objective{0.0};
@@ -41,8 +33,9 @@ struct MipSolution {
 /// bounds itself (no x <= 1 rows needed) and branches by fixing bounds in
 /// place; each child node's relaxation warm-starts from its parent's
 /// optimal basis, so deep nodes typically re-solve in a handful of pivots.
+/// Search stops after 10,000 nodes or once no open node can beat the
+/// incumbent by a relative gap of 1e-6.
 [[nodiscard]] MipSolution solve_mip(const Problem& problem,
-                                    const std::vector<VarIndex>& binary_vars,
-                                    const MipOptions& options = {});
+                                    const std::vector<VarIndex>& binary_vars);
 
 }  // namespace switchboard::lp

@@ -60,11 +60,6 @@ std::size_t Problem::add_constraint(Relation relation, double rhs,
   return constraints_.size() - 1;
 }
 
-void Problem::set_objective_coeff(VarIndex var, double coeff) {
-  SWB_DCHECK(var < variable_count());
-  objective_[var] = coeff;
-}
-
 double Problem::objective_coeff(VarIndex var) const {
   SWB_DCHECK(var < variable_count());
   return objective_[var];

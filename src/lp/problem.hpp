@@ -48,7 +48,6 @@ class Problem {
   std::size_t add_constraint(Relation relation, double rhs,
                              std::vector<Term> terms, std::string name = "");
 
-  void set_objective_coeff(VarIndex var, double coeff);
   void set_sense(Sense sense) { sense_ = sense; }
 
   /// Sets the variable's range.  `lower` must be finite and <= `upper`;

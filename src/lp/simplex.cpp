@@ -198,10 +198,12 @@ class SparseSimplex {
   }
 
   [[nodiscard]] bool has_violations() const {
-    const double ftol = opt_.feasibility_tol;
     for (std::size_t i = 0; i < m_; ++i) {
       const std::size_t j = basis_cols_[i];
-      if (x_[j] < lower_[j] - ftol || x_[j] > upper_[j] + ftol) return true;
+      if (x_[j] < lower_[j] - kFeasibilityTol ||
+          x_[j] > upper_[j] + kFeasibilityTol) {
+        return true;
+      }
     }
     return false;
   }
@@ -211,19 +213,18 @@ class SparseSimplex {
   PhaseResult phase1() {
     std::size_t degenerate_run = 0;
     candidates_.clear();
-    while (total_iterations_ < opt_.max_iterations) {
+    while (total_iterations_ < kMaxIterations) {
       // Phase-1 costs are re-derived from the current violations: a basic
       // below its lower bound wants to rise (prices -1), one above its
       // upper wants to fall (+1).  Nonbasic columns cost zero.
       y_.assign(m_, 0.0);
       bool violated = false;
-      const double ftol = opt_.feasibility_tol;
       for (std::size_t i = 0; i < m_; ++i) {
         const std::size_t j = basis_cols_[i];
-        if (x_[j] < lower_[j] - ftol) {
+        if (x_[j] < lower_[j] - kFeasibilityTol) {
           y_[i] = -1.0;
           violated = true;
-        } else if (x_[j] > upper_[j] + ftol) {
+        } else if (x_[j] > upper_[j] + kFeasibilityTol) {
           y_[i] = 1.0;
           violated = true;
         }
@@ -231,7 +232,7 @@ class SparseSimplex {
       if (!violated) return PhaseResult::kDone;
       lu_.btran(y_);
 
-      const bool bland = degenerate_run >= opt_.degeneracy_threshold;
+      const bool bland = degenerate_run >= kDegeneracyThreshold;
       const std::size_t entering = price(/*phase1=*/true, bland);
       if (entering == kNone) return PhaseResult::kInfeasible;
       ++stats_.phase1_iterations;
@@ -256,7 +257,7 @@ class SparseSimplex {
   PhaseResult phase2() {
     std::size_t degenerate_run = 0;
     candidates_.clear();  // phase-1 scores are stale
-    while (total_iterations_ < opt_.max_iterations) {
+    while (total_iterations_ < kMaxIterations) {
       y_.assign(m_, 0.0);
       bool any = false;
       for (std::size_t i = 0; i < m_; ++i) {
@@ -268,7 +269,7 @@ class SparseSimplex {
       }
       if (any) lu_.btran(y_);
 
-      const bool bland = degenerate_run >= opt_.degeneracy_threshold;
+      const bool bland = degenerate_run >= kDegeneracyThreshold;
       const std::size_t entering = price(/*phase1=*/false, bland);
       if (entering == kNone) return PhaseResult::kDone;
       ++stats_.phase2_iterations;
@@ -298,8 +299,8 @@ class SparseSimplex {
   [[nodiscard]] bool eligible(std::size_t j, double d) const {
     // At lower: increasing improves iff d < 0; at upper: decreasing
     // improves iff d > 0.
-    return (status_[j] == VarStatus::kAtLower && d < -opt_.optimality_tol) ||
-           (status_[j] == VarStatus::kAtUpper && d > opt_.optimality_tol);
+    return (status_[j] == VarStatus::kAtLower && d < -kOptimalityTol) ||
+           (status_[j] == VarStatus::kAtUpper && d > kOptimalityTol);
   }
 
   [[nodiscard]] bool unpriceable(std::size_t j) const {
@@ -346,7 +347,7 @@ class SparseSimplex {
       }
     }
     if (scored_.empty()) return kNone;
-    const std::size_t k = std::min(opt_.candidate_list_size, scored_.size());
+    const std::size_t k = std::min(kCandidateListSize, scored_.size());
     std::partial_sort(scored_.begin(),
                       scored_.begin() + static_cast<std::ptrdiff_t>(k),
                       scored_.end(), [](const Scored& a, const Scored& b) {
@@ -371,26 +372,25 @@ class SparseSimplex {
 
     // Entering moves up from its lower bound or down from its upper.
     const double t = status_[entering] == VarStatus::kAtLower ? 1.0 : -1.0;
-    const double ftol = opt_.feasibility_tol;
 
     std::size_t best_row = kNone;
     double best_theta = kInf;
     VarStatus leave_status = VarStatus::kAtLower;
     for (std::size_t i = 0; i < m_; ++i) {
-      if (std::abs(w_[i]) <= opt_.pivot_tol) continue;
+      if (std::abs(w_[i]) <= kPivotTol) continue;
       const std::size_t j = basis_cols_[i];
       // x_j(theta) = x_j - theta * rate.
       const double rate = t * w_[i];
       const double xj = x_[j];
       double theta;
       VarStatus bound;
-      if (phase1 && xj < lower_[j] - ftol) {
+      if (phase1 && xj < lower_[j] - kFeasibilityTol) {
         // Infeasible below: blocks only while rising toward its lower
         // bound (short step — feasibility is repaired, never overshot).
         if (rate >= 0.0) continue;
         theta = (lower_[j] - xj) / -rate;
         bound = VarStatus::kAtLower;
-      } else if (phase1 && xj > upper_[j] + ftol) {
+      } else if (phase1 && xj > upper_[j] + kFeasibilityTol) {
         if (rate <= 0.0) continue;
         theta = (xj - upper_[j]) / rate;
         bound = VarStatus::kAtUpper;
@@ -423,7 +423,7 @@ class SparseSimplex {
       x_[entering] = t > 0.0 ? upper_[entering] : lower_[entering];
       status_[entering] = t > 0.0 ? VarStatus::kAtUpper : VarStatus::kAtLower;
       ++stats_.bound_flips;
-      degenerate_run = range <= ftol ? degenerate_run + 1 : 0;
+      degenerate_run = range <= kFeasibilityTol ? degenerate_run + 1 : 0;
       return StepResult::kFlipped;
     }
     if (best_row == kNone) return StepResult::kUnbounded;
@@ -440,10 +440,10 @@ class SparseSimplex {
     status_[leaving] = leave_status;
     status_[entering] = VarStatus::kBasic;
     basis_cols_[best_row] = static_cast<std::uint32_t>(entering);
-    degenerate_run = theta <= ftol ? degenerate_run + 1 : 0;
+    degenerate_run = theta <= kFeasibilityTol ? degenerate_run + 1 : 0;
     ++pivots_since_refactor_;
 
-    const bool eta_ok = lu_.push_eta(best_row, w_, opt_.pivot_tol);
+    const bool eta_ok = lu_.push_eta(best_row, w_, kPivotTol);
     if (!eta_ok || pivots_since_refactor_ >= opt_.refactor_interval) {
       if (!refactorize()) return StepResult::kFactorFail;
     }
@@ -513,17 +513,11 @@ class SparseSimplex {
 }  // namespace
 
 Solution solve(const Problem& problem, const SimplexOptions& options) {
-  if (options.algorithm == SimplexAlgorithm::kDenseReference) {
-    return solve_dense_reference(problem, options);
-  }
   return solve_simplex(problem, options, nullptr);
 }
 
 Solution solve_simplex(const Problem& problem, const SimplexOptions& options,
                        const Basis* warm) {
-  if (options.algorithm == SimplexAlgorithm::kDenseReference) {
-    return solve_dense_reference(problem, options);
-  }
   SparseSimplex engine{problem, options};
   return engine.run(warm);
 }

@@ -17,8 +17,8 @@
 //     Bland's-rule fallback when degeneracy stalls progress, so solves are
 //     bit-reproducible and guaranteed to terminate.
 //
-// The previous dense-inverse implementation is kept as a reference mode
-// (SimplexAlgorithm::kDenseReference); property tests assert status parity
+// This is the library's one engine.  The dense-inverse engine it
+// replaced lives in tests/reference; property tests assert status parity
 // and objective agreement between the two on seeded random LPs.
 #pragma once
 
@@ -28,27 +28,26 @@
 
 namespace switchboard::lp {
 
-enum class SimplexAlgorithm {
-  kSparse,           // bounded-variable revised simplex over a sparse LU
-  kDenseReference,   // dense basis inverse; bounds expanded into rows
-};
+/// Pivots (phase 1 plus phase 2) before a solve reports kIterationLimit.
+inline constexpr std::size_t kMaxIterations = 200'000;
+/// A basic variable this far outside its bounds counts as infeasible.
+inline constexpr double kFeasibilityTol = 1e-7;
+/// Reduced-cost magnitude a column needs to enter the basis.
+inline constexpr double kOptimalityTol = 1e-7;
+/// Smallest pivot-column entry the ratio test trusts.
+inline constexpr double kPivotTol = 1e-9;
+/// Consecutive degenerate pivots before switching to Bland's rule.
+inline constexpr std::size_t kDegeneracyThreshold = 64;
+/// Candidate-list size for partial pricing.
+inline constexpr std::size_t kCandidateListSize = 64;
 
 struct SimplexOptions {
-  std::size_t max_iterations{200'000};
-  double feasibility_tol{1e-7};
-  double optimality_tol{1e-7};
-  double pivot_tol{1e-9};
   /// Rebuild the basis factorization every this many pivots (the eta file
   /// also triggers an earlier rebuild once it outgrows the LU).
   std::size_t refactor_interval{128};
-  /// Consecutive degenerate pivots before switching to Bland's rule.
-  std::size_t degeneracy_threshold{64};
-  /// Candidate-list size for partial pricing (sparse engine only).
-  std::size_t candidate_list_size{64};
-  SimplexAlgorithm algorithm{SimplexAlgorithm::kSparse};
 };
 
-/// Solves `problem`; `options` tunes tolerances and limits.
+/// Solves `problem` cold.
 [[nodiscard]] Solution solve(const Problem& problem,
                              const SimplexOptions& options = {});
 
@@ -58,16 +57,8 @@ struct SimplexOptions {
 /// basis is primal feasible and repairing it with the bounded phase 1
 /// otherwise.  A mismatched or singular warm basis silently falls back to
 /// the cold all-slack start (stats.warm_started reports what happened).
-/// The dense reference mode ignores `warm`.
 [[nodiscard]] Solution solve_simplex(const Problem& problem,
                                      const SimplexOptions& options,
                                      const Basis* warm);
-
-/// The dense-inverse reference solver (previous implementation).  Simple
-/// bounds are expanded into explicit rows, general lower bounds handled by
-/// variable shifting.  Used by tests and benchmarks to cross-check the
-/// sparse engine; returns an empty Solution::basis.
-[[nodiscard]] Solution solve_dense_reference(const Problem& problem,
-                                             const SimplexOptions& options);
 
 }  // namespace switchboard::lp

@@ -51,10 +51,8 @@ class BasisLu {
   bool push_eta(std::size_t pos, const std::vector<double>& w,
                 double pivot_tol);
 
-  [[nodiscard]] std::size_t eta_count() const { return etas_.size(); }
   /// Nonzeros of L + U after the last factorize (basis fill-in).
   [[nodiscard]] std::size_t fill_nonzeros() const { return fill_nonzeros_; }
-  [[nodiscard]] std::size_t dimension() const { return m_; }
 
  private:
   struct Eta {

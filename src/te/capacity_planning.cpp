@@ -5,14 +5,17 @@
 #include <numeric>
 
 #include "common/check.hpp"
+#include "lp/mip.hpp"
+#include "te/dp_routing.hpp"
 #include "te/evaluator.hpp"
 #include "te/lp_routing_detail.hpp"
 
 namespace switchboard::te {
 namespace {
 
-/// Mean capacity of a VNF's existing deployments (fallback for new sites).
-double default_new_capacity(const model::Vnf& vnf) {
+/// Capacity of a newly planned deployment: the mean capacity of the VNF's
+/// existing deployments (1 when it has none).
+double mean_capacity(const model::Vnf& vnf) {
   if (vnf.deployments.empty()) return 1.0;
   double total = 0.0;
   for (const model::VnfDeployment& d : vnf.deployments) total += d.capacity;
@@ -21,9 +24,8 @@ double default_new_capacity(const model::Vnf& vnf) {
 
 /// DP-routes the whole model and returns the traffic-weighted mean latency
 /// (+inf if nothing could be routed).
-double score_mean_latency(const model::NetworkModel& model,
-                          const DpOptions& dp) {
-  const DpResult dp_result = solve_dp_routing(model, dp);
+double score_mean_latency(const model::NetworkModel& model) {
+  const DpResult dp_result = solve_dp_routing(model);
   const RoutingMetrics metrics = evaluate(model, dp_result.routing);
   if (metrics.carried_volume <= 0) {
     return std::numeric_limits<double>::infinity();
@@ -103,7 +105,7 @@ VnfPlacementResult plan_vnf_placement_greedy(
     model::NetworkModel& model, const VnfPlacementOptions& options) {
   VnfPlacementResult result;
   result.new_sites.resize(model.vnfs().size());
-  result.latency_before_ms = score_mean_latency(model, options.dp);
+  result.latency_before_ms = score_mean_latency(model);
 
   // Plan heavier-demand VNFs first: their placement moves the most traffic.
   std::vector<VnfId> order;
@@ -114,9 +116,7 @@ VnfPlacementResult plan_vnf_placement_greedy(
   });
 
   for (const VnfId vnf_id : order) {
-    const double capacity = options.new_site_capacity > 0
-        ? options.new_site_capacity
-        : default_new_capacity(model.vnf(vnf_id));
+    const double capacity = mean_capacity(model.vnf(vnf_id));
     for (std::size_t slot = 0; slot < options.new_sites_per_vnf; ++slot) {
       const auto candidates = candidate_sites(model, model.vnf(vnf_id));
       if (candidates.empty()) break;
@@ -124,7 +124,7 @@ VnfPlacementResult plan_vnf_placement_greedy(
       double best_latency = std::numeric_limits<double>::infinity();
       for (const SiteId site : candidates) {
         model.deploy_vnf(vnf_id, site, capacity);
-        const double latency = score_mean_latency(model, options.dp);
+        const double latency = score_mean_latency(model);
         model.undeploy_vnf(vnf_id, site);
         if (latency < best_latency) {
           best_latency = latency;
@@ -136,7 +136,7 @@ VnfPlacementResult plan_vnf_placement_greedy(
       result.new_sites[vnf_id.value()].push_back(best_site);
     }
   }
-  result.latency_after_ms = score_mean_latency(model, options.dp);
+  result.latency_after_ms = score_mean_latency(model);
   return result;
 }
 
@@ -145,13 +145,11 @@ VnfPlacementResult plan_vnf_placement_random(
     Rng& rng) {
   VnfPlacementResult result;
   result.new_sites.resize(model.vnfs().size());
-  result.latency_before_ms = score_mean_latency(model, options.dp);
+  result.latency_before_ms = score_mean_latency(model);
 
   for (const model::Vnf& vnf : model.vnfs()) {
     const VnfId vnf_id = vnf.id;
-    const double capacity = options.new_site_capacity > 0
-        ? options.new_site_capacity
-        : default_new_capacity(model.vnf(vnf_id));
+    const double capacity = mean_capacity(model.vnf(vnf_id));
     for (std::size_t slot = 0; slot < options.new_sites_per_vnf; ++slot) {
       const auto candidates = candidate_sites(model, model.vnf(vnf_id));
       if (candidates.empty()) break;
@@ -161,14 +159,13 @@ VnfPlacementResult plan_vnf_placement_random(
       result.new_sites[vnf_id.value()].push_back(site);
     }
   }
-  result.latency_after_ms = score_mean_latency(model, options.dp);
+  result.latency_after_ms = score_mean_latency(model);
   return result;
 }
 
 std::vector<SiteId> plan_single_vnf_mip(model::NetworkModel& model,
                                         VnfId vnf, std::size_t new_sites,
-                                        double new_site_capacity,
-                                        const lp::MipOptions& options) {
+                                        double new_site_capacity) {
   using lp::Relation;
   using lp::Term;
   using lp::VarIndex;
@@ -221,7 +218,7 @@ std::vector<SiteId> plan_single_vnf_mip(model::NetworkModel& model,
     }
   }
 
-  const lp::MipSolution mip = lp::solve_mip(built.problem, w_vars, options);
+  const lp::MipSolution mip = lp::solve_mip(built.problem, w_vars);
 
   // Restore the model's deployment state.
   for (const SiteId site : candidates) {

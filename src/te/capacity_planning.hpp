@@ -15,9 +15,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "lp/mip.hpp"
 #include "model/network_model.hpp"
-#include "te/dp_routing.hpp"
 #include "te/lp_routing.hpp"
 
 namespace switchboard::te {
@@ -55,15 +53,12 @@ struct VnfPlacementResult {
 
 struct VnfPlacementOptions {
   std::size_t new_sites_per_vnf{1};   // y_f, identical for all planned VNFs
-  /// Capacity assigned to each new deployment; <= 0 means "mean of the
-  /// VNF's existing deployment capacities".
-  double new_site_capacity{-1.0};
-  DpOptions dp{};
 };
 
 /// Greedy what-if planner: for each VNF (heaviest demand first) and each of
 /// its y_f new slots, tries every non-hosting site, scores the model by the
-/// DP router's mean latency, and keeps the best.  Mutates `model` by adding
+/// DP router's mean latency, and keeps the best.  Each new deployment gets
+/// the mean capacity of the VNF's existing ones.  Mutates `model` by adding
 /// the chosen deployments.
 [[nodiscard]] VnfPlacementResult plan_vnf_placement_greedy(
     model::NetworkModel& model, const VnfPlacementOptions& options);
@@ -80,6 +75,6 @@ struct VnfPlacementOptions {
 /// Intended for small instances and for validating the greedy planner.
 [[nodiscard]] std::vector<SiteId> plan_single_vnf_mip(
     model::NetworkModel& model, VnfId vnf, std::size_t new_sites,
-    double new_site_capacity, const lp::MipOptions& options = {});
+    double new_site_capacity);
 
 }  // namespace switchboard::te

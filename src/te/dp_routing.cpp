@@ -12,6 +12,10 @@ namespace switchboard::te {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Residual re-routing rounds per chain.
+constexpr std::size_t kMaxRoutesPerChain = 8;
+/// Smallest admissible fraction of a chain per route.
+constexpr double kMinFraction = 1e-4;
 
 /// Edge cost through the optional cache (identical bits either way).
 inline double edge_cost(const model::NetworkModel& model, const Loads& loads,
@@ -229,6 +233,11 @@ double max_admissible_fraction(const model::NetworkModel& model,
 
 }  // namespace
 
+const UtilizationCost& fortz_thorup() {
+  static const UtilizationCost cost;
+  return cost;
+}
+
 double stage_edge_cost(const model::NetworkModel& model, const Loads& loads,
                        const DpOptions& options, NodeId n1, NodeId n2,
                        VnfId dst_vnf, SiteId dst_site) {
@@ -236,19 +245,18 @@ double stage_edge_cost(const model::NetworkModel& model, const Loads& loads,
   if (!std::isfinite(cost)) return kInf;
   if (!options.use_utilization_costs) return cost;
 
+  const UtilizationCost& phi = fortz_thorup();
   if (n1 != n2) {
     double network = 0.0;
     for (const net::LinkShare& share : model.routing().link_shares(n1, n2)) {
       network += share.fraction *
-                 options.utilization_cost(
-                     std::max(0.0, loads.link_utilization(share.link)));
+                 phi(std::max(0.0, loads.link_utilization(share.link)));
     }
-    cost += options.network_cost_weight * network;
+    cost += kNetworkCostWeight * network;
   }
   if (dst_vnf.valid()) {
-    cost += options.compute_cost_weight *
-            options.utilization_cost(
-                std::max(0.0, loads.vnf_site_utilization(dst_vnf, dst_site)));
+    cost += kComputeCostWeight *
+            phi(std::max(0.0, loads.vnf_site_utilization(dst_vnf, dst_site)));
   }
   return cost;
 }
@@ -284,13 +292,12 @@ double route_chain_dp(const model::NetworkModel& model,
 
   double remaining = 1.0;
   for (std::size_t round = 0;
-       round < options.max_routes_per_chain && remaining > options.min_fraction;
-       ++round) {
+       round < kMaxRoutesPerChain && remaining > kMinFraction; ++round) {
     if (!find_route(model, loads, chain, options, scratch, ctx.cache)) break;
     const double fraction =
         max_admissible_fraction(model, loads, chain, scratch.route_nodes,
                                 scratch.route_sites, remaining, scratch);
-    if (fraction <= options.min_fraction) break;
+    if (fraction <= kMinFraction) break;
     for (std::size_t z = 1; z <= chain.stage_count(); ++z) {
       routing.add_flow(chain.id, z, scratch.route_nodes[z - 1],
                        scratch.route_nodes[z], fraction);

@@ -38,20 +38,20 @@ struct TeContext {
   DpScratch* scratch{nullptr};
 };
 
+/// Weight (ms-equivalents) of one unit of Fortz-Thorup network cost.
+inline constexpr double kNetworkCostWeight = 10.0;
+/// Weight (ms-equivalents) of one unit of compute-utilization cost.
+inline constexpr double kComputeCostWeight = 10.0;
+
+/// The Fortz-Thorup penalty (default breakpoints) that both utilization
+/// terms of the edge cost apply, in stage_edge_cost and EdgeCostCache.
+[[nodiscard]] const UtilizationCost& fortz_thorup();
+
 struct DpOptions {
-  /// Weight (ms-equivalents) of one unit of Fortz-Thorup network cost.
-  double network_cost_weight{10.0};
-  /// Weight (ms-equivalents) of one unit of compute-utilization cost.
-  double compute_cost_weight{10.0};
   /// false reproduces the DP-LATENCY ablation (latency-only cost).
   bool use_utilization_costs{true};
   /// true reproduces the ONEHOP ablation (greedy per-hop instead of DP).
   bool per_hop{false};
-  /// Residual re-routing rounds per chain.
-  std::size_t max_routes_per_chain{8};
-  /// Smallest admissible fraction of a chain per route.
-  double min_fraction{1e-4};
-  UtilizationCost utilization_cost{};
   /// Optional predicate excluding (vnf, site) placements — used by Global
   /// Switchboard to recompute after a two-phase-commit rejection.
   std::function<bool(VnfId, SiteId)> site_allowed{};

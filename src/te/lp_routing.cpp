@@ -9,6 +9,13 @@
 namespace switchboard::te {
 
 namespace detail {
+namespace {
+
+/// Weight of the latency term added to throughput objectives so that,
+/// among max-throughput routings, low-latency ones win.
+constexpr double kLatencyTiebreak = 1e-4;
+
+}  // namespace
 
 BuiltLp build_routing_lp(const model::NetworkModel& model,
                          const LpRoutingOptions& options) {
@@ -28,7 +35,7 @@ BuiltLp build_routing_lp(const model::NetworkModel& model,
   // ---- variables -----------------------------------------------------
   // The latency objective coefficient is attached at creation; throughput
   // modes negate it as a tie-break.
-  const double latency_sign = minimize ? 1.0 : -options.latency_tiebreak;
+  const double latency_sign = minimize ? 1.0 : -kLatencyTiebreak;
   built.vars.resize(chains.size());
   for (const model::Chain& chain : chains) {
     auto& stage_vars = built.vars[chain.id.value()];
@@ -189,41 +196,37 @@ BuiltLp build_routing_lp(const model::NetworkModel& model,
   }
 
   // ---- MLU bound (Eqs. 6-7) -------------------------------------------
-  if (options.enforce_mlu) {
-    std::vector<std::vector<Term>> link_terms(model.topology().link_count());
-    for (const model::Chain& chain : chains) {
-      const auto& stage_vars = built.vars[chain.id.value()];
-      for (std::size_t z = 1; z <= chain.stage_count(); ++z) {
-        const StageVars& sv = stage_vars[z - 1];
-        const double w = chain.forward_traffic[z - 1];
-        const double v = chain.reverse_traffic[z - 1];
-        for (std::size_t i = 0; i < sv.sources.size(); ++i) {
-          for (std::size_t j = 0; j < sv.dests.size(); ++j) {
-            const NodeId n1 = sv.sources[i].node;
-            const NodeId n2 = sv.dests[j].node;
-            if (n1 == n2) continue;
-            const VarIndex x = sv.var(i, j);
-            for (const net::LinkShare& share :
-                 model.routing().link_shares(n1, n2)) {
-              link_terms[share.link.value()].push_back(
-                  {x, w * share.fraction});
-            }
-            for (const net::LinkShare& share :
-                 model.routing().link_shares(n2, n1)) {
-              link_terms[share.link.value()].push_back(
-                  {x, v * share.fraction});
-            }
+  std::vector<std::vector<Term>> link_terms(model.topology().link_count());
+  for (const model::Chain& chain : chains) {
+    const auto& stage_vars = built.vars[chain.id.value()];
+    for (std::size_t z = 1; z <= chain.stage_count(); ++z) {
+      const StageVars& sv = stage_vars[z - 1];
+      const double w = chain.forward_traffic[z - 1];
+      const double v = chain.reverse_traffic[z - 1];
+      for (std::size_t i = 0; i < sv.sources.size(); ++i) {
+        for (std::size_t j = 0; j < sv.dests.size(); ++j) {
+          const NodeId n1 = sv.sources[i].node;
+          const NodeId n2 = sv.dests[j].node;
+          if (n1 == n2) continue;
+          const VarIndex x = sv.var(i, j);
+          for (const net::LinkShare& share :
+               model.routing().link_shares(n1, n2)) {
+            link_terms[share.link.value()].push_back({x, w * share.fraction});
+          }
+          for (const net::LinkShare& share :
+               model.routing().link_shares(n2, n1)) {
+            link_terms[share.link.value()].push_back({x, v * share.fraction});
           }
         }
       }
     }
-    for (const net::Link& link : model.topology().links()) {
-      auto& terms = link_terms[link.id.value()];
-      if (terms.empty()) continue;
-      const double budget = model.mlu_limit() * link.capacity -
-                            model.background_traffic(link.id);
-      problem.add_constraint(Relation::kLessEqual, budget, std::move(terms));
-    }
+  }
+  for (const net::Link& link : model.topology().links()) {
+    auto& terms = link_terms[link.id.value()];
+    if (terms.empty()) continue;
+    const double budget = model.mlu_limit() * link.capacity -
+                          model.background_traffic(link.id);
+    problem.add_constraint(Relation::kLessEqual, budget, std::move(terms));
   }
 
   return built;
@@ -275,7 +278,7 @@ LpRoutingResult solve_lp_routing(const model::NetworkModel& model,
   detail::BuiltLp built = detail::build_routing_lp(model, options);
   LpRoutingResult result;
   const lp::Solution solution =
-      lp::solve_simplex(built.problem, options.simplex, options.warm_start);
+      lp::solve_simplex(built.problem, {}, options.warm_start);
   result.status = solution.status;
   result.stats = solution.stats;
   if (!solution.optimal()) return result;

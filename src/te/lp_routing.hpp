@@ -24,17 +24,11 @@ enum class LpObjective { kMinLatency, kMaxThroughput, kMaxUniformScale };
 
 struct LpRoutingOptions {
   LpObjective objective{LpObjective::kMinLatency};
-  /// Enforce the MLU bound (Eq. 6).  Disable to model compute-only TE.
-  bool enforce_mlu{true};
-  /// Weight of the latency term added to throughput objectives so that,
-  /// among max-throughput routings, low-latency ones win.
-  double latency_tiebreak{1e-4};
   /// Cloud capacity planning (Section 4.3): when >= 0 and the objective is
   /// kMaxUniformScale, each site gains a variable a_s >= 0 of additional
   /// compute capacity with sum(a_s) <= budget; VNF-site capacities scale
   /// with their site ((m_sf / m_s) * a_s extra headroom).
   double cloud_capacity_budget{-1.0};
-  lp::SimplexOptions simplex{};
   /// Optional warm start: the Basis of a previous solve of the SAME
   /// formulation (same model shape and objective — the variable and row
   /// counts must match).  Mismatches silently fall back to a cold start.

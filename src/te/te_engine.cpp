@@ -68,20 +68,16 @@ double EdgeCostCache::edge_cost(const model::NetworkModel& model,
   if (!options.use_utilization_costs) return cost;
 
   if (n1 != n2) {
-    cost += options.network_cost_weight *
-            network_term(model, loads, options, n1, n2);
+    cost += kNetworkCostWeight * network_term(model, loads, n1, n2);
   }
   if (dst_vnf.valid()) {
-    cost += options.compute_cost_weight *
-            compute_term(loads, options, dst_vnf, dst_site);
+    cost += kComputeCostWeight * compute_term(loads, dst_vnf, dst_site);
   }
   return cost;
 }
 
 double EdgeCostCache::network_term(const model::NetworkModel& model,
-                                   const Loads& loads,
-                                   const DpOptions& options, NodeId n1,
-                                   NodeId n2) {
+                                   const Loads& loads, NodeId n1, NodeId n2) {
   Entry& entry =
       pair_[static_cast<std::size_t>(n1.value()) * n_ + n2.value()];
   const std::uint64_t version = loads.version();
@@ -110,11 +106,11 @@ double EdgeCostCache::network_term(const model::NetworkModel& model,
     return entry.value;
   }
   ++misses_;
+  const UtilizationCost& phi = fortz_thorup();
   double network = 0.0;
   for (const net::LinkShare& share : shares) {
     network += share.fraction *
-               options.utilization_cost(
-                   std::max(0.0, loads.link_utilization(share.link)));
+               phi(std::max(0.0, loads.link_utilization(share.link)));
   }
   entry.value = network;
   entry.stamp = version;
@@ -122,9 +118,7 @@ double EdgeCostCache::network_term(const model::NetworkModel& model,
   return network;
 }
 
-double EdgeCostCache::compute_term(const Loads& loads,
-                                   const DpOptions& options, VnfId f,
-                                   SiteId s) {
+double EdgeCostCache::compute_term(const Loads& loads, VnfId f, SiteId s) {
   Entry& entry =
       vnf_site_[static_cast<std::size_t>(f.value()) * site_count_ +
                 s.value()];
@@ -133,8 +127,8 @@ double EdgeCostCache::compute_term(const Loads& loads,
     return entry.value;
   }
   ++misses_;
-  entry.value = options.utilization_cost(
-      std::max(0.0, loads.vnf_site_utilization(f, s)));
+  entry.value =
+      fortz_thorup()(std::max(0.0, loads.vnf_site_utilization(f, s)));
   entry.stamp = loads.version();
   return entry.value;
 }

@@ -69,12 +69,9 @@ struct DpScratch {
   void ensure_sized(const model::NetworkModel& model);
 };
 
-/// Epoch-validated cache of the utilization-cost terms of the DP edge
-/// cost.  Bound to one (model, loads) pair; rebinding to different objects
-/// resets it.  The cached Fortz-Thorup terms bake in the options'
-/// utilization_cost function — call invalidate() if that changes between
-/// calls (the scalar weights are applied outside the cache and may change
-/// freely).  Capacity or background-traffic changes in the *model* are
+/// Epoch-validated cache of the Fortz-Thorup terms of the DP edge cost.
+/// Bound to one (model, loads) pair; rebinding to different objects
+/// resets it.  Capacity or background-traffic changes in the *model* are
 /// invisible to Loads epochs: call invalidate() after mutating the model.
 class EdgeCostCache {
  public:
@@ -108,12 +105,8 @@ class EdgeCostCache {
   };
 
   [[nodiscard]] double network_term(const model::NetworkModel& model,
-                                    const Loads& loads,
-                                    const DpOptions& options, NodeId n1,
-                                    NodeId n2);
-  [[nodiscard]] double compute_term(const Loads& loads,
-                                    const DpOptions& options, VnfId f,
-                                    SiteId s);
+                                    const Loads& loads, NodeId n1, NodeId n2);
+  [[nodiscard]] double compute_term(const Loads& loads, VnfId f, SiteId s);
 
   const model::NetworkModel* model_{nullptr};
   const Loads* loads_{nullptr};

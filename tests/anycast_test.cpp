@@ -465,7 +465,7 @@ TEST(FailureDetectorRestart, FlapDebounceAndResyncNeverDoubleFire) {
   config.durable_controller = true;
   config.detector.period = sim::from_ms(50.0);
   config.detector.suspicion_threshold = 3;
-  ASSERT_EQ(config.detector.element_debounce_beats, 2u);
+  ASSERT_EQ(control::kElementDebounceBeats, 2u);
   Middleware mw{std::move(m), config};
   core::Deployment& dep = mw.deployment();
 

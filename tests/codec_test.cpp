@@ -303,6 +303,25 @@ TEST(BusCodec, ParseInvertsSerialize) {
   EXPECT_EQ(frame->records, golden_install().records);
 }
 
+TEST(BusCodec, ReplicationFrameRecordCountMustFitItsKind) {
+  // One record per kRecord frame, a non-empty snapshot per install, and
+  // none in an ack: a frame with any other count is rejected at parse.
+  for (const char* bad :
+       {"type=repl;k=0;from=0;ep=1;seq=1;dg=0;body=",
+        "type=repl;k=0;from=0;ep=1;seq=1;dg=0;body=t=epoch;n=1\nt=nri;n=2",
+        "type=repl;k=1;from=0;ep=1;seq=1;dg=0;body=",
+        "type=repl;k=2;from=0;ep=1;seq=1;dg=0;body=t=epoch;n=1"}) {
+    EXPECT_FALSE(parse_replication(bad).has_value()) << bad;
+  }
+  for (const char* good :
+       {"type=repl;k=0;from=0;ep=1;seq=1;dg=0;body=t=epoch;n=1",
+        "type=repl;k=1;from=0;ep=1;seq=1;dg=0;body=t=epoch;n=1\nt=nri;n=2",
+        "type=repl;k=2;from=0;ep=1;seq=1;dg=0;body=",
+        "type=repl;k=3;from=0;ep=1;seq=1;dg=0;body="}) {
+    EXPECT_TRUE(parse_replication(good).has_value()) << good;
+  }
+}
+
 // ------------------------------------------------------- mutation fuzz
 
 /// One decoder under fuzz: `canonical(input)` is nullopt when the input is
@@ -427,6 +446,43 @@ TEST_P(CodecFuzz, MutantsNeverCrashAndAcceptedInputsRoundTrip) {
     }
     EXPECT_GT(accepted, 0u) << target.name << " accepted no mutant";
   }
+}
+
+TEST_P(CodecFuzz, AcceptedReplicationFramesHaveARecordCountThatFitsTheirKind) {
+  // Mutants of every frame kind: whatever the parser accepts carries
+  // exactly one record for kRecord, at least one for an install, and none
+  // for the two acks.
+  std::mt19937_64 rng{GetParam() * 17 + 3};
+  ReplicationFrame record_frame;
+  record_frame.records = {"t=epoch;n=3"};
+  ReplicationFrame ack;
+  ack.kind = ReplicationKind::kAck;
+  ReplicationFrame install_ack;
+  install_ack.kind = ReplicationKind::kSnapshotAck;
+  const std::vector<std::string> corpus = {
+      serialize(golden_install()), serialize(record_frame), serialize(ack),
+      serialize(install_ack)};
+  std::size_t accepted = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const std::string input = mutate(corpus[rng() % corpus.size()], rng);
+    const auto frame = parse_replication(input);
+    if (!frame) continue;
+    ++accepted;
+    const std::size_t count = frame->records.size();
+    switch (frame->kind) {
+      case ReplicationKind::kRecord:
+        EXPECT_EQ(count, 1u) << input;
+        break;
+      case ReplicationKind::kSnapshotInstall:
+        EXPECT_GE(count, 1u) << input;
+        break;
+      case ReplicationKind::kAck:
+      case ReplicationKind::kSnapshotAck:
+        EXPECT_EQ(count, 0u) << input;
+        break;
+    }
+  }
+  EXPECT_GT(accepted, 0u);
 }
 
 TEST_P(CodecFuzz, DecodedJournalRecordsEqualTheirReencoding) {

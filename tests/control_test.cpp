@@ -433,6 +433,127 @@ TEST(TwoPhaseCommit, PrepareEnforcesCapacity) {
   EXPECT_DOUBLE_EQ(controller.headroom(fx.site_m), 0.0);
 }
 
+// ------------------------------------------------- 2PC timeout envelope
+
+/// The line fixture's chain with forward traffic only, and its firewall
+/// controller registered as the fault target "controller:vnf<f>".
+struct TimeoutFixture : Fixture {
+  TimeoutFixture() : mw{make_model()} {
+    mw.deployment().register_fault_targets();
+    edge = mw.register_edge_service("vpn");
+    spec = make_spec(edge);
+    spec.reverse_traffic = 0.0;
+    target = "controller:vnf" + std::to_string(fw.value());
+  }
+
+  [[nodiscard]] Deployment& dep() { return mw.deployment(); }
+  [[nodiscard]] VnfController& controller() {
+    return mw.deployment().vnf_controller(fw);
+  }
+
+  Middleware mw;
+  EdgeServiceId edge;
+  ChainSpec spec;
+  std::string target;
+};
+
+TEST(TwoPhaseTimeout, UnreachableParticipantFailsPrepareAfterThreeRetries) {
+  TimeoutFixture fx;
+  fx.dep().fault_injector().crash(fx.target);
+
+  const auto result = fx.mw.create_chain(fx.spec);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, ErrorCode::kUnavailable);
+  EXPECT_EQ(result.error().message,
+            "2PC prepare: participant unreachable after retries");
+  // Site resolution (35 ms), route compute (20 ms), the prepare RPC (35 ms),
+  // then three timeouts of 200 ms plus a 50 ms backoff that doubles.
+  EXPECT_EQ(fx.dep().simulator().now(),
+            sim::from_ms(35.0 + 20.0 + 35.0 + 250.0 + 300.0 + 400.0));
+  EXPECT_DOUBLE_EQ(fx.controller().allocated(fx.site_m), 0.0);
+  EXPECT_DOUBLE_EQ(fx.controller().allocated(fx.site_b), 0.0);
+  EXPECT_TRUE(fx.dep().global().state().inflight.empty());
+  fx.controller().check_invariants();
+  fx.dep().global().check_invariants();
+}
+
+TEST(TwoPhaseTimeout, ParticipantRestoredBetweenCommitRetriesActivatesChain) {
+  // Prepared at 90 ms, the commit round opens at 110 ms and retries at
+  // 360 ms and 660 ms; the controller is back in between.
+  TimeoutFixture fx;
+  fx.dep().fault_injector().crash_at(sim::from_ms(100.0), fx.target);
+  fx.dep().fault_injector().restore_at(sim::from_ms(500.0), fx.target);
+
+  const auto result = fx.mw.create_chain(fx.spec);
+  ASSERT_TRUE(result.ok()) << result.error().to_string();
+  bool commit_timed_out = false;
+  for (const auto& event : result->events) {
+    if (event.name == "commit_timeout") commit_timed_out = true;
+  }
+  EXPECT_TRUE(commit_timed_out);
+  const ChainRecord& record = fx.mw.chain_record(result->chain);
+  EXPECT_TRUE(record.active);
+  ASSERT_EQ(record.routes.size(), 1u);
+  EXPECT_EQ(fx.controller().two_phase_state(result->chain, result->route),
+            TwoPhaseState::kCommitted);
+  fx.controller().check_invariants();
+  fx.dep().global().check_invariants();
+}
+
+TEST(TwoPhaseTimeout, RestoredParticipantAbortsTheRoundTheCoordinatorGaveUpOn) {
+  TimeoutFixture fx;
+  fx.dep().fault_injector().crash_at(sim::from_ms(100.0), fx.target);
+  fx.dep().fault_injector().restore_at(sim::from_ms(3000.0), fx.target);
+
+  const auto result = fx.mw.create_chain(fx.spec);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().message,
+            "2PC commit: participant unreachable after retries");
+  EXPECT_EQ(fx.dep().simulator().now(), sim::from_ms(1060.0));
+  const ChainId chain = fx.dep().global().state().chains.front().id;
+  const RouteId route{fx.dep().global().state().next_route_id - 1};
+
+  // While it is down the participant still holds the round it prepared.
+  fx.dep().simulator().run_until(sim::from_ms(2000.0));
+  EXPECT_GT(fx.controller().allocated(fx.site_m), 0.0);
+  EXPECT_EQ(fx.controller().two_phase_state(chain, route),
+            TwoPhaseState::kPrepared);
+
+  // Back, it is reconciled against the journal, which aborted the round.
+  fx.dep().simulator().run();
+  EXPECT_DOUBLE_EQ(fx.controller().allocated(fx.site_m), 0.0);
+  EXPECT_DOUBLE_EQ(fx.controller().allocated(fx.site_b), 0.0);
+  EXPECT_EQ(fx.controller().two_phase_state(chain, route),
+            TwoPhaseState::kAborted);
+  fx.controller().check_invariants();
+  fx.dep().global().check_invariants();
+}
+
+TEST(TwoPhaseTimeout, RestoredParticipantReleasesARouteRetiredWhileItWasDown) {
+  TimeoutFixture fx;
+  const auto result = fx.mw.create_chain(fx.spec);
+  ASSERT_TRUE(result.ok()) << result.error().to_string();
+  const SiteId site =
+      fx.mw.chain_record(result->chain).routes.front().vnf_sites.front();
+  ASSERT_EQ(fx.controller().committed_routes().size(), 1u);
+
+  // The pool dies while its controller is unreachable: the route retires
+  // without the release reaching the participant, and the replacement
+  // route's prepare round gives up before the controller returns.
+  const sim::SimTime t0 = fx.dep().simulator().now();
+  fx.dep().fault_injector().crash(fx.target);
+  fx.dep().global().on_instance_down(fx.fw, site);
+  fx.dep().fault_injector().restore_at(t0 + sim::from_ms(3000.0), fx.target);
+  fx.dep().simulator().run();
+
+  EXPECT_TRUE(fx.mw.chain_record(result->chain).routes.empty());
+  EXPECT_TRUE(fx.controller().committed_routes().empty());
+  EXPECT_DOUBLE_EQ(fx.controller().allocated(fx.site_m), 0.0);
+  EXPECT_DOUBLE_EQ(fx.controller().allocated(fx.site_b), 0.0);
+  fx.controller().check_invariants();
+  fx.dep().global().check_invariants();
+}
+
 // ------------------------------------------------------------ Edge addition
 
 TEST(EdgeAddition, TraceIsOrderedAndFast) {

@@ -515,7 +515,7 @@ std::string lossy_recovery_trace(std::uint64_t seed) {
 
 // A transient element flap — down in one heartbeat, back before the next —
 // must not trigger a route retirement: the detector debounces element
-// reports over `element_debounce_beats` consecutive beats.  A sustained
+// reports over kElementDebounceBeats consecutive beats.  A sustained
 // failure still gets through one beat later.
 TEST(Recovery, FlappingElementWithinDebounceWindowDoesNotReroute) {
   model::NetworkModel m = make_two_pool_model();
@@ -524,7 +524,7 @@ TEST(Recovery, FlappingElementWithinDebounceWindowDoesNotReroute) {
   DeploymentConfig config;
   config.detector.period = sim::from_ms(50.0);
   config.detector.suspicion_threshold = 3;
-  ASSERT_EQ(config.detector.element_debounce_beats, 2u);   // the default
+  ASSERT_EQ(control::kElementDebounceBeats, 2u);
   Middleware mw{std::move(m), config};
   core::Deployment& dep = mw.deployment();
 

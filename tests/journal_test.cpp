@@ -567,6 +567,44 @@ TEST(ColdStart, OrphanedParticipantCapacityIsReleasedOnReconciliation) {
   dep.global().check_invariants();
 }
 
+TEST(ColdStart, OrphanedPreparedReservationIsAbortedOnReconciliation) {
+  model::NetworkModel m = make_two_pool_model();
+  const VnfId fw = m.vnfs()[0].id;
+  DeploymentConfig config;
+  config.durable_controller = true;
+  Middleware mw{std::move(m), config};
+  core::Deployment& dep = mw.deployment();
+
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  const auto a = mw.create_chain(make_span_spec(edge, fw, "a"));
+  ASSERT_TRUE(a.ok());
+
+  // Plant a prepared orphan: a reservation for a round no journal record
+  // begins, as a coordinator leaves behind when it gives up on a round
+  // while the participant is unreachable.
+  control::VnfController& c = dep.vnf_controller(fw);
+  const double before = c.allocated(SiteId{1});
+  ASSERT_TRUE(c.prepare(ChainId{77}, RouteId{99}, SiteId{1}, 2.0, 0));
+  ASSERT_DOUBLE_EQ(c.allocated(SiteId{1}), before + 2.0);
+
+  dep.register_fault_targets();
+  const sim::SimTime t0 = dep.simulator().now();
+  dep.fault_injector().crash_at(t0 + sim::from_ms(5.0), "controller:global");
+  dep.fault_injector().restore_at(t0 + sim::from_ms(25.0),
+                                  "controller:global");
+  dep.simulator().run_until(t0 + sim::from_ms(2000.0));
+
+  // The sweep aborted exactly the orphan; chain a's capacity survives.
+  EXPECT_EQ(dep.global().last_cold_start().orphans_released, 1u);
+  EXPECT_EQ(c.two_phase_state(ChainId{77}, RouteId{99}),
+            control::TwoPhaseState::kAborted);
+  EXPECT_DOUBLE_EQ(c.allocated(SiteId{1}), before);
+  ASSERT_EQ(c.committed_routes().size(), 1u);
+  EXPECT_EQ(c.committed_routes()[0].first, a->chain);
+  c.check_invariants();
+  dep.global().check_invariants();
+}
+
 TEST(ColdStart, LocalSwitchboardFencesStaleEpochAnnouncements) {
   model::NetworkModel m = make_two_pool_model();
   const VnfId fw = m.vnfs()[0].id;

@@ -10,6 +10,7 @@
 #include "common/rng.hpp"
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
+#include "reference/dense_simplex.hpp"
 
 namespace switchboard::lp {
 namespace {
@@ -180,9 +181,7 @@ TEST_P(SparseDenseParity, StatusAndObjectiveAgree) {
   Rng rng{GetParam()};
   const Problem p = make_random_bounded_lp(rng);
   const Solution sparse = solve(p);
-  SimplexOptions dense_options;
-  dense_options.algorithm = SimplexAlgorithm::kDenseReference;
-  const Solution dense = solve(p, dense_options);
+  const Solution dense = solve_dense_reference(p);
   ASSERT_EQ(sparse.status, dense.status) << "sparse=" << to_string(sparse.status)
                                          << " dense=" << to_string(dense.status);
   if (sparse.optimal()) {

@@ -6,6 +6,7 @@
 #include "lp/mip.hpp"
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
+#include "reference/dense_simplex.hpp"
 
 namespace switchboard::lp {
 namespace {
@@ -443,9 +444,7 @@ TEST(DenseReference, AgreesOnBoundedProblem) {
   p.set_upper_bound(y, 4.0);
   p.add_constraint(Relation::kLessEqual, 6.0, {{x, 1.0}, {y, 1.0}});
   const Solution sparse = solve(p);
-  SimplexOptions dense_options;
-  dense_options.algorithm = SimplexAlgorithm::kDenseReference;
-  const Solution dense = solve(p, dense_options);
+  const Solution dense = solve_dense_reference(p);
   ASSERT_EQ(sparse.status, dense.status);
   ASSERT_TRUE(sparse.optimal());
   EXPECT_NEAR(sparse.objective, dense.objective, 1e-6);
@@ -457,14 +456,12 @@ TEST(DenseReference, AgreesOnInfeasibleAndUnbounded) {
   const VarIndex x = infeasible.add_variable(1.0);
   infeasible.set_upper_bound(x, 2.0);
   infeasible.add_constraint(Relation::kGreaterEqual, 5.0, {{x, 1.0}});
-  SimplexOptions dense_options;
-  dense_options.algorithm = SimplexAlgorithm::kDenseReference;
-  EXPECT_EQ(solve(infeasible, dense_options).status,
+  EXPECT_EQ(solve_dense_reference(infeasible).status,
             SolveStatus::kInfeasible);
 
   Problem unbounded{Sense::kMaximize};
   unbounded.add_variable(1.0);
-  EXPECT_EQ(solve(unbounded, dense_options).status, SolveStatus::kUnbounded);
+  EXPECT_EQ(solve_dense_reference(unbounded).status, SolveStatus::kUnbounded);
   EXPECT_EQ(solve(unbounded).status, SolveStatus::kUnbounded);
 }
 

@@ -463,6 +463,44 @@ TEST(Replication, FollowerCrashDoesNotStallQuorumAndResyncsOnRestore) {
   dep.stop_replication();
 }
 
+TEST(Replication, RecordLessInstallLeavesTheFollowerUnchanged) {
+  model::NetworkModel m = make_two_pool_model();
+  const VnfId fw = m.vnfs()[0].id;
+  Middleware mw{std::move(m), replicated_config()};
+  core::Deployment& dep = mw.deployment();
+  dep.enable_replication(3);
+  ReplicaGroup& group = *dep.replica_group();
+
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  const auto a = mw.create_chain(make_span_spec(edge, fw, "a"));
+  ASSERT_TRUE(a.ok());
+  dep.simulator().run_until(dep.simulator().now() + sim::from_ms(500.0));
+  const std::uint64_t epoch = group.state(1).epoch;
+  const std::size_t chains = group.state(1).chains.size();
+  const std::uint64_t digest = group.digest(1);
+  ASSERT_EQ(chains, 1u);
+
+  // A snapshot install from the live leader, in its epoch, that carries no
+  // records: applied, it would replace follower 1's state with an empty
+  // one.  The bus bytes are untrusted, so the parser rejects the frame.
+  control::ReplicationFrame install;
+  install.kind = control::ReplicationKind::kSnapshotInstall;
+  install.from = group.leader();
+  install.epoch = dep.global().epoch();
+  install.seq = 1;
+  dep.bus().publish(
+      bus::replication_stream_topic(group.leader(), 1,
+                                    group.site_of(group.leader())),
+      control::serialize(install));
+  dep.simulator().run_until(dep.simulator().now() + sim::from_ms(40.0));
+
+  EXPECT_EQ(group.state(1).epoch, epoch);
+  EXPECT_EQ(group.state(1).chains.size(), chains);
+  EXPECT_EQ(group.digest(1), digest);
+  group.check_invariants();
+  dep.stop_replication();
+}
+
 TEST(Replication, PartitionedLeaderIsAFalseSuspicionNotAnElection) {
   // The CP choice: heartbeat silence from a leader whose process is alive
   // (a pure partition) must never elect a second coordinator.  Move the

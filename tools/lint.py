@@ -50,6 +50,14 @@ lack -Wthread-safety; clang enforces the real thing):
       on acquire/release pairings, so every data-plane atomic must *state*
       its ordering — even when the answer really is seq_cst.
 
+Option rule (one value per option, DESIGN.md §9):
+
+  O1  a data member of a ``src/`` header struct whose name ends in
+      ``Config``, ``Options`` or ``Timings`` that no file under ``src/``,
+      ``tests/``, ``bench/``, ``examples/`` or ``perfbench/`` assigns
+      (``.field =``, ``.field +=`` or ``.field.x =``).  Every run then uses
+      its default, so it is a constant: name it beside its one reader.
+
 Escapes (both are printed, so suppressions stay visible):
 
   * inline, per line:  ``// swb-lint: allow(D1): why this one is safe``
@@ -57,7 +65,7 @@ Escapes (both are printed, so suppressions stay visible):
     count *below* an entry is an error too — the allowlist must shrink as
     sites are fixed, never silently go stale.
 
-``--self-test`` runs the determinism/guard rules over the known-bad
+``--self-test`` runs the determinism/guard/option rules over the known-bad
 fixtures in ``tests/lint_selftest/`` and checks the findings against their
 ``// expect-lint: <rule>`` markers in both directions (missed expectation
 or unexpected finding both fail), proving the linter still catches what it
@@ -122,12 +130,32 @@ LOCK_EVIDENCE_RE = re.compile(
     r"\bMutexLock\b|\bscoped_lock\b|\bunique_lock\b|\block_all\s*\(|"
     r"\bSWB_REQUIRES\b|\bSWB_NO_THREAD_SAFETY_ANALYSIS\b|\.\s*lock\s*\(")
 
+# O1: option structs and the assignments that set their fields.
+OPTION_STRUCT_RE = re.compile(
+    r"\bstruct\s+(\w+(?:Config|Options|Timings))\s*\{")
+FIELD_ASSIGN_RE = re.compile(r"\.\s*(\w+)\s*[-+*/]?=(?!=)")
+SUBFIELD_ASSIGN_RE = re.compile(
+    r"\.\s*(\w+)\s*\.\s*\w+\s*[-+*/]?=(?!=)")
+OPTION_SEARCH_DIRS = ("src", "tests", "bench", "examples", "perfbench")
+NOT_A_FIELD_RE = re.compile(
+    r"(?:using|typedef|static|friend|enum|struct|class|template)\b")
+FUNCTION_DECL_RE = re.compile(
+    r"\)\s*(?:const|noexcept|override|final|\s)*$")
+
 ALLOW_RE = re.compile(r"//\s*swb-lint:\s*allow\(\s*([A-Za-z0-9_,\s]+?)\s*\)")
 EXPECT_RE = re.compile(r"//\s*expect-lint:\s*([A-Za-z0-9_,\s]+)")
 
 CONTROL_KEYWORDS = {"for", "if", "while", "switch", "catch", "return",
                     "sizeof", "decltype", "static_assert", "alignas",
                     "noexcept", "defined"}
+
+
+def in_number(text: str, quote: int) -> bool:
+    """True when the `'` at `quote` is a digit separator (200'000)."""
+    i = quote
+    while i > 0 and (text[i - 1].isalnum() or text[i - 1] == "'"):
+        i -= 1
+    return i < quote and text[i].isdigit()
 
 
 def strip_comments(text: str) -> str:
@@ -155,7 +183,7 @@ def strip_comments(text: str) -> str:
                 out.append(" ")
                 i += 1
                 continue
-            if c == "'":
+            if c == "'" and not in_number(text, i):
                 state = "char"
                 out.append(" ")
                 i += 1
@@ -411,13 +439,88 @@ def lint_guards(rel: str, code: str, guarded: set, exempt: set) -> list:
     return problems
 
 
+def matching_brace(code: str, open_at: int) -> int:
+    """Offset of the `}` that closes the `{` at `open_at` (or len(code))."""
+    depth = 0
+    for i in range(open_at, len(code)):
+        if code[i] == "{":
+            depth += 1
+        elif code[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return i
+    return len(code)
+
+
+def option_fields(code: str):
+    """Yields (struct, field, offset) for each data member declared at the
+    top level of an option struct; member functions, nested types and
+    using-declarations are skipped."""
+    for m in OPTION_STRUCT_RE.finditer(code):
+        end = matching_brace(code, m.end() - 1)
+        decl, start, i = "", m.end(), m.end()
+        while i < end:
+            c = code[i]
+            if c == "{":
+                close = matching_brace(code, i)
+                if FUNCTION_DECL_RE.search(decl):
+                    decl, start = "", close + 1   # an inline member function
+                else:
+                    decl += "{}"                  # a brace initializer
+                i = close + 1
+                continue
+            if c != ";":
+                decl += c
+                i += 1
+                continue
+            text = re.sub(r"^\s*(?:public|private|protected)\s*:", "",
+                          decl).strip()
+            head = re.split(r"(?<![=!<>])=(?!=)",
+                            text.split("{}")[0])[0].rstrip()
+            name = re.search(r"(\w+)\s*(?:\[[^\]]*\])?$", head)
+            if (text and name and not NOT_A_FIELD_RE.match(text) and
+                    not FUNCTION_DECL_RE.search(head)):
+                field = name.group(1)
+                at = re.search(rf"\b{field}\b", code[start:i])
+                yield m.group(1), field, start + at.start()
+            decl, start = "", i + 1
+            i += 1
+
+
+def assigned_fields(files: list) -> set:
+    """Names that appear as `.name =`, `.name +=` or `.name.x =` in
+    `files` (comments and string literals excluded)."""
+    names = set()
+    for path in files:
+        code = strip_comments(path.read_text(encoding="utf-8"))
+        names |= {m.group(1) for m in FIELD_ASSIGN_RE.finditer(code)}
+        names |= {m.group(1) for m in SUBFIELD_ASSIGN_RE.finditer(code)}
+    return names
+
+
+def lint_options(rel: str, code: str, assigned: set) -> list:
+    """O1 over one header: option fields that nothing assigns."""
+    problems = []
+    for struct, field, offset in option_fields(code):
+        if field not in assigned:
+            problems.append(
+                (rel, line_of(code, offset), "O1",
+                 f"'{struct}::{field}' is assigned nowhere under "
+                 f"{', '.join(d + '/' for d in OPTION_SEARCH_DIRS)}: every "
+                 "run uses its default, so make it a named constant beside "
+                 "its reader"))
+    return problems
+
+
 def pair_key(path: pathlib.Path) -> str:
     return path.with_suffix("").as_posix()
 
 
-def scan(root: pathlib.Path, files: list, rules: str) -> tuple:
+def scan(root: pathlib.Path, files: list, rules: str,
+         assigned: set = None) -> tuple:
     """Lints `files`; returns (problems, allowed) after applying inline
-    escapes.  `rules` selects 'style', 'determinism', or 'all'."""
+    escapes.  `rules` selects 'style', 'determinism', or 'all'; with
+    `assigned` (the field names some file sets), headers also get O1."""
     stripped = {}
     raws = {}
     for path in files:
@@ -453,6 +556,8 @@ def scan(root: pathlib.Path, files: list, rules: str) -> tuple:
             key = pair_key(path)
             found += lint_guards(rel, code, guarded_by_pair.get(key, set()),
                                  exempt_by_pair.get(key, set()))
+        if assigned is not None and path.suffix == ".hpp":
+            found += lint_options(rel, code, assigned)
         allows = collect_allows(raws[path])
         for item in found:
             if item[2] in allows.get(item[1], set()):
@@ -518,7 +623,7 @@ def apply_allowlist(problems: list, entries: dict) -> tuple:
 
 
 def self_test(root: pathlib.Path) -> int:
-    """Runs the determinism/guard rules over tests/lint_selftest and
+    """Runs the determinism/guard/option rules over tests/lint_selftest and
     checks findings against `// expect-lint:` markers both ways."""
     fixture_dir = root / "tests" / "lint_selftest"
     files = sorted(fixture_dir.rglob("*.hpp")) + \
@@ -526,7 +631,8 @@ def self_test(root: pathlib.Path) -> int:
     if not files:
         print(f"lint.py --self-test: no fixtures under {fixture_dir}")
         return 1
-    problems, allowed = scan(root, files, "determinism")
+    problems, allowed = scan(root, files, "determinism",
+                             assigned_fields(files))
 
     expected = set()
     for path in files:
@@ -564,8 +670,9 @@ def main() -> int:
                         help="repository root (defaults to the checkout "
                              "containing this script)")
     parser.add_argument("--self-test", action="store_true",
-                        help="check the determinism rules against the "
-                             "known-bad fixtures in tests/lint_selftest")
+                        help="check the determinism and option rules "
+                             "against the known-bad fixtures in "
+                             "tests/lint_selftest")
     parser.add_argument("--allowlist", type=pathlib.Path, default=None,
                         help="allowlist file (default "
                              "tools/lint_allowlist.txt under --root)")
@@ -577,7 +684,12 @@ def main() -> int:
 
     files = sorted((root / "src").rglob("*.hpp")) + \
         sorted((root / "src").rglob("*.cpp"))
-    problems, inline_allowed = scan(root, files, "all")
+    fixtures = root / "tests" / "lint_selftest"
+    search = [path for d in OPTION_SEARCH_DIRS
+              for path in sorted((root / d).rglob("*.[hc]pp"))
+              if fixtures not in path.parents]
+    problems, inline_allowed = scan(root, files, "all",
+                                    assigned_fields(search))
     allowlist_path = args.allowlist or root / "tools" / "lint_allowlist.txt"
     errors, list_allowed = apply_allowlist(problems,
                                            load_allowlist(allowlist_path))
