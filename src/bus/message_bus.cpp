@@ -1,6 +1,7 @@
 #include "bus/message_bus.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/check.hpp"
@@ -239,14 +240,16 @@ void MessageBus::deliver_to(const SubscriberCallback& callback,
 
 void MessageBus::retain(const Topic& topic, const std::string& payload) {
   if (!config_.retain_messages || transient_topic(topic.path)) return;
-  std::vector<std::string>& payloads =
-      retained_[{topic.publisher_site, topic.path}];
-  const auto it = std::find(payloads.begin(), payloads.end(), payload);
-  if (it == payloads.end()) {
-    payloads.push_back(payload);
+  RetainedTopic& retained = retained_[{topic.publisher_site, topic.path}];
+  const auto found = retained.position_of.find(payload);
+  if (found == retained.position_of.end()) {
+    retained.payloads.push_back(payload);
+    retained.position_of.emplace(retained.payloads.back(),
+                                 std::prev(retained.payloads.end()));
   } else {
     // Republished: it is the topic's latest state again.
-    std::rotate(it, it + 1, payloads.end());
+    retained.payloads.splice(retained.payloads.end(), retained.payloads,
+                             found->second);
   }
 }
 
@@ -255,7 +258,7 @@ void MessageBus::replay(ProxyEgress& egress, SiteId subscriber_site,
                         const SubscriberCallback& callback) {
   const auto it = retained_.find({topic.publisher_site, topic.path});
   if (it == retained_.end()) return;
-  for (const std::string& payload : it->second) {
+  for (const std::string& payload : it->second.payloads) {
     send_copy(egress, topic.publisher_site, subscriber_site, topic.path,
               [this, callback, message = Message{topic.path, payload,
                                                  sim_.now()}] {

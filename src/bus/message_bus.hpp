@@ -26,9 +26,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -246,10 +248,19 @@ class MessageBus {
   std::vector<std::shared_ptr<ReliableMessage>> reliable_
       SWB_GUARDED_BY(reliable_mutex_);
 
-  /// Retained payloads per (publisher site, topic path), in the order of
-  /// their latest publish.  Simulator-thread-owned like stats_.
-  std::map<std::pair<SiteId, std::string>, std::vector<std::string>>
-      retained_;
+  /// The retained payloads of one (publisher site, topic path), in the
+  /// order of their latest publish, plus the position of each so that a
+  /// republish is found without a scan.  `position_of` is only probed,
+  /// never iterated (lint rule D1); its keys view the list's strings,
+  /// whose nodes never move.
+  struct RetainedTopic {
+    std::list<std::string> payloads;
+    std::unordered_map<std::string_view, std::list<std::string>::iterator>
+        position_of;
+  };
+
+  /// Simulator-thread-owned like stats_.
+  std::map<std::pair<SiteId, std::string>, RetainedTopic> retained_;
 
  protected:
   /// Simulator-thread-owned (every mutation happens inside an event

@@ -1,11 +1,12 @@
 // Epoch-based reclamation (EBR) for the lock-free read side of the data
 // plane (DESIGN.md §15).
 //
-// The problem: the sharded flow table publishes bucket arrays and flow
-// entries through atomic pointers so packet lookups never take a mutex.
-// A writer that replaces such a pointer (rehash, entry update, erase)
-// cannot free the old object immediately — a reader may have loaded the
-// pointer a cycle earlier and still be dereferencing it.
+// The problem: the sharded flow table publishes its bucket arrays
+// through atomic pointers so packet lookups never take a mutex (entries
+// live inline in the slots, rewritten under a per-slot seqlock).  A
+// writer that replaces an array (rehash, clear) cannot free the old one
+// immediately — a reader may have loaded the pointer a cycle earlier and
+// still be probing it.
 //
 // The scheme (classic three-phase EBR, specialised to this repo's
 // quiesce-friendly workloads):

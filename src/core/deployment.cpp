@@ -360,6 +360,9 @@ Deployment::WalkResult Deployment::inject_from(
     return result;
   }
   const control::ChainRecord& record = *found;
+  // Both edges, the ingress and egress forwarders, and a forwarder plus
+  // an instance per VNF: the walk never reallocates its path.
+  result.path.reserve(2 * record.spec.vnfs.size() + 4);
 
   dataplane::Packet packet;
   packet.flow = direction == dataplane::Direction::kForward

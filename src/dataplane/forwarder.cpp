@@ -283,9 +283,9 @@ std::size_t Forwarder::migrate_flows(Forwarder& target, ElementId instance,
 }
 
 std::size_t Forwarder::drain_element(ElementId dead) {
-  // update_each installs fresh immutable entries through the epoch
-  // domain, so lock-free readers racing a drain see either the old or
-  // the new pinning, never a torn one.
+  // update_each rewrites each entry in place under its slot's seqlock,
+  // so lock-free readers racing a drain see either the old or the new
+  // pinning, never a torn one.
   return table_.update_each(
       [&](const Labels&, const FiveTuple&, FlowEntry& entry) {
         bool touched = false;

@@ -10,11 +10,7 @@ namespace {
 
 constexpr std::size_t kMinShardCapacity = 16;
 constexpr std::size_t kLookupChunk = 32;   // SoA batch width (find_batch)
-
-constexpr std::uint8_t kEmpty =
-    0;   // == SlotState::kEmpty; bytes for the atomic state field
-constexpr std::uint8_t kOccupied = 1;
-constexpr std::uint8_t kTombstone = 2;
+constexpr std::uint32_t kStateBits = 2;    // meta = (version << 2) | state
 
 void prefetch_ro(const void* address) {
 #if defined(__GNUC__) || defined(__clang__)
@@ -42,38 +38,67 @@ ShardedFlowTable::ShardedFlowTable(std::size_t initial_capacity,
 }
 
 ShardedFlowTable::~ShardedFlowTable() {
-  // Quiesced teardown: delete the live entries and the current arrays
-  // here; everything previously retired (old arrays, erased/overwritten
-  // entries) is freed by the epoch domain's destructor, which runs after
+  // Quiesced teardown: delete the current arrays here; previously retired
+  // arrays are freed by the epoch domain's destructor, which runs after
   // this body and checks that no reader is still pinned.
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    BucketArray* array = shard->buckets.load(std::memory_order_acquire);
-    for (Slot& slot : array->slots) {
-      if (slot.state.load(std::memory_order_relaxed) == kOccupied) {
-        delete slot.entry.load(std::memory_order_relaxed);
-      }
-    }
-    delete array;
+    delete shard->buckets.load(std::memory_order_acquire);
   }
 }
 
-const FlowEntry* ShardedFlowTable::probe(const BucketArray& array,
-                                         const Labels& labels,
-                                         const FiveTuple& tuple,
-                                         std::uint64_t hash) {
-  // Termination: states only move empty->occupied->tombstone within an
-  // array generation, and the writer rehashes before occupancy can reach
-  // 100%, so every reachable array keeps at least one empty slot.
+void ShardedFlowTable::Slot::publish(const FlowEntry& entry) {
+  const std::uint32_t version =
+      meta.load(std::memory_order_relaxed) >> kStateBits;
+  // The writing mark is ordered before the field stores by their release
+  // order: a reader whose acquire-load of a field returns the new value
+  // synchronizes with that store, so its meta reload sees this mark or a
+  // later value and it retries.
+  meta.store((version << kStateBits) | kWriting, std::memory_order_release);
+  vnf_instance.store(entry.vnf_instance, std::memory_order_release);
+  next_forwarder.store(entry.next_forwarder, std::memory_order_release);
+  prev_element.store(entry.prev_element, std::memory_order_release);
+  meta.store(((version + 1) << kStateBits) | kOccupied,
+             std::memory_order_release);
+}
+
+void ShardedFlowTable::Slot::bury() {
+  const std::uint32_t version =
+      meta.load(std::memory_order_relaxed) >> kStateBits;
+  meta.store(((version + 1) << kStateBits) | kTombstone,
+             std::memory_order_release);
+}
+
+std::optional<FlowEntry> ShardedFlowTable::probe(const BucketArray& array,
+                                                 const Labels& labels,
+                                                 const FiveTuple& tuple,
+                                                 std::uint64_t hash) {
+  // Termination: an empty slot stays empty within an array generation,
+  // and the writer rehashes before occupancy can reach 100%, so every
+  // reachable array keeps at least one empty slot.
   std::size_t index = hash & array.mask;
   for (;;) {
     const Slot& slot = array.slots[index];
-    const std::uint8_t state = slot.state.load(std::memory_order_acquire);
-    if (state == kEmpty) return nullptr;
-    if (state == kOccupied && slot.labels == labels && slot.tuple == tuple) {
-      // The acquire above synchronizes with the writer's empty->occupied
-      // (or tombstone->occupied) release-store, so the key fields and the
-      // entry pointer written before it are visible.
-      return slot.entry.load(std::memory_order_acquire);
+    std::uint32_t meta = slot.meta.load(std::memory_order_acquire);
+    if ((meta & kStateMask) == kEmpty) return std::nullopt;
+    // Any non-empty meta was release-stored after the write-once keys.
+    if (slot.labels == labels && slot.tuple == tuple) {
+      // The key's one slot in this generation: seqlock read.
+      for (;;) {
+        const std::uint32_t state = meta & kStateMask;
+        if (state == kTombstone) return std::nullopt;
+        if (state == kOccupied) {
+          const FlowEntry entry{
+              slot.vnf_instance.load(std::memory_order_acquire),
+              slot.next_forwarder.load(std::memory_order_acquire),
+              slot.prev_element.load(std::memory_order_acquire)};
+          const std::uint32_t again =
+              slot.meta.load(std::memory_order_acquire);
+          if (again == meta) return entry;
+          meta = again;
+        } else {   // kWriting: a writer holds the shard mutex mid-write
+          meta = slot.meta.load(std::memory_order_acquire);
+        }
+      }
     }
     index = (index + 1) & array.mask;
   }
@@ -86,11 +111,9 @@ std::optional<FlowEntry> ShardedFlowTable::find(const Labels& labels,
   ++shard.stats.finds;
   const swb::EpochGuard guard{epoch_};
   const BucketArray& array = *shard.buckets.load(std::memory_order_acquire);
-  if (const FlowEntry* entry = probe(array, labels, tuple, hash)) {
-    ++shard.stats.hits;
-    return *entry;   // copied while the pin keeps the entry alive
-  }
-  return std::nullopt;
+  std::optional<FlowEntry> entry = probe(array, labels, tuple, hash);
+  if (entry) ++shard.stats.hits;
+  return entry;
 }
 
 std::optional<FlowEntry> ShardedFlowTable::find_mutex(
@@ -100,11 +123,9 @@ std::optional<FlowEntry> ShardedFlowTable::find_mutex(
   ++shard.stats.finds;
   const swb::MutexLock lock{shard.mutex};
   const BucketArray& array = *shard.buckets.load(std::memory_order_acquire);
-  if (const FlowEntry* entry = probe(array, labels, tuple, hash)) {
-    ++shard.stats.hits;
-    return *entry;
-  }
-  return std::nullopt;
+  std::optional<FlowEntry> entry = probe(array, labels, tuple, hash);
+  if (entry) ++shard.stats.hits;
+  return entry;
 }
 
 void ShardedFlowTable::find_batch(std::span<LookupRequest> batch) const {
@@ -128,10 +149,10 @@ void ShardedFlowTable::find_batch(std::span<LookupRequest> batch) const {
     }
     for (std::size_t i = 0; i < chunk; ++i) {
       LookupRequest& request = batch[base + i];
-      const FlowEntry* entry =
+      const std::optional<FlowEntry> entry =
           probe(*arrays[i], request.labels, request.tuple, request.hash);
-      request.hit = entry != nullptr;
-      if (entry != nullptr) {
+      request.hit = entry.has_value();
+      if (entry) {
         request.entry = *entry;
         ++shard_for_hash(request.hash).stats.hits;
       }
@@ -145,7 +166,7 @@ ShardedFlowTable::Slot* ShardedFlowTable::find_slot_locked(
   std::size_t index = hash & array.mask;
   for (;;) {
     Slot& slot = array.slots[index];
-    const std::uint8_t state = slot.state.load(std::memory_order_relaxed);
+    const std::uint32_t state = slot.state();
     if (state == kEmpty) return nullptr;
     if (state == kOccupied && slot.labels == labels && slot.tuple == tuple) {
       return &slot;
@@ -163,37 +184,24 @@ void ShardedFlowTable::insert_locked(Shard& shard, const Labels& labels,
   std::size_t index = hash & array.mask;
   for (;;) {
     Slot& slot = array.slots[index];
-    const std::uint8_t state = slot.state.load(std::memory_order_relaxed);
-    const bool matches =
-        state != kEmpty && slot.labels == labels && slot.tuple == tuple;
-    if (state == kOccupied && matches) {
-      // Overwrite: install a fresh immutable entry, retire the old one.
-      // Readers pinned before the swap keep dereferencing the retired
-      // entry until their grace period ends.
-      const FlowEntry* old = slot.entry.load(std::memory_order_relaxed);
-      slot.entry.store(new FlowEntry{entry}, std::memory_order_release);
-      epoch_.retire(const_cast<FlowEntry*>(old));
-      return;
-    }
-    if (state == kTombstone && matches) {
-      // Revive: this key's one slot in this array generation.  The fresh
-      // pointer must be installed BEFORE the tombstone->occupied flip —
-      // the slot's previous entry was retired at erase time and may
-      // already be freed.
-      slot.entry.store(new FlowEntry{entry}, std::memory_order_release);
-      slot.state.store(kOccupied, std::memory_order_release);
-      --shard.tombstones;
-      ++shard.live;
-      return;
-    }
+    const std::uint32_t state = slot.state();
     if (state == kEmpty) {
-      // Fresh claim: keys first (plain, write-once), then the payload,
-      // then the release-store that makes the slot visible to readers.
+      // Fresh claim: keys first (plain, write-once), then the seqlock
+      // write whose meta release-stores make the slot visible to readers.
       slot.labels = labels;
       slot.tuple = tuple;
-      slot.entry.store(new FlowEntry{entry}, std::memory_order_release);
-      slot.state.store(kOccupied, std::memory_order_release);
+      slot.publish(entry);
       ++shard.live;
+      return;
+    }
+    if (slot.labels == labels && slot.tuple == tuple) {
+      // Overwrite, or revive of this key's one slot in this array
+      // generation: rewrite the entry in place.
+      slot.publish(entry);
+      if (state == kTombstone) {
+        --shard.tombstones;
+        ++shard.live;
+      }
       return;
     }
     index = (index + 1) & array.mask;
@@ -211,22 +219,18 @@ void ShardedFlowTable::maybe_grow(Shard& shard) {
   const std::size_t capacity = std::bit_ceil(
       std::max<std::size_t>((shard.live + 1) * 2, kMinShardCapacity));
   auto* fresh = new BucketArray{capacity};
-  for (Slot& slot : old->slots) {
-    if (slot.state.load(std::memory_order_relaxed) != kOccupied) continue;
-    // Entries keep their identity across the rehash: only the pointer
-    // moves.  The fresh array is unpublished, so relaxed stores suffice —
-    // the release-publication below makes it visible wholesale.
+  for (const Slot& slot : old->slots) {
+    if (slot.state() != kOccupied) continue;
+    // The fresh array is unpublished: the release-publication below makes
+    // its keys and entries visible wholesale.
     std::size_t index = flow_hash(slot.labels, slot.tuple) & fresh->mask;
-    while (fresh->slots[index].state.load(std::memory_order_relaxed) !=
-           kEmpty) {
+    while (fresh->slots[index].state() != kEmpty) {
       index = (index + 1) & fresh->mask;
     }
     Slot& target = fresh->slots[index];
     target.labels = slot.labels;
     target.tuple = slot.tuple;
-    target.entry.store(slot.entry.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    target.state.store(kOccupied, std::memory_order_relaxed);
+    target.publish(slot.entry_locked());
   }
   shard.buckets.store(fresh, std::memory_order_release);
   shard.tombstones = 0;
@@ -252,7 +256,7 @@ FlowEntry ShardedFlowTable::insert_if_absent(const Labels& labels,
   const swb::MutexLock lock{shard.mutex};
   BucketArray& array = *shard.buckets.load(std::memory_order_relaxed);
   if (const Slot* slot = find_slot_locked(array, labels, tuple, hash)) {
-    return *slot->entry.load(std::memory_order_relaxed);
+    return slot->entry_locked();
   }
   ++shard.stats.inserts;
   insert_locked(shard, labels, tuple, hash, entry);
@@ -266,13 +270,9 @@ bool ShardedFlowTable::erase(const Labels& labels, const FiveTuple& tuple) {
   BucketArray& array = *shard.buckets.load(std::memory_order_relaxed);
   Slot* slot = find_slot_locked(array, labels, tuple, hash);
   if (slot == nullptr) return false;
-  // Tombstone first (release: a reader that sees the tombstone sees a
-  // coherent slot), then retire the entry.  The pointer stays in place —
-  // readers that loaded `occupied` before the flip may still read it
-  // within their grace period; a revive replaces it before re-occupying.
-  slot->state.store(kTombstone, std::memory_order_release);
-  epoch_.retire(
-      const_cast<FlowEntry*>(slot->entry.load(std::memory_order_relaxed)));
+  // The entry fields stay in place: a reader that loaded `occupied` before
+  // the tombstone sees the version change on its reload and retries.
+  slot->bury();
   ++shard.tombstones;
   --shard.live;
   ++shard.stats.erases;
@@ -309,12 +309,6 @@ void ShardedFlowTable::clear() {
   const auto guards = lock_all();
   for (const std::unique_ptr<Shard>& shard : shards_) {
     BucketArray* old = shard->buckets.load(std::memory_order_relaxed);
-    for (Slot& slot : old->slots) {
-      if (slot.state.load(std::memory_order_relaxed) == kOccupied) {
-        epoch_.retire(
-            const_cast<FlowEntry*>(slot.entry.load(std::memory_order_relaxed)));
-      }
-    }
     shard->buckets.store(new BucketArray{per_shard_capacity_},
                          std::memory_order_release);
     epoch_.retire(old);
@@ -331,12 +325,10 @@ std::size_t ShardedFlowTable::update_each(
   for (const std::unique_ptr<Shard>& shard : shards_) {
     BucketArray& array = *shard->buckets.load(std::memory_order_relaxed);
     for (Slot& slot : array.slots) {
-      if (slot.state.load(std::memory_order_relaxed) != kOccupied) continue;
-      const FlowEntry* current = slot.entry.load(std::memory_order_relaxed);
-      FlowEntry draft = *current;
+      if (slot.state() != kOccupied) continue;
+      FlowEntry draft = slot.entry_locked();
       if (!fn(slot.labels, slot.tuple, draft)) continue;
-      slot.entry.store(new FlowEntry{draft}, std::memory_order_release);
-      epoch_.retire(const_cast<FlowEntry*>(current));
+      slot.publish(draft);
       ++updated;
     }
   }
@@ -350,7 +342,6 @@ std::size_t ShardedFlowTable::memory_bytes() const {
     const BucketArray& array =
         *shard->buckets.load(std::memory_order_relaxed);
     bytes += sizeof(BucketArray) + array.slots.size() * sizeof(Slot);
-    bytes += shard->live * sizeof(FlowEntry);
   }
   return bytes;
 }
@@ -379,15 +370,14 @@ void ShardedFlowTable::check_invariants() const {
     std::size_t tombstones = 0;
     for (std::size_t i = 0; i < array.slots.size(); ++i) {
       const Slot& slot = array.slots[i];
-      const std::uint8_t state = slot.state.load(std::memory_order_acquire);
+      const std::uint32_t state = slot.state();
+      SWB_CHECK(state != kWriting) << "slot left mid-write";
       if (state == kTombstone) {
         ++tombstones;
         continue;
       }
       if (state != kOccupied) continue;
       ++occupied;
-      SWB_CHECK(slot.entry.load(std::memory_order_acquire) != nullptr)
-          << "occupied slot with null entry";
       const std::uint64_t hash = flow_hash(slot.labels, slot.tuple);
       // Sharding invariant: every key is in the shard its hash selects.
       SWB_CHECK_EQ(rss_shard(hash, shards_.size()), s)
@@ -396,8 +386,7 @@ void ShardedFlowTable::check_invariants() const {
       // the slot actually holding the key.
       for (std::size_t p = hash & array.mask; p != i;
            p = (p + 1) & array.mask) {
-        SWB_CHECK(array.slots[p].state.load(std::memory_order_acquire) !=
-                  kEmpty)
+        SWB_CHECK(array.slots[p].state() != kEmpty)
             << "occupied slot unreachable from its probe start";
       }
     }

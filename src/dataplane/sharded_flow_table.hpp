@@ -7,26 +7,35 @@
 // open-addressing, linear-probing bucket array published through an
 // atomic pointer.  Keys are assigned to shards by the *top* bits of the
 // flow hash — the per-shard arrays probe on the low bits, so shard
-// selection must not correlate with probe position.
+// selection must not correlate with probe position.  The FlowEntry lives
+// INLINE in its 40-byte slot: a lookup touches the slot and nothing else,
+// and a flow write allocates nothing.
 //
 // Read path (find / find_batch — the per-packet hot path): NO MUTEX.
 // A reader pins an epoch (swb::EpochGuard), acquire-loads the shard's
-// bucket array pointer, and probes.  Slot protocol:
-//   * `state` is an atomic byte: empty -> occupied (insert) and
-//     occupied -> tombstone (erase) are the only transitions inside one
-//     array generation; a slot's KEY FIELDS are written exactly once,
-//     before the empty->occupied release-store, so a reader that
-//     acquire-loads `occupied` always sees fully-written keys;
-//   * the payload is an atomic pointer to an IMMUTABLE heap FlowEntry —
-//     updates install a fresh pointer (whole-entry atomicity, no torn
-//     reads) and retire the old one through the epoch domain;
-//   * rehash builds a new array off-line, release-publishes it, and
-//     retires the old array; pinned readers keep probing the retired
-//     array safely until their grace period ends (see common/epoch.hpp).
-// A tombstone slot is revived only for the IDENTICAL key (fresh pointer
-// installed before the tombstone->occupied flip); a different key always
-// claims an empty slot, so keys are never rewritten while an array is
-// reachable.  Tombstones are purged at rehash.
+// bucket array pointer, and probes.  Slot protocol (a per-slot seqlock):
+//   * `meta` is an atomic word `(version << 2) | state`, state one of
+//     empty, occupied, tombstone or writing.  A slot's KEY FIELDS are
+//     written exactly once, before its first release-store of meta, so a
+//     reader that acquire-loads a non-empty meta always sees them;
+//   * the three entry fields are atomics.  A writer (serialized by the
+//     shard mutex) release-stores meta = writing, release-stores the
+//     fields, then release-stores the next version as occupied.  A reader
+//     acquire-loads meta, acquire-loads the fields, reloads meta and
+//     retries if it changed: a field load that saw a new value
+//     synchronizes with its release-store, so the reload sees at least
+//     the writing mark.  No fence is needed, and on x86 every one of
+//     these accesses is a plain mov;
+//   * erase release-stores the next version as a tombstone; overwrite,
+//     revive and update_each rewrite the slot in place;
+//   * rehash builds a new array off-line (entries are copied),
+//     release-publishes it, and retires the old array; pinned readers
+//     keep probing the retired array safely until their grace period
+//     ends (see common/epoch.hpp).  Bucket arrays are the only objects
+//     the epoch domain retires.
+// A tombstone slot is revived only for the IDENTICAL key; a different key
+// always claims an empty slot, so keys are never rewritten while an array
+// is reachable.  Tombstones are purged at rehash.
 //
 // Write path: per-key mutations (insert / insert_if_absent / erase) take
 // exactly ONE shard mutex (swb::Mutex + TSA, as before); whole-table
@@ -168,8 +177,8 @@ class ShardedFlowTable {
   /// Visits every live entry under ALL shard locks (taken in index order);
   /// `fn` must not call back into this table.  Shards are visited in index
   /// order, entries within a shard in slot order — deterministic for a
-  /// quiesced table.  READ-ONLY: entries are immutable once published —
-  /// use update_each() to mutate.
+  /// quiesced table.  READ-ONLY: `fn` sees a copy — use update_each() to
+  /// mutate.
   // NO_THREAD_SAFETY_ANALYSIS: lock_all() acquires a *dynamic* set of
   // shard mutexes through std::unique_lock, which the analysis cannot
   // model (a capability must be a named lock expression).  The runtime
@@ -181,10 +190,8 @@ class ShardedFlowTable {
       const BucketArray& array =
           *shard->buckets.load(std::memory_order_acquire);
       for (const Slot& slot : array.slots) {
-        if (slot.state.load(std::memory_order_acquire) ==
-            static_cast<std::uint8_t>(SlotState::kOccupied)) {
-          fn(slot.labels, slot.tuple,
-             *slot.entry.load(std::memory_order_acquire));
+        if (slot.state() == kOccupied) {
+          fn(slot.labels, slot.tuple, slot.entry_locked());
         }
       }
     }
@@ -192,25 +199,26 @@ class ShardedFlowTable {
 
   /// In-place whole-table update (drain, rewrites): visits every live
   /// entry under ALL shard locks with a mutable copy; when `fn` returns
-  /// true the copy is installed as a fresh immutable entry and the old
-  /// one is retired through the epoch domain (concurrent lock-free
-  /// readers see either the old or the new entry, never a torn one).
-  /// Returns the number of entries updated.
+  /// true the copy is written back into the slot under the seqlock
+  /// (concurrent lock-free readers see either the old or the new entry,
+  /// never a torn one).  Returns the number of entries updated.
   std::size_t update_each(
       const std::function<bool(const Labels&, const FiveTuple&, FlowEntry&)>&
           fn) SWB_NO_THREAD_SAFETY_ANALYSIS;
 
   /// Audits every shard's structural invariants plus the sharding invariant
   /// itself: each key is stored in the shard its hash selects, occupied /
-  /// tombstone counts match the shard counters, every occupied slot holds
-  /// a non-null entry and is reachable from its probe start without
+  /// tombstone counts match the shard counters, no slot is left mid-write,
+  /// and every occupied slot is reachable from its probe start without
   /// crossing an empty slot.  Takes all shard locks in index order, so it
   /// is safe to run concurrently with worker threads.
   void check_invariants() const SWB_NO_THREAD_SAFETY_ANALYSIS;
 
-  /// Resident bytes of the table proper: bucket arrays plus live entry
-  /// heap blocks (malloc overhead excluded).  For the annotation-mode
-  /// ablation: annotation mode keeps no per-flow bytes at all.
+  /// Resident bytes of the table proper: the shards and their bucket
+  /// arrays, whose slots hold the entries inline, so the figure depends on
+  /// the array capacities, not on the live count (malloc overhead
+  /// excluded).  For the annotation-mode ablation: annotation mode keeps
+  /// no per-flow bytes at all.
   [[nodiscard]] std::size_t memory_bytes() const
       SWB_NO_THREAD_SAFETY_ANALYSIS;
 
@@ -219,25 +227,51 @@ class ShardedFlowTable {
   [[nodiscard]] swb::EpochDomain& epoch_domain() const { return epoch_; }
 
  private:
-  enum class SlotState : std::uint8_t { kEmpty = 0, kOccupied = 1,
-                                        kTombstone = 2 };
+  /// Slot states: the low two bits of Slot::meta.
+  static constexpr std::uint32_t kEmpty = 0;
+  static constexpr std::uint32_t kOccupied = 1;
+  static constexpr std::uint32_t kTombstone = 2;
+  static constexpr std::uint32_t kWriting = 3;
+  static constexpr std::uint32_t kStateMask = 3;
 
-  /// One bucket.  Key fields are plain: they are written exactly once,
-  /// before the empty->occupied release-store, and never touched again
-  /// within the array generation (readers only load them after
-  /// acquire-loading state == occupied).
+  /// One bucket, entry inline.  Key fields are plain: they are written
+  /// exactly once, before the slot's first meta release-store, and never
+  /// touched again within the array generation (readers only load them
+  /// after acquire-loading a non-empty meta).  The entry fields are
+  /// written under the seqlock protocol of the header comment.
   struct Slot {
-    std::atomic<std::uint8_t> state{
-        static_cast<std::uint8_t>(SlotState::kEmpty)};
+    /// `(version << 2) | state`; the version advances on every publish
+    /// and erase, so a reader's reload detects any write in between.
+    std::atomic<std::uint32_t> meta{kEmpty};
     Labels labels;
     FiveTuple tuple;
-    std::atomic<const FlowEntry*> entry{nullptr};
+    std::atomic<ElementId> vnf_instance{0};
+    std::atomic<ElementId> next_forwarder{0};
+    std::atomic<ElementId> prev_element{0};
+
+    /// The state as last stored; writers only (shard mutex held).
+    [[nodiscard]] std::uint32_t state() const {
+      return meta.load(std::memory_order_relaxed) & kStateMask;
+    }
+    /// The entry as last written; writers only (shard mutex held).
+    [[nodiscard]] FlowEntry entry_locked() const {
+      return FlowEntry{vnf_instance.load(std::memory_order_relaxed),
+                       next_forwarder.load(std::memory_order_relaxed),
+                       prev_element.load(std::memory_order_relaxed)};
+    }
+    /// Seqlock write (shard mutex held, keys already in place): marks
+    /// the slot writing, release-stores `entry`, then publishes the next
+    /// version as occupied.
+    void publish(const FlowEntry& entry);
+    /// Erase (shard mutex held): the next version as a tombstone.
+    void bury();
   };
+  static_assert(sizeof(Slot) == 40,
+                "meta word, keys and the inline entry: 40 bytes per slot");
 
   /// A power-of-two probe array.  Published via Shard::buckets with
-  /// release order; retired (never freed in place) on rehash.  Does NOT
-  /// own the FlowEntry heap blocks — entry pointers migrate to the
-  /// replacement array on rehash.
+  /// release order; retired (never freed in place) on rehash, which copies
+  /// the live entries into the replacement array.
   struct BucketArray {
     explicit BucketArray(std::size_t capacity)
         : slots(capacity), mask{capacity - 1} {}
@@ -275,12 +309,11 @@ class ShardedFlowTable {
     return *shards_[rss_shard(hash, shards_.size())];
   }
 
-  /// Lock-free probe of one published array; returns the entry pointer
-  /// (valid while the caller's epoch pin is held) or nullptr.
-  [[nodiscard]] static const FlowEntry* probe(const BucketArray& array,
-                                              const Labels& labels,
-                                              const FiveTuple& tuple,
-                                              std::uint64_t hash);
+  /// Lock-free probe of one published array (the caller holds an epoch
+  /// pin or the shard mutex); returns a consistent copy of the entry.
+  [[nodiscard]] static std::optional<FlowEntry> probe(
+      const BucketArray& array, const Labels& labels, const FiveTuple& tuple,
+      std::uint64_t hash);
 
   /// Writer-side probe: the occupied slot holding the key, or nullptr.
   [[nodiscard]] static Slot* find_slot_locked(BucketArray& array,

@@ -343,6 +343,33 @@ TYPED_TEST(RetainedReplay, LateSubscriberGetsEachRetainedPayloadOnce) {
   EXPECT_EQ(received, (std::vector<std::string>{"a", "b", "c"}));
 }
 
+// The retained store against the one it replaced: a list searched with
+// std::find, a republished payload rotated to the end.  Seeded random
+// sequences over a small payload pool republish often; the late replay
+// must deliver exactly the reference's payloads, in its order.
+TYPED_TEST(RetainedReplay, MatchesListAndFindReferenceOverRandomRepublishes) {
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    Rng rng{seed};
+    const std::int64_t pool = rng.uniform_int(1, 12);
+    const std::int64_t publishes = rng.uniform_int(1, 80);
+    std::vector<std::string> sequence;
+    std::vector<std::string> reference;
+    for (std::int64_t i = 0; i < publishes; ++i) {
+      std::string payload =
+          "route;id=" + std::to_string(rng.uniform_int(0, pool - 1));
+      const auto it = std::find(reference.begin(), reference.end(), payload);
+      if (it == reference.end()) {
+        reference.push_back(payload);
+      } else {
+        std::rotate(it, it + 1, reference.end());
+      }
+      sequence.push_back(std::move(payload));
+    }
+    EXPECT_EQ(this->late_replay("/chains/all", sequence), reference)
+        << "seed " << seed;
+  }
+}
+
 TYPED_TEST(RetainedReplay, HealthTopicReplaysNothing) {
   EXPECT_TRUE(this->late_replay("/health/site_0", {"beat1", "beat2"}).empty());
 }

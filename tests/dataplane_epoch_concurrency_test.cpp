@@ -2,12 +2,13 @@
 // tsan concurrency-stress step (every *_concurrency_test binary with
 // TSAN_OPTIONS=halt_on_error=1).
 //
-// Readers drive find_batch()/process_batch() with NO locks while a
-// writer churns inserts, erases, overwrites and forced rehashes, retiring
-// bucket arrays and entries through the epoch domain the whole time.  The
-// assertions are exactly the epoch protocol's promises:
-//   * no torn entry: every entry is written with all three fields equal
-//     to its key, so any mixed-generation or half-visible read fails;
+// Readers drive find()/find_batch()/process_batch() with NO locks while
+// a writer churns inserts, erases, overwrites and forced rehashes.  Entries
+// live inline in the slots and are rewritten in place under a per-slot
+// seqlock; only bucket arrays are retired through the epoch domain.  The
+// assertions are exactly the read protocol's promises:
+//   * no torn entry: every write stores one generation in all three
+//     fields, so a read that mixes two writes fails;
 //   * no reclaimed memory: TSan (and ASan on the asan-ubsan preset)
 //     flags any use-after-free if a grace period is computed wrong;
 //   * quiesced reclamation drains: once readers unpin, try_reclaim()
@@ -89,10 +90,9 @@ TEST(DataplaneEpochConcurrency, BatchedReadersNeverSeeTornOrReclaimedState) {
     }
   }};
 
-  // The writer: grow the live set (forcing rehashes), overwrite it
-  // (retiring entries), erase half (tombstones + retired entries), and
-  // occasionally revive erased keys — every retire path under live read
-  // traffic.
+  // The writer: grow the live set (forcing rehashes), overwrite it in
+  // place, erase half (tombstones), and occasionally revive erased keys —
+  // every write path under live read traffic.
   for (int round = 0; round < 20; ++round) {
     for (std::uint32_t key = 0; key < kKeys; ++key) {
       table.insert(labels, make_tuple(key), FlowEntry{key, key, key});
@@ -124,6 +124,85 @@ TEST(DataplaneEpochConcurrency, BatchedReadersNeverSeeTornOrReclaimedState) {
     ASSERT_TRUE(entry.has_value()) << key;
     EXPECT_EQ(entry->vnf_instance, key);
   }
+}
+
+// The seqlock's whole-entry atomicity: the writer rewrites a few hot keys
+// with a NEW generation {g, g, g} on every write — plain overwrites plus
+// erase-then-insert_if_absent revives — while readers probe exactly those
+// keys through find() and find_batch().  A read that returns fields of two
+// different writes is a torn read.  (The test above cannot catch one: it
+// always writes {key, key, key}, so old and new fields are equal.)
+TEST(DataplaneEpochConcurrency, HotKeyRewritesNeverTearAnEntry) {
+  constexpr std::size_t kReaders = 3;
+  constexpr std::uint32_t kHotKeys = 4;
+  constexpr std::uint32_t kWrites = 200'000;
+  constexpr std::size_t kBatch = 32;
+
+  ShardedFlowTable table{64, 2};
+  const Labels labels{9, 9};
+  for (std::uint32_t key = 0; key < kHotKeys; ++key) {
+    table.insert(labels, make_tuple(key), FlowEntry{0, 0, 0});
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> started{0};
+  std::atomic<std::uint64_t> torn{0};
+  std::atomic<std::uint64_t> total_hits{0};
+  auto is_torn = [](const FlowEntry& entry) {
+    return entry.vnf_instance != entry.next_forwarder ||
+           entry.next_forwarder != entry.prev_element;
+  };
+
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      std::vector<ShardedFlowTable::LookupRequest> batch{kBatch};
+      std::uint64_t local_torn = 0;
+      std::uint64_t hits = 0;
+      std::uint32_t cursor = static_cast<std::uint32_t>(r);
+      started.fetch_add(1, std::memory_order_relaxed);
+      while (!stop.load(std::memory_order_relaxed)) {
+        for (ShardedFlowTable::LookupRequest& request : batch) {
+          request.labels = labels;
+          request.tuple = make_tuple(cursor++ % kHotKeys);
+          request.hit = false;
+        }
+        table.find_batch(batch);
+        for (const ShardedFlowTable::LookupRequest& request : batch) {
+          if (!request.hit) continue;
+          ++hits;
+          if (is_torn(request.entry)) ++local_torn;
+        }
+        if (const auto entry =
+                table.find(labels, make_tuple(cursor++ % kHotKeys))) {
+          ++hits;
+          if (is_torn(*entry)) ++local_torn;
+        }
+      }
+      torn.fetch_add(local_torn, std::memory_order_relaxed);
+      total_hits.fetch_add(hits, std::memory_order_relaxed);
+    });
+  }
+
+  while (started.load(std::memory_order_relaxed) < kReaders) {
+    std::this_thread::yield();
+  }
+  for (std::uint32_t g = 1; g <= kWrites; ++g) {
+    const FiveTuple tuple = make_tuple(g % kHotKeys);
+    if (g % 3 == 0) {
+      (void)table.erase(labels, tuple);
+      (void)table.insert_if_absent(labels, tuple, FlowEntry{g, g, g});
+    } else {
+      (void)table.insert(labels, tuple, FlowEntry{g, g, g});
+    }
+  }
+
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(torn.load(), 0u) << "reads mixing two generations";
+  EXPECT_GT(total_hits.load(), 0u);
+  table.check_invariants();
+  EXPECT_EQ(table.size(), kHotKeys);
 }
 
 // Full-stack version: reader threads drive Forwarder::process_batch()
