@@ -189,8 +189,7 @@ int main(int argc, char** argv) {
     options.objective = te::LpObjective::kMaxThroughput;
 
     // Cold refinement establishes the basis.
-    engine.refine_with_lp(options);
-    SWB_CHECK(engine.lp_refinement().optimal());
+    SWB_CHECK(engine.refine_with_lp(options).optimal());
 
     // Perturb one link's background traffic: same LP shape, one rhs moves.
     const LinkId link{0};
@@ -201,7 +200,7 @@ int main(int argc, char** argv) {
     const double cold_sec = seconds_since(start);
 
     start = std::chrono::steady_clock::now();
-    const te::LpRoutingResult& warm = engine.refine_with_lp(options);
+    const te::LpRoutingResult warm = engine.refine_with_lp(options);
     const double warm_sec = seconds_since(start);
 
     SWB_CHECK(cold.status == warm.status);

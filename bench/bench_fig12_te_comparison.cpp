@@ -21,6 +21,7 @@
 #include "bench_json.hpp"
 #include "common/check.hpp"
 #include "net/routing.hpp"
+#include "reference/dp_reference.hpp"
 #include "switchboard/switchboard.hpp"
 
 namespace {
@@ -221,15 +222,15 @@ int main(int argc, char** argv) {
     const model::NetworkModel m = model::make_scenario(params);
     const int repeats = session.smoke() ? 3 : 7;
 
-    // Cached vs uncached DP solve: identical solutions, bit for bit.
-    const te::DpResult reference = te::solve_dp_routing(m);
+    // The library's cached DP solve vs the uncached reference solve of
+    // tests/reference: identical solutions, bit for bit.
+    const te::DpResult reference = te::solve_dp_routing_reference(m);
     const double uncached_ms = min_wall_ms(repeats, [&] {
-      const te::DpResult r = te::solve_dp_routing(m);
+      const te::DpResult r = te::solve_dp_routing_reference(m);
       SWB_CHECK(r.routed_volume == reference.routed_volume);
     });
-    te::TeEngine engine{m};
     const double cached_ms = min_wall_ms(repeats, [&] {
-      const te::DpResult& r = engine.solve();
+      const te::DpResult r = te::solve_dp_routing(m);
       SWB_CHECK(r.routed_volume == reference.routed_volume);
     });
     std::printf("cached DP solve:      %8.2f ms vs %8.2f ms uncached "

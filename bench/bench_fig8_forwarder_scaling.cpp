@@ -17,10 +17,11 @@
 //      uncontended locks.
 //
 // A third series (DESIGN.md §15) sweeps live-flow count 10^5 -> 10^7 across
-// the three data-plane read modes — epoch (lock-free batched SoA pipeline),
-// mutex (per-shard-lock ablation) and annotation (Active-Switching-style
-// steering affix, no per-packet table lookup) — reporting ns/pkt and
-// Mpps/core.  Packet counts and the flow-pinning digest are bit-identical
+// three ways to read steering state — epoch (the forwarder's lock-free
+// batched SoA pipeline), mutex (the lock-per-lookup baseline of
+// tests/reference: a per-shard lock around each packet's epoch read) and
+// annotation (Active-Switching-style steering affix, no per-packet table
+// lookup) — reporting ns/pkt and Mpps/core.  Packet counts and the flow-pinning digest are bit-identical
 // across modes and thread counts; the binary aborts if they are not.
 //
 // Flags: --threads N (sharded sweep up to N; default 8 capped at the host),
@@ -40,6 +41,7 @@
 #include "common/check.hpp"
 #include "dataplane/forwarder.hpp"
 #include "dataplane/traffic_gen.hpp"
+#include "reference/lock_per_lookup.hpp"
 
 namespace {
 
@@ -230,7 +232,8 @@ std::vector<std::vector<Packet>> make_worker_batches(std::size_t workers,
 /// Timed section shared by the sweep runners: every worker makes `passes`
 /// full passes over its batch, so the total packet count is exactly
 /// passes * flows — independent of the worker count (RSS partitions the
-/// flow set) and of the read mode (every packet hits an established pin).
+/// flow set) and of the row's read path (every packet hits an established
+/// pin).
 template <typename PassFn>
 SweepRun run_timed_passes(std::vector<std::vector<Packet>>& batches,
                           std::size_t passes, PassFn&& run_pass) {
@@ -258,18 +261,20 @@ SweepRun run_timed_passes(std::vector<std::vector<Packet>>& batches,
   return run;
 }
 
-/// Flow-table modes: epoch (lock-free batched pipeline) or mutex (per-shard
-/// lock ablation), over `flows` preloaded flows.
-SweepRun run_flow_scale_table(ReadMode mode, std::size_t workers,
+/// Flow-table rows over `flows` preloaded flows: epoch (the forwarder's
+/// lock-free batched pipeline) or, with `lock_per_lookup`, the per-packet
+/// baseline that takes a per-shard lock around each epoch read.
+SweepRun run_flow_scale_table(bool lock_per_lookup, std::size_t workers,
                               std::uint32_t flows, std::size_t passes) {
   Forwarder forwarder{1, flows * 2, workers};
-  forwarder.set_read_mode(mode);
   install_rule(forwarder);
   preload_flows(forwarder, flows, 42);
   auto batches = make_worker_batches(workers, flows);
+  LockPerLookup locks{forwarder.flow_table().shard_count()};
 
   SweepRun run = run_timed_passes(batches, passes, [&](std::vector<Packet>& b) {
-    return forwarder.process_batch(b);
+    return lock_per_lookup ? locks.process_batch(forwarder, b)
+                           : forwarder.process_batch(b);
   });
 
   TrafficGenConfig config;
@@ -347,10 +352,8 @@ void flow_scale_sweep(swb_bench::Session& session) {
         const char* name;
         SweepRun run;
       } rows[] = {
-          {"epoch", run_flow_scale_table(ReadMode::kEpochRead, threads, flows,
-                                         passes)},
-          {"mutex", run_flow_scale_table(ReadMode::kMutexRead, threads, flows,
-                                         passes)},
+          {"epoch", run_flow_scale_table(false, threads, flows, passes)},
+          {"mutex", run_flow_scale_table(true, threads, flows, passes)},
           {"annotation", run_flow_scale_annotation(threads, flows, passes)},
       };
       for (const auto& [name, run] : rows) {
@@ -449,7 +452,8 @@ void print_figure8_tables(swb_bench::Session& session,
     session.add("shared_nothing_scaling")
         .param("cores", static_cast<double>(cores))
         .param("flows_per_core", big_flows)
-        .metric("throughput_pps", pps);
+        .metric("throughput_pps", pps)
+        .metric("oversubscribed", cores > hw ? 1.0 : 0.0);
   }
 
   std::printf("\n-- sharded: ONE forwarder, N RSS workers over %u flows --\n",
@@ -465,7 +469,8 @@ void print_figure8_tables(swb_bench::Session& session,
         .param("threads", static_cast<double>(threads))
         .param("flows", big_flows)
         .metric("throughput_pps", pps)
-        .metric("speedup_vs_1_thread", pps / single);
+        .metric("speedup_vs_1_thread", pps / single)
+        .metric("oversubscribed", threads > hw ? 1.0 : 0.0);
   }
   std::printf(
       "Paper (Xeon E5-2470 + XL710): 7 Mpps @ 1 core, +3-4 Mpps/core, \n"

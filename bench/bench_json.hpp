@@ -7,8 +7,9 @@
 // so CI's bench-smoke job can run the whole bench suite quickly, merge the
 // per-binary files into BENCH_pr.json, and track the perf trajectory per
 // PR.  Records carry a name, parameters, and metrics (conventional keys:
-// "throughput_pps", "p50_ms", "p99_ms", ...) plus the git sha the binary
-// was built from.
+// "throughput_pps", "p50_ms", "p99_ms", ...); the file also records the git
+// sha the binary was built from and the host's hardware_concurrency, so
+// wall-clock metrics can be read against the cores they ran on.
 //
 // Usage:
 //   int main(int argc, char** argv) {
@@ -28,6 +29,7 @@
 #include <cstring>
 #include <deque>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -193,10 +195,12 @@ class Session {
       return;
     }
     std::fprintf(out, "{\n  \"bench\": \"%s\",\n  \"git_sha\": \"%s\",\n"
-                 "  \"smoke\": %s,\n  \"results\": [\n",
+                 "  \"smoke\": %s,\n  \"hardware_concurrency\": %u,\n"
+                 "  \"results\": [\n",
                  detail::json_escape(bench_name_).c_str(),
                  detail::json_escape(detail::current_git_sha()).c_str(),
-                 smoke_ ? "true" : "false");
+                 smoke_ ? "true" : "false",
+                 std::thread::hardware_concurrency());
     for (std::size_t i = 0; i < records_.size(); ++i) {
       std::fprintf(out, "%s%s\n", records_[i].to_json().c_str(),
                    i + 1 < records_.size() ? "," : "");

@@ -24,3 +24,5 @@ sb_add_bench(bench_ablation_dataplane)
 sb_add_bench(bench_ext_dynamics)
 sb_add_bench(bench_ext_scale)
 target_link_libraries(bench_ext_scale PRIVATE sb_lp_reference)
+target_link_libraries(bench_fig8_forwarder_scaling PRIVATE sb_dataplane_reference)
+target_link_libraries(bench_fig12_te_comparison PRIVATE sb_te_reference)

@@ -239,7 +239,10 @@ void MessageBus::deliver_to(const SubscriberCallback& callback,
 }
 
 void MessageBus::retain(const Topic& topic, const std::string& payload) {
-  if (!config_.retain_messages || transient_topic(topic.path)) return;
+  if (!config_.retain_messages || transient_topic(topic.path) ||
+      topic.path.starts_with(kReplicationPrefix)) {
+    return;
+  }
   RetainedTopic& retained = retained_[{topic.publisher_site, topic.path}];
   const auto found = retained.position_of.find(payload);
   if (found == retained.position_of.end()) {

@@ -45,14 +45,15 @@ Topic anycast_topic(SiteId from, SiteId to) {
 Topic replication_stream_topic(std::uint32_t from_replica,
                                std::uint32_t to_replica,
                                SiteId publisher_site) {
-  return Topic{"/ctl/repl/" + std::to_string(from_replica) + "_" +
-                   std::to_string(to_replica),
+  return Topic{std::string{kReplicationPrefix} + std::to_string(from_replica) +
+                   "_" + std::to_string(to_replica),
                publisher_site};
 }
 
 Topic replication_ack_topic(std::uint32_t from_replica,
                             std::uint32_t to_replica, SiteId publisher_site) {
-  return Topic{"/ctl/repl/ack/" + std::to_string(from_replica) + "_" +
+  return Topic{std::string{kReplicationPrefix} + "ack/" +
+                   std::to_string(from_replica) + "_" +
                    std::to_string(to_replica),
                publisher_site};
 }

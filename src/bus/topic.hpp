@@ -19,6 +19,12 @@ namespace switchboard::bus {
 /// the bus never retains and never retransmits them.
 inline constexpr std::string_view kTransientPrefix = "/health/";
 
+/// Path prefix of the journal-replication topics (stream frames and acks):
+/// reliable, but never retained.  Every replica subscribes to every stream
+/// and ack topic up front and a restored replica re-syncs by snapshot
+/// install, so no subscriber ever arrives late to replay them to.
+inline constexpr std::string_view kReplicationPrefix = "/ctl/repl/";
+
 struct Topic {
   std::string path;
   /// The site whose elements publish on this topic; subscription filters

@@ -566,7 +566,7 @@ std::optional<std::vector<SiteId>> GlobalSwitchboard::compute_route(
   if (te_mode_ == TeMode::kSbLp && excluded.empty()) {
     te::LpRoutingOptions options;
     options.objective = te::LpObjective::kMaxThroughput;
-    const te::LpRoutingResult& lp = te_.refine_with_lp(options);
+    const te::LpRoutingResult lp = te_.refine_with_lp(options);
     if (lp.optimal()) {
       auto sites = te::primary_route_sites(context_.model, lp.routing,
                                            chain_id);

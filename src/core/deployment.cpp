@@ -282,7 +282,8 @@ void Deployment::enable_replication(std::uint32_t replicas) {
         [this, r, site](bool up) {
           if (up) return;   // restore goes through the reset path below
           replication_->crash_replica(r);
-          bus_->abandon_retransmits_to(site, "/ctl/repl/");
+          bus_->abandon_retransmits_to(site,
+                                       std::string{bus::kReplicationPrefix});
         },
         [this, r] {
           replication_->restore_replica(r);
@@ -301,7 +302,7 @@ void Deployment::enable_replication(std::uint32_t replicas) {
         leader_victim_ = replication_->leader();
         replication_->crash_replica(leader_victim_);
         bus_->abandon_retransmits_to(replication_->site_of(leader_victim_),
-                                     "/ctl/repl/");
+                                     std::string{bus::kReplicationPrefix});
       },
       [this] {
         replication_->restore_replica(leader_victim_);

@@ -116,29 +116,20 @@ ForwardAction Forwarder::process_from_wire(const Packet& packet) {
   const FiveTuple key = canonical_tuple(packet);
   ForwarderCounters& counters = cell_for(packet.labels, key);
   ++counters.from_wire;
-  return wire_resolve(packet, key, counters, lookup(packet.labels, key));
+  return wire_resolve(packet, key, counters,
+                      table_.find(packet.labels, key));
 }
 
 std::size_t Forwarder::process_batch(std::span<const Packet> packets,
                                      std::span<ForwardAction> actions) {
   SWB_CHECK(actions.empty() || actions.size() == packets.size())
       << "actions span must be empty or match the packet batch";
+  // SoA pipeline: find_batch hashes + prefetches + probes a chunk under
+  // one epoch pin; the act phase below then runs lock-free for hits and
+  // falls back to wire_resolve for misses and drained pinnings (both take
+  // the shard write lock, exactly like the per-packet path — so counters
+  // and actions stay byte-identical).
   std::size_t delivered = 0;
-  if (read_mode_ == ReadMode::kMutexRead) {
-    // Mutex ablation: the pre-epoch per-packet loop (one lock per lookup).
-    for (std::size_t i = 0; i < packets.size(); ++i) {
-      const ForwardAction action = process_from_wire(packets[i]);
-      if (!actions.empty()) actions[i] = action;
-      if (action.type != ActionType::kDrop) ++delivered;
-    }
-    return delivered;
-  }
-
-  // Epoch mode: SoA pipeline.  find_batch hashes + prefetches + probes a
-  // chunk under one epoch pin; the act phase below then runs lock-free
-  // for hits and falls back to wire_resolve for misses and drained
-  // pinnings (both take the shard write lock, exactly like the
-  // per-packet path — so counters and actions stay byte-identical).
   ShardedFlowTable::LookupRequest requests[kBatchChunk];
   for (std::size_t base = 0; base < packets.size(); base += kBatchChunk) {
     const std::size_t chunk = std::min(kBatchChunk, packets.size() - base);
@@ -221,7 +212,7 @@ ForwardAction Forwarder::process_from_attached(Packet& packet) {
   ++counters.from_attached;
   if (reaffixed) ++counters.label_reaffixed;
 
-  std::optional<FlowEntry> entry = lookup(packet.labels, key);
+  std::optional<FlowEntry> entry = table_.find(packet.labels, key);
   if (!entry) {
     // First packet of a connection entering from an attached ingress edge.
     ++counters.flow_misses;

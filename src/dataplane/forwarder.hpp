@@ -17,8 +17,10 @@
 // driven by N worker threads RSS-style.  Packets hash by (labels,
 // forward-direction 5-tuple) to a worker (worker_for()); each worker owns a
 // disjoint set of flow-table shards.  Flow lookups are lock-free epoch
-// reads (DESIGN.md §15); only flow-state writes (first packets, re-pins,
-// teardown) take their shard's lock.  process_from_wire /
+// reads (DESIGN.md §15) on every path; only flow-state writes (first
+// packets, re-pins, teardown) take their shard's lock.  fig8's
+// lock-per-lookup baseline wraps this read path from outside the library
+// (tests/reference/lock_per_lookup.hpp).  process_from_wire /
 // process_from_attached / process_batch are thread-safe for any
 // interleaving (per-shard writer locks + atomic counters); honoring the
 // worker mapping is what keeps writers off each other's shards.
@@ -53,12 +55,6 @@ enum class ActionType : std::uint8_t {
   kDrop,
 };
 
-/// How the wire-side hot path reads per-flow state (DESIGN.md §15).
-/// kEpochRead is the production path; kMutexRead is the pre-epoch
-/// design, kept as a benchmark ablation so fig8 can measure exactly what
-/// the lock-free read path buys.  Both produce byte-identical results.
-enum class ReadMode : std::uint8_t { kEpochRead, kMutexRead };
-
 struct ForwardAction {
   ActionType type{ActionType::kDrop};
   ElementId element{kNoElement};
@@ -90,12 +86,6 @@ class Forwarder {
   [[nodiscard]] ElementId id() const { return id_; }
   [[nodiscard]] std::size_t worker_count() const { return worker_count_; }
 
-  /// Flow-state read mode for the wire-side hot path.  Set it while
-  /// workers are quiesced (like rule installs); both modes yield
-  /// identical actions and counters.
-  void set_read_mode(ReadMode mode) { read_mode_ = mode; }
-  [[nodiscard]] ReadMode read_mode() const { return read_mode_; }
-
   /// Load-balancing rules, installed by the Local Switchboard.
   [[nodiscard]] RuleTable& rules() { return rules_; }
   [[nodiscard]] const RuleTable& rules() const { return rules_; }
@@ -122,11 +112,10 @@ class Forwarder {
   /// direction) or previous (reverse) element.
   ForwardAction process_from_attached(Packet& packet);
 
-  /// Wire-side batch entry point for worker threads.  In kEpochRead mode
-  /// this is a structure-of-arrays pipeline: hash every key in a chunk,
-  /// prefetch every probe-start bucket, resolve all lookups under ONE
-  /// epoch pin, then act — probe cache misses overlap instead of
-  /// serializing.  Actions and counters are byte-identical to calling
+  /// Wire-side batch entry point for worker threads, a structure-of-arrays
+  /// pipeline: hash every key in a chunk, prefetch every probe-start
+  /// bucket, resolve all lookups under ONE epoch pin, then act — probe
+  /// cache misses overlap instead of serializing.  Actions and counters are byte-identical to calling
   /// process_from_wire per packet (tested).  When `actions` is non-empty
   /// it must match `packets` in size and receives the per-packet actions.
   /// Returns the number of packets not dropped.
@@ -184,13 +173,6 @@ class Forwarder {
                                                    : packet.flow.reversed();
   }
 
-  /// Flow lookup honouring read_mode_.
-  [[nodiscard]] std::optional<FlowEntry> lookup(const Labels& labels,
-                                                const FiveTuple& key) const {
-    return read_mode_ == ReadMode::kMutexRead ? table_.find_mutex(labels, key)
-                                              : table_.find(labels, key);
-  }
-
   /// Everything process_from_wire does AFTER the flow lookup (hit-valid
   /// deliver, drained re-pin, first-packet miss).  Shared with the batch
   /// pipeline so both paths count and act identically.
@@ -244,7 +226,6 @@ class Forwarder {
   // read-mostly packet path.
   ElementId id_;
   std::size_t worker_count_;
-  ReadMode read_mode_{ReadMode::kEpochRead};
   ShardedFlowTable table_;
   RuleTable rules_;
   std::vector<CounterCell> counter_cells_;   // one per shard

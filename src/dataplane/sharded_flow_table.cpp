@@ -116,18 +116,6 @@ std::optional<FlowEntry> ShardedFlowTable::find(const Labels& labels,
   return entry;
 }
 
-std::optional<FlowEntry> ShardedFlowTable::find_mutex(
-    const Labels& labels, const FiveTuple& tuple) const {
-  const std::uint64_t hash = flow_hash(labels, tuple);
-  const Shard& shard = shard_for_hash(hash);
-  ++shard.stats.finds;
-  const swb::MutexLock lock{shard.mutex};
-  const BucketArray& array = *shard.buckets.load(std::memory_order_acquire);
-  std::optional<FlowEntry> entry = probe(array, labels, tuple, hash);
-  if (entry) ++shard.stats.hits;
-  return entry;
-}
-
 void ShardedFlowTable::find_batch(std::span<LookupRequest> batch) const {
   // Structure-of-arrays phases per chunk: (1) hash every key and issue a
   // prefetch for its probe-start slot, (2) probe.  By the time phase 2

@@ -11,7 +11,8 @@
 // INLINE in its 40-byte slot: a lookup touches the slot and nothing else,
 // and a flow write allocates nothing.
 //
-// Read path (find / find_batch — the per-packet hot path): NO MUTEX.
+// Read path (find / find_batch — the per-packet hot path, and the only
+// read path): NO MUTEX.
 // A reader pins an epoch (swb::EpochGuard), acquire-loads the shard's
 // bucket array pointer, and probes.  Slot protocol (a per-slot seqlock):
 //   * `meta` is an atomic word `(version << 2) | state`, state one of
@@ -135,12 +136,6 @@ class ShardedFlowTable {
   /// bucket array, returns a copy.  Never blocks on writers.
   [[nodiscard]] std::optional<FlowEntry> find(const Labels& labels,
                                               const FiveTuple& tuple) const;
-
-  /// Mutex-read ablation path: identical result to find(), but takes the
-  /// shard mutex like the pre-epoch table did.  Kept so bench_fig8 can
-  /// measure exactly what the lock-free read path buys.
-  [[nodiscard]] std::optional<FlowEntry> find_mutex(
-      const Labels& labels, const FiveTuple& tuple) const;
 
   /// Batched lock-free lookup: one epoch pin per chunk, structure-of-
   /// arrays phases (hash all keys, prefetch all probe starts, then

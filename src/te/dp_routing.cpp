@@ -17,22 +17,12 @@ constexpr std::size_t kMaxRoutesPerChain = 8;
 /// Smallest admissible fraction of a chain per route.
 constexpr double kMinFraction = 1e-4;
 
-/// Edge cost through the optional cache (identical bits either way).
-inline double edge_cost(const model::NetworkModel& model, const Loads& loads,
-                        const DpOptions& opt, EdgeCostCache* cache, NodeId n1,
-                        NodeId n2, VnfId dst_vnf, SiteId dst_site) {
-  if (cache != nullptr) {
-    return cache->edge_cost(model, loads, opt, n1, n2, dst_vnf, dst_site);
-  }
-  return stage_edge_cost(model, loads, opt, n1, n2, dst_vnf, dst_site);
-}
-
 /// Full-chain DP (Eq. 8) or greedy per-hop (ONEHOP ablation).  On success
 /// leaves the route in scratch.route_nodes / scratch.route_sites
 /// (position 0 = ingress, position stage_count() = egress).
 bool find_route(const model::NetworkModel& model, const Loads& loads,
                 const model::Chain& chain, const DpOptions& opt,
-                DpScratch& scratch, EdgeCostCache* cache) {
+                DpScratch& scratch, EdgeCostCache& cache) {
   const std::size_t stages = chain.stage_count();
   scratch.route_nodes.clear();
   scratch.route_sites.clear();
@@ -70,8 +60,8 @@ bool find_route(const model::NetworkModel& model, const Loads& loads,
       std::size_t best_i = dests.size();
       for (std::size_t i = 0; i < dests.size(); ++i) {
         const model::StageEndpoint& ep = dests[i];
-        const double c = edge_cost(model, loads, opt, cache, current, ep.node,
-                                   dst_vnf, ep.site);
+        const double c = cache.edge_cost(model, loads, opt, current, ep.node,
+                                         dst_vnf, ep.site);
         if (c < best) {
           best = c;
           best_i = i;
@@ -109,9 +99,9 @@ bool find_route(const model::NetworkModel& model, const Loads& loads,
       for (std::size_t j = 0; j < source_count; ++j) {
         const double base = z == 1 ? 0.0 : scratch.cost[z - 1][j];
         if (!std::isfinite(base)) continue;
-        const double c = base + edge_cost(model, loads, opt, cache,
-                                          sources[j].node, to.node, dst_vnf,
-                                          to.site);
+        const double c = base + cache.edge_cost(model, loads, opt,
+                                                sources[j].node, to.node,
+                                                dst_vnf, to.site);
         if (c < scratch.cost[z][i]) {
           scratch.cost[z][i] = c;
           scratch.prev[z][i] = j;
@@ -231,69 +221,17 @@ double max_admissible_fraction(const model::NetworkModel& model,
   return fraction;
 }
 
-}  // namespace
-
-const UtilizationCost& fortz_thorup() {
-  static const UtilizationCost cost;
-  return cost;
-}
-
-double stage_edge_cost(const model::NetworkModel& model, const Loads& loads,
-                       const DpOptions& options, NodeId n1, NodeId n2,
-                       VnfId dst_vnf, SiteId dst_site) {
-  double cost = model.delay_ms(n1, n2);
-  if (!std::isfinite(cost)) return kInf;
-  if (!options.use_utilization_costs) return cost;
-
-  const UtilizationCost& phi = fortz_thorup();
-  if (n1 != n2) {
-    double network = 0.0;
-    for (const net::LinkShare& share : model.routing().link_shares(n1, n2)) {
-      network += share.fraction *
-                 phi(std::max(0.0, loads.link_utilization(share.link)));
-    }
-    cost += kNetworkCostWeight * network;
-  }
-  if (dst_vnf.valid()) {
-    cost += kComputeCostWeight *
-            phi(std::max(0.0, loads.vnf_site_utilization(dst_vnf, dst_site)));
-  }
-  return cost;
-}
-
-SingleRoute find_single_route(const model::NetworkModel& model,
-                              const model::Chain& chain, const Loads& loads,
-                              const DpOptions& options, double remaining,
-                              TeContext ctx) {
-  DpScratch local;
-  DpScratch& scratch = ctx.scratch != nullptr ? *ctx.scratch : local;
-  if (ctx.cache != nullptr) ctx.cache->bind(model, loads);
-
-  SingleRoute route;
-  if (!find_route(model, loads, chain, options, scratch, ctx.cache)) {
-    return route;
-  }
-  route.admissible_fraction =
-      max_admissible_fraction(model, loads, chain, scratch.route_nodes,
-                              scratch.route_sites, remaining, scratch);
-  route.nodes = scratch.route_nodes;
-  route.sites = scratch.route_sites;
-  route.found = true;
-  return route;
-}
-
+/// Routes `chain` against `loads` (the cache is bound to them): appends
+/// its flows to `routing`, adds them to `loads`, and returns the fraction
+/// admitted in [0, 1].
 double route_chain_dp(const model::NetworkModel& model,
                       const model::Chain& chain, Loads& loads,
                       ChainRouting& routing, const DpOptions& options,
-                      TeContext ctx) {
-  DpScratch local;
-  DpScratch& scratch = ctx.scratch != nullptr ? *ctx.scratch : local;
-  if (ctx.cache != nullptr) ctx.cache->bind(model, loads);
-
+                      EdgeCostCache& cache, DpScratch& scratch) {
   double remaining = 1.0;
   for (std::size_t round = 0;
        round < kMaxRoutesPerChain && remaining > kMinFraction; ++round) {
-    if (!find_route(model, loads, chain, options, scratch, ctx.cache)) break;
+    if (!find_route(model, loads, chain, options, scratch, cache)) break;
     const double fraction =
         max_admissible_fraction(model, loads, chain, scratch.route_nodes,
                                 scratch.route_sites, remaining, scratch);
@@ -309,20 +247,51 @@ double route_chain_dp(const model::NetworkModel& model,
   return 1.0 - remaining;
 }
 
+}  // namespace
+
+const UtilizationCost& fortz_thorup() {
+  static const UtilizationCost cost;
+  return cost;
+}
+
+SingleRoute find_single_route(const model::NetworkModel& model,
+                              const model::Chain& chain, const Loads& loads,
+                              const DpOptions& options, EdgeCostCache& cache,
+                              DpScratch& scratch) {
+  cache.bind(model, loads);
+  SingleRoute route;
+  if (!find_route(model, loads, chain, options, scratch, cache)) return route;
+  route.admissible_fraction =
+      max_admissible_fraction(model, loads, chain, scratch.route_nodes,
+                              scratch.route_sites, 1.0, scratch);
+  route.nodes = scratch.route_nodes;
+  route.sites = scratch.route_sites;
+  route.found = true;
+  return route;
+}
+
+SingleRoute find_single_route(const model::NetworkModel& model,
+                              const model::Chain& chain, const Loads& loads,
+                              const DpOptions& options) {
+  EdgeCostCache cache;
+  DpScratch scratch;
+  return find_single_route(model, chain, loads, options, cache, scratch);
+}
+
 DpResult solve_dp_routing(const model::NetworkModel& model,
-                          const DpOptions& options, TeContext ctx) {
-  DpScratch local;
-  TeContext inner = ctx;
-  if (inner.scratch == nullptr) inner.scratch = &local;
+                          const DpOptions& options) {
+  Loads loads{model};
+  EdgeCostCache cache;
+  DpScratch scratch;
+  cache.bind(model, loads);
 
   DpResult result;
   result.routing.resize(model.chains().size());
-  Loads loads{model};
   for (const model::Chain& chain : model.chains()) {
     result.routing.init_chain(chain.id, chain.stage_count());
     result.demand_volume += chain.total_traffic();
-    const double routed =
-        route_chain_dp(model, chain, loads, result.routing, options, inner);
+    const double routed = route_chain_dp(model, chain, loads, result.routing,
+                                         options, cache, scratch);
     result.routed_volume += routed * chain.total_traffic();
     if (routed >= 1.0 - 1e-9) {
       ++result.fully_routed_chains;

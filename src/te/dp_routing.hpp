@@ -9,6 +9,12 @@
 // algorithm repeats on residual capacity until the chain is fully routed or
 // no capacity remains.
 //
+// Every DP runs through an EdgeCostCache and a DpScratch (te/te_engine.hpp):
+// the TE engine keeps one of each across the controller's queries, the
+// free functions below build fresh ones per call.  The uncached DP the
+// cache must match bit for bit is the test reference
+// (tests/reference/dp_reference.hpp).
+//
 // Two ablation switches reproduce the paper's Figure 13a variants:
 //   * use_utilization_costs = false  ->  DP-LATENCY
 //   * per_hop = true                 ->  ONEHOP
@@ -28,23 +34,13 @@ namespace switchboard::te {
 class EdgeCostCache;   // te/te_engine.hpp
 struct DpScratch;      // te/te_engine.hpp
 
-/// Optional acceleration state threaded through the DP solver.  Both
-/// pointers may be null: `scratch` substitutes caller-owned reusable
-/// buffers for per-call allocations, `cache` memoizes edge-cost
-/// utilization terms (bit-identical results either way; see
-/// te/te_engine.hpp).
-struct TeContext {
-  EdgeCostCache* cache{nullptr};
-  DpScratch* scratch{nullptr};
-};
-
 /// Weight (ms-equivalents) of one unit of Fortz-Thorup network cost.
 inline constexpr double kNetworkCostWeight = 10.0;
 /// Weight (ms-equivalents) of one unit of compute-utilization cost.
 inline constexpr double kComputeCostWeight = 10.0;
 
 /// The Fortz-Thorup penalty (default breakpoints) that both utilization
-/// terms of the edge cost apply, in stage_edge_cost and EdgeCostCache.
+/// terms of the edge cost (EdgeCostCache::edge_cost) apply.
 [[nodiscard]] const UtilizationCost& fortz_thorup();
 
 struct DpOptions {
@@ -68,25 +64,21 @@ struct SingleRoute {
   bool found{false};
 };
 
-/// cost(s', z, s) of Eq. 8 against current loads: move stage traffic from
-/// node n1 to node n2, entering `dst_vnf` (if valid) at `dst_site`.  The
-/// cache-free reference implementation; EdgeCostCache::edge_cost must
-/// return identical bits on the same inputs.
-[[nodiscard]] double stage_edge_cost(const model::NetworkModel& model,
-                                     const Loads& loads,
-                                     const DpOptions& options, NodeId n1,
-                                     NodeId n2, VnfId dst_vnf,
-                                     SiteId dst_site);
-
-/// Computes the least-cost route for one chain against current loads
-/// without admitting any traffic.  `remaining` caps the admissible
-/// fraction reported.
+/// Computes the least-cost route for one chain against `loads` without
+/// admitting any traffic, through `cache` (bound to `loads` here) and
+/// `scratch`.
 [[nodiscard]] SingleRoute find_single_route(const model::NetworkModel& model,
                                             const model::Chain& chain,
                                             const Loads& loads,
                                             const DpOptions& options,
-                                            double remaining = 1.0,
-                                            TeContext ctx = {});
+                                            EdgeCostCache& cache,
+                                            DpScratch& scratch);
+
+/// The same query on a fresh cache and scratch.
+[[nodiscard]] SingleRoute find_single_route(const model::NetworkModel& model,
+                                            const model::Chain& chain,
+                                            const Loads& loads,
+                                            const DpOptions& options);
 
 struct DpResult {
   ChainRouting routing;
@@ -96,17 +88,9 @@ struct DpResult {
   std::size_t unrouted_chains{0};   // chains with zero admitted traffic
 };
 
-/// Routes every chain in the model in order, sharing one load state.
+/// Routes every chain in the model in order, sharing one load state: the
+/// library's only whole-model SB-DP solve.
 [[nodiscard]] DpResult solve_dp_routing(const model::NetworkModel& model,
-                                        const DpOptions& options = {},
-                                        TeContext ctx = {});
-
-/// Routes a single chain against existing loads; appends flows to
-/// `routing` (the chain must already be init'ed there) and updates
-/// `loads`.  Returns the fraction of the chain admitted in [0, 1].
-double route_chain_dp(const model::NetworkModel& model,
-                      const model::Chain& chain, Loads& loads,
-                      ChainRouting& routing, const DpOptions& options,
-                      TeContext ctx = {});
+                                        const DpOptions& options = {});
 
 }  // namespace switchboard::te

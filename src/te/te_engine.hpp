@@ -1,6 +1,6 @@
 // The TE engine: the fast path for the SB-DP chain router (Section 4.4).
 //
-// Three pieces, composable but usable separately:
+// Three pieces:
 //
 //   * DpScratch — flat, reusable scratch buffers for the per-route DP
 //     tables, candidate-endpoint lists, and the per-resource demand
@@ -17,17 +17,15 @@
 //     compute term of a (vnf, site) is guarded by a single epoch compare.
 //     Chains touch few links per residual round, so most pairs stay valid
 //     between rounds and between consecutive chains.  Cached costs are
-//     bit-identical to the uncached stage_edge_cost().
+//     bit-identical to the uncached edge cost of the test reference
+//     (tests/reference/dp_reference.hpp).  Every SB-DP run goes through
+//     one (te/dp_routing.hpp).
 //
-//   * TeEngine — owns Loads + DpScratch + EdgeCostCache + the running
-//     solution, providing a full solve (equivalent to solve_dp_routing,
-//     same bits, faster) and an incremental re-solve API: add/remove/
-//     re-route one chain, or react to a link / (vnf, site) capacity change
-//     by re-routing only the chains whose routes the change touches,
-//     instead of recomputing every chain from scratch.  It is also the
-//     Global Switchboard's only TE state: a cached single-route query,
-//     per-route load deltas for the routes the controller commits and
-//     retires, and the warm-started SB-LP refinement.
+//   * TeEngine — the Global Switchboard's only TE state: the loads of the
+//     routes the controller commits and retires, a cached single-route
+//     query over them, and the warm-started SB-LP refinement.  The
+//     controller's journal owns which routes hold load; the engine keeps
+//     only their sum.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +37,6 @@
 #include "te/dp_routing.hpp"
 #include "te/loads.hpp"
 #include "te/lp_routing.hpp"
-#include "te/routing_solution.hpp"
 
 namespace switchboard::te {
 
@@ -83,9 +80,9 @@ class EdgeCostCache {
   /// Drops every cached value (cheap: one stamp reset pass).
   void invalidate();
 
-  /// cost(s', z, s) with memoized utilization terms; bit-identical to
-  /// stage_edge_cost() on the same inputs.  Requires a prior bind() to
-  /// this (model, loads).
+  /// cost(s', z, s) of Eq. 8 with memoized utilization terms: move stage
+  /// traffic from node n1 to node n2, entering `dst_vnf` (if valid) at
+  /// `dst_site`.  Requires a prior bind() to this (model, loads).
   [[nodiscard]] double edge_cost(const model::NetworkModel& model,
                                  const Loads& loads,
                                  const DpOptions& options, NodeId n1,
@@ -119,53 +116,23 @@ class EdgeCostCache {
   std::uint64_t misses_{0};
 };
 
-/// Stateful DP solver: full solve plus incremental re-solve.  The engine
-/// assumes it is the sole writer of its Loads between calls; model
-/// mutations (capacities, background traffic, new chains/deployments)
-/// are picked up by the next call as documented per method.  Every call
-/// that reads or writes the loads — loads() and check_invariants()
-/// included — first grows them to the current model
-/// (Loads::grow_to_model, which changes no value), so VNFs and sites
-/// added after construction are routable and auditable.
+/// The controller's TE state.  The engine assumes it is the sole writer of
+/// its Loads between calls; model mutations (capacities, background
+/// traffic) are invisible to the cost cache until invalidate_cost_cache().
+/// Every call that reads or writes the loads — loads() included — first
+/// grows them to the current model (Loads::grow_to_model, which changes no
+/// value), so VNFs and sites added after construction are routable.
 class TeEngine {
  public:
   explicit TeEngine(const model::NetworkModel& model, DpOptions options = {});
 
-  /// Routes every chain from scratch (same solution, bit for bit, as
-  /// solve_dp_routing with the same options — asserted by tests).
-  const DpResult& solve();
-
-  /// Incremental: routes chain `c` (present in the model, not currently
-  /// tracked by the engine) against current residual loads.  Appending a
-  /// chain to the model and calling this is exactly equivalent to a full
-  /// re-solve, because the full solve routes chains in id order.  Returns
-  /// the admitted fraction in [0, 1].
-  double add_chain(ChainId c);
-
-  /// Incremental: removes chain `c`'s admitted flows from the loads and
-  /// the solution (up to float round-off in the subtracted loads).
-  void remove_chain(ChainId c);
-
-  /// remove_chain + add_chain against the residual loads.
-  double reroute_chain(ChainId c);
-
-  /// The capacity of `link` changed in the model: re-routes (in id order)
-  /// every tracked chain whose current routes cross the link, plus every
-  /// chain that is not fully admitted (it may fit now).  Returns the
-  /// number of chains re-routed.
-  std::size_t on_link_capacity_changed(LinkId link);
-
-  /// The (vnf, site) deployment capacity changed: same contract, for the
-  /// chains placing `f` at `s` (plus partially-admitted chains).
-  std::size_t on_vnf_site_capacity_changed(VnfId f, SiteId s);
-
-  /// Drops cached edge costs (call after any model mutation the engine
-  /// was not told about through the methods above).
+  /// Drops cached edge costs (call after mutating the model's capacities
+  /// or background traffic).
   void invalidate_cost_cache() { cache_.invalidate(); }
 
   /// SB-DP for one route, admitting nothing: the least-cost route for
   /// `chain` against the current loads, through the engine's cost cache
-  /// and scratch buffers — the same answer, bit for bit, as
+  /// and scratch buffers — the same answer, bit for bit, as the fresh-cache
   /// find_single_route on the same loads.  `allowed`, when set, replaces
   /// options().site_allowed for this query (a 2PC retry excludes the
   /// placements that voted abort).
@@ -175,9 +142,8 @@ class TeEngine {
 
   /// Adds `weight_delta` (negative removes; 0 is a no-op) of one route's
   /// traffic to the loads — see Loads::add_route for the stage walk.  The
-  /// route is not tracked: a caller that drives the loads this way owns
-  /// its routes, and audits the loads against them with
-  /// Loads::check_matches rather than with check_invariants().
+  /// caller owns its routes and audits the loads against them with
+  /// Loads::check_matches.
   void add_route_load(const model::Chain& chain,
                       const std::vector<SiteId>& vnf_sites,
                       double weight_delta);
@@ -194,49 +160,24 @@ class TeEngine {
   /// instead of from scratch.  A non-optimal solve leaves the remembered
   /// basis as it was.  An explicit `options.warm_start` wins over the
   /// remembered basis; a formulation-shape change silently falls back to
-  /// a cold solve.  The result stays cached until the next call.
-  const LpRoutingResult& refine_with_lp(LpRoutingOptions options = {});
+  /// a cold solve.
+  LpRoutingResult refine_with_lp(LpRoutingOptions options = {});
 
-  /// The last refine_with_lp result (default-constructed before any call).
-  [[nodiscard]] const LpRoutingResult& lp_refinement() const {
-    return lp_result_;
-  }
-
-  [[nodiscard]] const DpResult& result() const { return result_; }
   [[nodiscard]] const Loads& loads() const {
     loads_.grow_to_model();
     return loads_;
   }
   [[nodiscard]] const DpOptions& options() const { return options_; }
+  /// The cost cache's hit and miss counters (tests).
   [[nodiscard]] const EdgeCostCache& cost_cache() const { return cache_; }
-  /// True once `c` has been routed by solve()/add_chain and not removed.
-  [[nodiscard]] bool tracks_chain(ChainId c) const;
-
-  /// Audits the engine (aborts via SWB_CHECK on violation): loads and
-  /// routing invariants hold, and the loads equal the loads re-accumulated
-  /// from the tracked routing within `tolerance` (incremental drift bound).
-  void check_invariants(double tolerance = 1e-6) const;
 
  private:
-  static constexpr double kUntracked = -1.0;
-
-  double route_tracked_chain(ChainId c);
-  /// Recomputes the DpResult summary counters from routed_fraction_
-  /// (term order matches solve_dp_routing, so sums stay bit-identical).
-  void refresh_summary();
-  [[nodiscard]] bool chain_crosses_link(ChainId c, LinkId link) const;
-  [[nodiscard]] bool chain_places_vnf_at(ChainId c, VnfId f, SiteId s) const;
-  std::size_t reroute_affected(const std::vector<ChainId>& affected);
-
   const model::NetworkModel& model_;
   DpOptions options_;
   mutable Loads loads_;   // grown by const readers too (see class comment)
-  DpResult result_;
   EdgeCostCache cache_;
   DpScratch scratch_;
-  std::vector<double> routed_fraction_;   // per chain id; kUntracked = none
-  LpRoutingResult lp_result_;             // last SB-LP refinement
-  lp::Basis warm_basis_;                  // last optimal SB-LP basis
+  lp::Basis warm_basis_;   // last optimal SB-LP basis
 };
 
 }  // namespace switchboard::te

@@ -374,6 +374,22 @@ TYPED_TEST(RetainedReplay, HealthTopicReplaysNothing) {
   EXPECT_TRUE(this->late_replay("/health/site_0", {"beat1", "beat2"}).empty());
 }
 
+// Replication frames and acks are reliable but never retained: a late
+// subscriber to a stream or ack topic gets no replay, while a chain-route
+// topic published the same way still replays.
+TYPED_TEST(RetainedReplay, ReplicationTopicReplaysNothing) {
+  const std::vector<std::string> frames{"k=1;e=1;s=1", "k=1;e=1;s=2"};
+  EXPECT_TRUE(this->late_replay(replication_stream_topic(0, 1, SiteId{0}).path,
+                                frames)
+                  .empty());
+  EXPECT_TRUE(
+      this->late_replay(replication_ack_topic(0, 1, SiteId{0}).path, frames)
+          .empty());
+  EXPECT_EQ(this->late_replay(chain_routes_topic(ChainId{3}, SiteId{0}).path,
+                              frames),
+            frames);
+}
+
 TYPED_TEST(RetainedReplay, RetainOffReplaysNothing) {
   EXPECT_TRUE(this->late_replay("/t", {"a", "b"}, /*retain=*/false).empty());
 }

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <unordered_set>
+#include <vector>
 
 #include "dataplane/forwarder.hpp"
 #include "dataplane/load_balancer.hpp"
 #include "dataplane/ovs_forwarder.hpp"
 #include "dataplane/packet.hpp"
 #include "dataplane/traffic_gen.hpp"
+#include "reference/lock_per_lookup.hpp"
 
 namespace switchboard::dataplane {
 namespace {
@@ -293,25 +296,55 @@ TEST_F(ForwarderTest, DrainedNextHopRepinsWhenTheInstanceHandsBack) {
 }
 
 TEST_F(ForwarderTest, MutexReadModeMatchesEpochRead) {
-  Forwarder mutex_fw{1};
-  mutex_fw.set_read_mode(ReadMode::kMutexRead);
-  ASSERT_EQ(mutex_fw.read_mode(), ReadMode::kMutexRead);
-  LoadBalanceRule rule;
-  rule.vnf_instances.add(kVnf1, 1.0);
-  rule.vnf_instances.add(kVnf2, 1.0);
-  rule.next_forwarders.add(kNextFw, 1.0);
-  mutex_fw.rules().install(kLabels, std::move(rule));
-  // Same seed (same id), same flows: actions must agree packet by packet.
-  for (std::uint32_t f = 0; f < 200; ++f) {
-    EXPECT_EQ(mutex_fw.process_from_wire(wire_packet(f)),
-              fw_.process_from_wire(wire_packet(f)))
-        << f;
+  // The lock-per-lookup baseline (tests/reference) wraps the forwarder's
+  // epoch read in a per-shard lock: per packet and per batch it must act
+  // and count exactly like the forwarder it wraps.
+  const auto make_forwarder = [] {
+    auto fw = std::make_unique<Forwarder>(1);
+    LoadBalanceRule rule;
+    rule.vnf_instances.add(kVnf1, 1.0);
+    rule.vnf_instances.add(kVnf2, 1.0);
+    rule.next_forwarders.add(kNextFw, 1.0);
+    fw->rules().install(kLabels, std::move(rule));
+    return fw;
+  };
+  const std::unique_ptr<Forwarder> mutex_fw = make_forwarder();
+  LockPerLookup locks{mutex_fw->flow_table().shard_count()};
+  // Same seed (same id), same flows: actions must agree packet by packet,
+  // first packets and hits alike.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::uint32_t f = 0; f < 200; ++f) {
+      EXPECT_EQ(locks.process_from_wire(*mutex_fw, wire_packet(f)),
+                fw_.process_from_wire(wire_packet(f)))
+          << f;
+    }
   }
   const ForwarderCounters a = fw_.counters();
-  const ForwarderCounters b = mutex_fw.counters();
+  const ForwarderCounters b = mutex_fw->counters();
   EXPECT_EQ(a.from_wire.value(), b.from_wire.value());
   EXPECT_EQ(a.flow_misses.value(), b.flow_misses.value());
   EXPECT_EQ(a.drops.value(), b.drops.value());
+
+  // The batch loop against the forwarder's SoA pipeline on a mixed batch:
+  // first packets, hits, reverse packets with and without state.
+  std::vector<Packet> packets;
+  for (std::uint32_t f = 0; f < 100; ++f) packets.push_back(wire_packet(f));
+  for (std::uint32_t f = 0; f < 100; f += 2) packets.push_back(wire_packet(f));
+  for (std::uint32_t f = 50; f < 150; f += 3) {
+    packets.push_back(wire_packet(f, Direction::kReverse));
+  }
+  const std::unique_ptr<Forwarder> locked_fw = make_forwarder();
+  const std::unique_ptr<Forwarder> pipelined_fw = make_forwarder();
+  LockPerLookup batch_locks{locked_fw->flow_table().shard_count()};
+  std::vector<ForwardAction> locked(packets.size());
+  std::vector<ForwardAction> pipelined(packets.size());
+  EXPECT_EQ(batch_locks.process_batch(*locked_fw, packets, locked),
+            pipelined_fw->process_batch(packets, pipelined));
+  EXPECT_EQ(locked, pipelined);
+  EXPECT_EQ(locked_fw->counters().flow_misses.value(),
+            pipelined_fw->counters().flow_misses.value());
+  EXPECT_EQ(locked_fw->counters().drops.value(),
+            pipelined_fw->counters().drops.value());
 }
 
 TEST_F(ForwarderTest, BatchPipelineMatchesPerPacketPath) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "dataplane/sharded_flow_table.hpp"
+#include "reference/lock_per_lookup.hpp"
 
 namespace switchboard::dataplane {
 namespace {
@@ -326,7 +327,8 @@ TEST(FlowTable, Clear) {
 
 // ---------------------------------------------------- epoch-read protocol
 
-// The mutex ablation path and the lock-free path are the same lookup.
+// The lock-per-lookup baseline (tests/reference) and the lock-free path
+// are the same lookup: same results, and the same find/hit tallies.
 TEST(ShardedFlowTable, FindMutexMatchesFind) {
   ShardedFlowTable table{64, 4};
   const Labels labels{1, 1};
@@ -336,13 +338,19 @@ TEST(ShardedFlowTable, FindMutexMatchesFind) {
   for (std::uint32_t i = 1; i < 500; i += 3) {
     (void)table.erase(labels, make_tuple(i));
   }
+  LockPerLookup locks{table.shard_count()};
   for (std::uint32_t i = 0; i < 600; ++i) {
+    const ShardedFlowTable::Stats before = table.stats();
     const auto epoch_read = table.find(labels, make_tuple(i));
-    const auto mutex_read = table.find_mutex(labels, make_tuple(i));
+    const ShardedFlowTable::Stats mid = table.stats();
+    const auto mutex_read = locks.find(table, labels, make_tuple(i));
+    const ShardedFlowTable::Stats after = table.stats();
     ASSERT_EQ(epoch_read.has_value(), mutex_read.has_value()) << i;
     if (epoch_read) {
       EXPECT_EQ(*epoch_read, *mutex_read) << i;
     }
+    EXPECT_EQ(mid.finds - before.finds, after.finds - mid.finds) << i;
+    EXPECT_EQ(mid.hits - before.hits, after.hits - mid.hits) << i;
   }
 }
 

@@ -1,7 +1,8 @@
 // Unit tests for the TE engine layer (te/te_engine.hpp): Loads change
-// epochs and growth, the epoch-validated edge-cost cache, TeEngine's
-// incremental re-solve API, and the cached single-route query the Global
-// Switchboard routes through.
+// epochs and growth, the epoch-validated edge-cost cache, and TeEngine
+// driven the way the Global Switchboard drives it — route loads in and
+// out, the cached single-route query, capacity changes — against the
+// uncached reference DP (tests/reference/dp_reference.hpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,8 +18,8 @@
 #include "model/network_model.hpp"
 #include "model/scenario.hpp"
 #include "net/topology_gen.hpp"
+#include "reference/dp_reference.hpp"
 #include "te/dp_routing.hpp"
-#include "te/evaluator.hpp"
 #include "te/loads.hpp"
 #include "te/te_engine.hpp"
 
@@ -234,49 +235,133 @@ TEST(EdgeCostCache, InvalidatePicksUpModelMutation) {
 
 // --------------------------------------------------------------- TeEngine
 
+/// One committed route, kept to retire or re-add it later.
+struct HeldRoute {
+  ChainId chain;
+  std::vector<SiteId> vnf_sites;
+  double weight{0.0};
+};
+
+/// The VNF sites of a found route (route.sites holds the ingress and
+/// egress endpoints too).
+std::vector<SiteId> vnf_sites_of(const SingleRoute& route) {
+  return {route.sites.begin() + 1, route.sites.end() - 1};
+}
+
+/// Routes every chain in id order as create_chain does — find_route, then
+/// add_route_load — at the route's admissible fraction, so the loads never
+/// exceed a capacity.  Chains with no admissible route hold nothing.
+std::vector<HeldRoute> commit_every_chain(const NetworkModel& m,
+                                          TeEngine& engine) {
+  std::vector<HeldRoute> held;
+  for (const model::Chain& chain : m.chains()) {
+    const SingleRoute route = engine.find_route(chain);
+    if (!route.found || route.admissible_fraction <= 0.0) continue;
+    held.push_back({chain.id, vnf_sites_of(route), route.admissible_fraction});
+    engine.add_route_load(chain, held.back().vnf_sites, held.back().weight);
+  }
+  return held;
+}
+
+/// The loads of `held`, accumulated from scratch.
+Loads rebuild(const NetworkModel& m, const std::vector<HeldRoute>& held) {
+  Loads loads{m};
+  for (const HeldRoute& route : held) {
+    loads.add_route(m.chain(route.chain), route.vnf_sites, route.weight);
+  }
+  return loads;
+}
+
+/// engine.find_route (cached) against the uncached reference on the same
+/// loads: same nodes, sites and admissible fraction, bit for bit.
+void expect_route_parity(const NetworkModel& m, TeEngine& engine,
+                         const model::Chain& chain,
+                         const std::function<bool(VnfId, SiteId)>& allowed) {
+  DpOptions options = engine.options();
+  options.site_allowed = allowed;
+  const SingleRoute reference =
+      find_single_route_reference(m, chain, engine.loads(), options);
+  const SingleRoute cached = engine.find_route(chain, allowed);
+  ASSERT_EQ(cached.found, reference.found) << "chain " << chain.id;
+  EXPECT_EQ(cached.nodes, reference.nodes) << "chain " << chain.id;
+  EXPECT_EQ(cached.sites, reference.sites) << "chain " << chain.id;
+  EXPECT_EQ(cached.admissible_fraction, reference.admissible_fraction)
+      << "chain " << chain.id;
+}
+
 TEST(TeEngine, RemoveChainRestoresLoads) {
+  // A route's load delta in and back out leaves the loads equal to the
+  // rebuild of the routes held at each point.
   const NetworkModel m = model::make_scenario(small_scenario(13));
   TeEngine engine{m};
-  engine.solve();
+  std::vector<HeldRoute> held = commit_every_chain(m, engine);
+  ASSERT_FALSE(held.empty());
+  engine.loads().check_matches(rebuild(m, held));
 
-  const ChainId victim = m.chains().front().id;
-  ASSERT_TRUE(engine.tracks_chain(victim));
-  engine.remove_chain(victim);
-  EXPECT_FALSE(engine.tracks_chain(victim));
-  engine.check_invariants();
+  const HeldRoute victim = held.front();
+  const model::Chain& chain = m.chain(victim.chain);
+  engine.add_route_load(chain, victim.vnf_sites, -victim.weight);
+  held.erase(held.begin());
+  engine.loads().check_invariants();
+  engine.loads().check_matches(rebuild(m, held));
 
-  // The surviving loads must equal the loads of the remaining routing —
-  // check_invariants already asserts that; additionally the removed
-  // chain's flows are gone.
-  for (std::size_t z = 1; z <= m.chains().front().stage_count(); ++z) {
-    EXPECT_TRUE(engine.result().routing.flows(victim, z).empty());
-  }
-
-  const double readded = engine.add_chain(victim);
-  EXPECT_GE(readded, 0.0);
-  EXPECT_TRUE(engine.tracks_chain(victim));
-  engine.check_invariants();
+  engine.add_route_load(chain, victim.vnf_sites, victim.weight);
+  held.insert(held.begin(), victim);
+  engine.loads().check_invariants();
+  engine.loads().check_matches(rebuild(m, held));
 }
 
 TEST(TeEngine, RerouteChainKeepsSolutionFeasible) {
+  // Retire each chain's route and re-add the route find_route picks on the
+  // residual loads, at its admissible fraction: no capacity is exceeded.
   const NetworkModel m = model::make_scenario(small_scenario(21));
   TeEngine engine{m};
-  engine.solve();
-  for (const model::Chain& chain : m.chains()) {
-    engine.reroute_chain(chain.id);
+  std::vector<HeldRoute> held = commit_every_chain(m, engine);
+  ASSERT_FALSE(held.empty());
+  for (HeldRoute& route : held) {
+    const model::Chain& chain = m.chain(route.chain);
+    engine.add_route_load(chain, route.vnf_sites, -route.weight);
+    const SingleRoute fresh = engine.find_route(chain);
+    ASSERT_TRUE(fresh.found) << "chain " << route.chain;
+    route.vnf_sites = vnf_sites_of(fresh);
+    route.weight = fresh.admissible_fraction;
+    engine.add_route_load(chain, route.vnf_sites, route.weight);
   }
-  engine.check_invariants();
+  engine.loads().check_invariants();
+  engine.loads().check_matches(rebuild(m, held));
   engine.loads().check_no_capacity_violation(1e-6);
+}
+
+/// After a capacity change and invalidate_cost_cache() — the controller's
+/// pool-down path — every chain's find_route equals the reference query,
+/// and no route admits more than the changed resource's new headroom.
+/// `unit_demand` is a route's load on that resource at weight 1,
+/// `headroom` the resource's headroom under the engine's loads.
+template <typename DemandFn, typename HeadroomFn>
+void expect_routes_within_new_headroom(const NetworkModel& m,
+                                       TeEngine& engine,
+                                       DemandFn&& unit_demand,
+                                       HeadroomFn&& headroom) {
+  engine.invalidate_cost_cache();
+  for (const model::Chain& chain : m.chains()) {
+    expect_route_parity(m, engine, chain, {});
+    if (::testing::Test::HasFatalFailure()) return;
+    const SingleRoute route = engine.find_route(chain);
+    if (!route.found) continue;
+    Loads unit{m};
+    unit.add_route(chain, vnf_sites_of(route), 1.0);
+    EXPECT_LE(route.admissible_fraction * unit_demand(unit),
+              std::max(0.0, headroom(engine.loads())) + 1e-9)
+        << "chain " << chain.id;
+  }
 }
 
 TEST(TeEngine, LinkCapacityChangeReroutesAffectedChains) {
   NetworkModel m = model::make_scenario(small_scenario(2));
   TeEngine engine{m};
-  engine.solve();
-  const double before = engine.result().routed_volume;
+  commit_every_chain(m, engine);
 
-  // Soak up most of one well-used link's headroom; every chain crossing
-  // it must be re-routed against the new residual capacity.
+  // Soak up most of the busiest link's capacity with background traffic.
   LinkId busiest{};
   double busiest_load = -1.0;
   for (const net::Link& link : m.topology().links()) {
@@ -287,22 +372,19 @@ TEST(TeEngine, LinkCapacityChangeReroutesAffectedChains) {
   }
   ASSERT_TRUE(busiest.valid());
   ASSERT_GT(busiest_load, 0.0);
-
   const net::Link& link = m.topology().link(busiest);
   m.set_background_traffic(busiest,
                            m.background_traffic(busiest) + 0.9 * link.capacity);
-  const std::size_t rerouted = engine.on_link_capacity_changed(busiest);
-  EXPECT_GT(rerouted, 0u);
-  engine.check_invariants();
-  engine.loads().check_no_capacity_violation(1e-6);
-  // Shrinking capacity cannot increase what the engine carries.
-  EXPECT_LE(engine.result().routed_volume, before + 1e-9);
+  expect_routes_within_new_headroom(
+      m, engine,
+      [busiest](const Loads& unit) { return unit.link_load(busiest); },
+      [busiest](const Loads& loads) { return loads.link_headroom(busiest); });
 }
 
 TEST(TeEngine, VnfCapacityChangeReroutesAffectedChains) {
   NetworkModel m = model::make_scenario(small_scenario(34));
   TeEngine engine{m};
-  engine.solve();
+  commit_every_chain(m, engine);
 
   // Find a (vnf, site) pair that actually carries load, then halve it.
   VnfId vnf{};
@@ -318,21 +400,48 @@ TEST(TeEngine, VnfCapacityChangeReroutesAffectedChains) {
     if (vnf.valid()) break;
   }
   ASSERT_TRUE(vnf.valid());
-
   m.set_vnf_site_capacity(vnf, site, 0.5 * m.vnf(vnf).capacity_at(site));
-  const std::size_t rerouted = engine.on_vnf_site_capacity_changed(vnf, site);
-  EXPECT_GT(rerouted, 0u);
-  engine.check_invariants();
-  engine.loads().check_no_capacity_violation(1e-6);
+  expect_routes_within_new_headroom(
+      m, engine,
+      [vnf, site](const Loads& unit) { return unit.vnf_site_load(vnf, site); },
+      [vnf, site](const Loads& loads) {
+        return loads.vnf_site_headroom(vnf, site);
+      });
 }
 
 TEST(TeEngine, SecondSolveMatchesFirst) {
+  // The whole-model solve is a pure function of the model...
   const NetworkModel m = model::make_scenario(small_scenario(42));
+  const DpResult first = solve_dp_routing(m);
+  const DpResult second = solve_dp_routing(m);
+  EXPECT_EQ(first.routed_volume, second.routed_volume);
+  EXPECT_EQ(first.fully_routed_chains, second.fully_routed_chains);
+  for (const model::Chain& chain : m.chains()) {
+    for (std::size_t z = 1; z <= chain.stage_count(); ++z) {
+      const auto& a = first.routing.flows(chain.id, z);
+      const auto& b = second.routing.flows(chain.id, z);
+      ASSERT_EQ(a.size(), b.size()) << "chain " << chain.id << " stage " << z;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].src, b[i].src);
+        EXPECT_EQ(a[i].dst, b[i].dst);
+        EXPECT_EQ(a[i].fraction, b[i].fraction);
+      }
+    }
+  }
+
+  // ...and a warm engine cache answers every query like a fresh one.
   TeEngine engine{m};
-  const double first = engine.solve().routed_volume;
-  // A warm cache must not change the answer.
-  const double second = engine.solve().routed_volume;
-  EXPECT_EQ(first, second);
+  commit_every_chain(m, engine);
+  for (const model::Chain& chain : m.chains()) {
+    const SingleRoute warm = engine.find_route(chain);
+    const SingleRoute cold =
+        find_single_route(m, chain, engine.loads(), engine.options());
+    ASSERT_EQ(warm.found, cold.found) << "chain " << chain.id;
+    EXPECT_EQ(warm.nodes, cold.nodes) << "chain " << chain.id;
+    EXPECT_EQ(warm.sites, cold.sites) << "chain " << chain.id;
+    EXPECT_EQ(warm.admissible_fraction, cold.admissible_fraction)
+        << "chain " << chain.id;
+  }
   EXPECT_GT(engine.cost_cache().hits(), 0u);
 }
 
@@ -355,33 +464,12 @@ TEST(TeEngine, AddChainOnAVnfAddedAfterConstruction) {
   c.reverse_traffic = {0.0, 0.0};
   const ChainId chain = fx.m.add_chain(std::move(c));
 
-  EXPECT_EQ(engine.add_chain(chain), 1.0);
-  engine.check_invariants();
+  const SingleRoute route = engine.find_route(fx.m.chain(chain));
+  ASSERT_TRUE(route.found);
+  EXPECT_EQ(route.admissible_fraction, 1.0);
+  engine.add_route_load(fx.m.chain(chain), vnf_sites_of(route), 1.0);
+  engine.loads().check_invariants();
   EXPECT_GT(engine.loads().vnf_site_load(late, fx.site_b), 0.0);
-}
-
-/// One committed route the parity property keeps, to remove it later.
-struct HeldRoute {
-  ChainId chain;
-  std::vector<SiteId> vnf_sites;
-  double weight{0.0};
-};
-
-/// engine.find_route (cached) against the uncached reference on the same
-/// loads: same nodes, sites and admissible fraction, bit for bit.
-void expect_route_parity(const NetworkModel& m, TeEngine& engine,
-                         const model::Chain& chain,
-                         const std::function<bool(VnfId, SiteId)>& allowed) {
-  DpOptions options = engine.options();
-  options.site_allowed = allowed;
-  const SingleRoute reference =
-      find_single_route(m, chain, engine.loads(), options);
-  const SingleRoute cached = engine.find_route(chain, allowed);
-  ASSERT_EQ(cached.found, reference.found) << "chain " << chain.id;
-  EXPECT_EQ(cached.nodes, reference.nodes) << "chain " << chain.id;
-  EXPECT_EQ(cached.sites, reference.sites) << "chain " << chain.id;
-  EXPECT_EQ(cached.admissible_fraction, reference.admissible_fraction)
-      << "chain " << chain.id;
 }
 
 class TeEngineRouteParity : public ::testing::TestWithParam<std::uint64_t> {};
@@ -393,7 +481,7 @@ TEST_P(TeEngineRouteParity, CachedFindRouteMatchesUncachedReference) {
   // Drives the engine the way the Global Switchboard does — route loads in
   // and out, 2PC-style exclusions, capacity changes followed by
   // invalidate_cost_cache() — and after every step compares the cached
-  // query with find_single_route for every chain.
+  // query with the uncached reference for every chain.
   NetworkModel m = model::make_scenario(small_scenario(GetParam()));
   TeEngine engine{m};
   std::mt19937_64 rng{GetParam()};
@@ -412,8 +500,7 @@ TEST_P(TeEngineRouteParity, CachedFindRouteMatchesUncachedReference) {
         const double weight =
             route.admissible_fraction *
             std::uniform_real_distribution<double>{0.2, 1.0}(rng);
-        HeldRoute kept{chain.id, {route.sites.begin() + 1,
-                                  route.sites.end() - 1}, weight};
+        HeldRoute kept{chain.id, vnf_sites_of(route), weight};
         engine.add_route_load(chain, kept.vnf_sites, weight);
         held.push_back(std::move(kept));
         break;
@@ -464,11 +551,7 @@ TEST_P(TeEngineRouteParity, CachedFindRouteMatchesUncachedReference) {
   }
 
   // The loads are exactly the held routes' deltas (within round-off).
-  Loads rebuilt{m};
-  for (const HeldRoute& route : held) {
-    rebuilt.add_route(m.chain(route.chain), route.vnf_sites, route.weight);
-  }
-  engine.loads().check_matches(rebuilt);
+  engine.loads().check_matches(rebuild(m, held));
   EXPECT_GT(engine.cost_cache().hits(), 0u);
 }
 

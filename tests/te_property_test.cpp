@@ -5,9 +5,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <vector>
 
 #include "lp/mip.hpp"
 #include "model/scenario.hpp"
+#include "reference/dp_reference.hpp"
 #include "te/baselines.hpp"
 #include "te/dp_routing.hpp"
 #include "te/evaluator.hpp"
@@ -128,8 +131,7 @@ TEST_P(TeSeedProperty, SchemesAreDeterministic) {
 }
 
 /// Bit-exact comparison of two routings over every chain and stage: the
-/// fast paths (cost cache, engine) promise identical solutions, not just
-/// close ones.
+/// cached DP promises the reference's solution, not just a close one.
 void expect_identical_solution(const model::NetworkModel& m,
                                const ChainRouting& a, const ChainRouting& b) {
   for (const model::Chain& chain : m.chains()) {
@@ -149,43 +151,70 @@ void expect_identical_solution(const model::NetworkModel& m,
 }
 
 TEST_P(TeSeedProperty, CachedSolveIsBitIdentical) {
+  // solve_dp_routing runs through the edge-cost cache; the reference
+  // recomputes every edge cost from the loads.
   const model::NetworkModel m =
       model::make_scenario(scenario_for_seed(GetParam()));
-  const DpResult plain = solve_dp_routing(m);
-  EdgeCostCache cache;
-  DpScratch scratch;
-  const DpResult cached = solve_dp_routing(m, {}, TeContext{&cache, &scratch});
-  EXPECT_EQ(plain.routed_volume, cached.routed_volume);
-  EXPECT_EQ(plain.demand_volume, cached.demand_volume);
-  EXPECT_EQ(plain.fully_routed_chains, cached.fully_routed_chains);
-  EXPECT_EQ(plain.unrouted_chains, cached.unrouted_chains);
-  expect_identical_solution(m, plain.routing, cached.routing);
-  // The cache must actually be exercised, or this test proves nothing.
-  EXPECT_GT(cache.hits(), 0u);
+  const DpResult reference = solve_dp_routing_reference(m);
+  const DpResult cached = solve_dp_routing(m);
+  EXPECT_EQ(reference.routed_volume, cached.routed_volume);
+  EXPECT_EQ(reference.demand_volume, cached.demand_volume);
+  EXPECT_EQ(reference.fully_routed_chains, cached.fully_routed_chains);
+  EXPECT_EQ(reference.unrouted_chains, cached.unrouted_chains);
+  expect_identical_solution(m, reference.routing, cached.routing);
+}
+
+/// The VNF sites the Global Switchboard commits for `route`, or nothing
+/// when the route admits no traffic.
+std::optional<std::vector<SiteId>> committed_sites(const SingleRoute& route) {
+  if (!route.found || route.admissible_fraction <= 0.0) return std::nullopt;
+  return std::vector<SiteId>(route.sites.begin() + 1, route.sites.end() - 1);
+}
+
+void expect_same_route(const SingleRoute& a, const SingleRoute& b,
+                       ChainId chain) {
+  ASSERT_EQ(a.found, b.found) << "chain " << chain;
+  EXPECT_EQ(a.nodes, b.nodes) << "chain " << chain;
+  EXPECT_EQ(a.sites, b.sites) << "chain " << chain;
+  EXPECT_EQ(a.admissible_fraction, b.admissible_fraction) << "chain " << chain;
 }
 
 TEST_P(TeSeedProperty, TeEngineSolveMatchesSolver) {
+  // Route chain by chain as create_chain does — the engine's cached query,
+  // then the whole chain committed on it — while the reference routes on
+  // loads of its own: every query matches, and so do the loads.
   const model::NetworkModel m =
       model::make_scenario(scenario_for_seed(GetParam()));
-  const DpResult plain = solve_dp_routing(m);
   TeEngine engine{m};
-  const DpResult& fast = engine.solve();
-  EXPECT_EQ(plain.routed_volume, fast.routed_volume);
-  EXPECT_EQ(plain.demand_volume, fast.demand_volume);
-  EXPECT_EQ(plain.fully_routed_chains, fast.fully_routed_chains);
-  EXPECT_EQ(plain.unrouted_chains, fast.unrouted_chains);
-  expect_identical_solution(m, plain.routing, fast.routing);
-  engine.check_invariants();
+  Loads reference_loads{m};
+  for (const model::Chain& chain : m.chains()) {
+    const SingleRoute cached = engine.find_route(chain);
+    const SingleRoute reference = find_single_route_reference(
+        m, chain, reference_loads, engine.options());
+    expect_same_route(cached, reference, chain.id);
+    if (HasFatalFailure()) return;
+    if (const auto sites = committed_sites(cached)) {
+      engine.add_route_load(chain, *sites, 1.0);
+      reference_loads.add_route(chain, *sites, 1.0);
+    }
+  }
+  engine.loads().check_matches(reference_loads, 0.0);
 }
 
 TEST_P(TeSeedProperty, IncrementalAddChainMatchesFullSolve) {
+  // A chain appended to the model after the engine was built and loaded
+  // is routed exactly as the reference routes it on the same committed
+  // routes.
   model::NetworkModel m = model::make_scenario(scenario_for_seed(GetParam()));
   TeEngine engine{m};
-  engine.solve();
+  Loads reference_loads{m};
+  for (const model::Chain& chain : m.chains()) {
+    if (const auto sites = committed_sites(engine.find_route(chain))) {
+      engine.add_route_load(chain, *sites, 1.0);
+      reference_loads.add_route(chain, *sites, 1.0);
+    }
+  }
 
-  // Append one chain to the model and route it incrementally; a full
-  // re-solve visits chains in id order, so the incremental result must be
-  // identical bit for bit.
   model::Chain extra;
   const model::Chain& proto = m.chains().front();
   extra.name = "extra";
@@ -194,18 +223,12 @@ TEST_P(TeSeedProperty, IncrementalAddChainMatchesFullSolve) {
   extra.vnfs = proto.vnfs;
   extra.forward_traffic = proto.forward_traffic;
   extra.reverse_traffic = proto.reverse_traffic;
-  const ChainId added = m.add_chain(std::move(extra));
-  const double routed = engine.add_chain(added);
-  EXPECT_GE(routed, 0.0);
-  EXPECT_LE(routed, 1.0 + 1e-9);
-
-  const DpResult full = solve_dp_routing(m);
-  EXPECT_EQ(engine.result().routed_volume, full.routed_volume);
-  EXPECT_EQ(engine.result().demand_volume, full.demand_volume);
-  EXPECT_EQ(engine.result().fully_routed_chains, full.fully_routed_chains);
-  EXPECT_EQ(engine.result().unrouted_chains, full.unrouted_chains);
-  expect_identical_solution(m, engine.result().routing, full.routing);
-  engine.check_invariants();
+  const model::Chain& added = m.chain(m.add_chain(std::move(extra)));
+  const SingleRoute cached = engine.find_route(added);
+  EXPECT_LE(cached.admissible_fraction, 1.0);
+  expect_same_route(cached, find_single_route_reference(
+                                m, added, reference_loads, engine.options()),
+                    added.id);
 }
 
 TEST_P(TeSeedProperty, OnehopNeverBeatsHolisticByMuch) {

@@ -4,6 +4,12 @@
 Usage:
     python3 tools/bench_diff.py --baseline BENCH_seed.json \
         --current BENCH_pr.json [--tolerance 0.25]
+    python3 tools/bench_diff.py --report BENCH_seed.json BENCH_[0-9]*.json
+
+--report prints the trajectory instead of gating: one row per metric, one
+column per file (BENCH_seed.json first, then BENCH_<n>.json in PR order),
+gated metrics first, wall-clock metrics tagged "wall" (a gated one
+"gated+wall").
 
 Both files are the `jq -s` merge CI produces:
 
@@ -39,6 +45,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
+import re
 import sys
 
 # (bench, record name) -> {metric: spec}.  A spec is either a direction
@@ -159,6 +167,43 @@ GATED = {
     },
 }
 
+# (bench, record name) -> metrics measured with a host clock.  They move
+# with the machine and its load, so the trajectory report tags them.
+WALL_CLOCK = {
+    ("bench_ablation_dataplane", "annotation_vs_table"): {
+        "annotation_ns_per_pkt", "table_ns_per_pkt"},
+    ("bench_ablation_dataplane", "labels_vs_source_routing"): {
+        "labels_ns_per_pkt", "source_route_ns_per_pkt"},
+    ("bench_ext_scale", "dp_paper_scale"): {"dp_sec"},
+    ("bench_ext_scale", "lp_large_scale"): {"lp_sec"},
+    ("bench_ext_scale", "lp_sparse_vs_dense"): {
+        "dense_sec", "sparse_sec", "speedup"},
+    ("bench_ext_scale", "lp_vs_dp_runtime"): {"dp_sec", "lp_sec"},
+    ("bench_ext_scale", "lp_warm_vs_cold"): {
+        "cold_sec", "warm_sec", "speedup"},
+    ("bench_fig10_route_update", "incremental"): {
+        "full_resolve_ms", "incremental_ms", "speedup"},
+    ("bench_fig12_te_comparison", "cached"): {
+        "cached_ms", "uncached_ms", "speedup"},
+    ("bench_fig12_te_comparison", "parallel_build"): {
+        "parallel_ms", "serial_ms", "speedup"},
+    ("bench_fig13_recovery", "controller_restart"): {
+        "measured_replay_ns_per_record"},
+    ("bench_fig7_ovs_overhead", "ovs_overhead"): {
+        "affinity_pps", "bridge_pps", "labels_pps", "affinity_overhead_pct",
+        "labels_overhead_pct"},
+    ("bench_fig8_forwarder_scaling", "flow_scale_mode_ratio"): {
+        "epoch_vs_mutex"},
+    ("bench_fig8_forwarder_scaling", "flow_scale_sweep"): {
+        "mpps_per_core", "ns_per_pkt"},
+    ("bench_fig8_forwarder_scaling", "sharded_scaling"): {
+        "throughput_pps", "speedup_vs_1_thread"},
+    ("bench_fig8_forwarder_scaling", "shared_nothing_scaling"): {
+        "throughput_pps"},
+    ("bench_fig8_forwarder_scaling", "single_core_by_flows"): {
+        "throughput_pps"},
+}
+
 EPSILON = 1e-9
 
 
@@ -185,13 +230,78 @@ def describe(key):
     return f"{bench}/{name}({param_text})" if param_text else f"{bench}/{name}"
 
 
+def pr_order(path):
+    """Sort key: BENCH_seed.json first, then BENCH_<n>.json by n, then any
+    other file in the order given."""
+    stem = pathlib.Path(path).stem
+    if stem == "BENCH_seed":
+        return (0, 0)
+    match = re.fullmatch(r"BENCH_(\d+)", stem)
+    return (1, int(match.group(1))) if match else (2, 0)
+
+
+def column_label(path):
+    stem = pathlib.Path(path).stem
+    return stem[len("BENCH_"):] if stem.startswith("BENCH_") else stem
+
+
+def format_value(value):
+    if value is None:
+        return "-"
+    if float(value).is_integer() and abs(value) < 1e15:
+        return str(int(value))
+    return f"{value:.6g}"
+
+
+def report(paths):
+    """Prints one row per (record, metric) over `paths` in PR order."""
+    paths = sorted(paths, key=pr_order)
+    runs = [load_records(path) for path in paths]
+    rows = set()
+    for records in runs:
+        for key, metrics in records.items():
+            rows.update((key, metric) for metric in metrics)
+
+    def row_order(row):
+        (bench, name, _), metric = row
+        gated = metric in GATED.get((bench, name), {})
+        return (not gated, row)
+
+    table = []
+    for row in sorted(rows, key=row_order):
+        key, metric = row
+        tags = [tag for tag, table in (("gated", GATED), ("wall", WALL_CLOCK))
+                if metric in table.get((key[0], key[1]), ())]
+        tag = "+".join(tags)
+        values = [format_value(records.get(key, {}).get(metric))
+                  for records in runs]
+        table.append((f"{describe(key)} {metric}", tag, values))
+
+    labels = [column_label(path) for path in paths]
+    name_width = max([len("metric")] + [len(name) for name, _, _ in table])
+    widths = [max([len(label)] + [len(values[i]) for _, _, values in table])
+              for i, label in enumerate(labels)]
+    print(f"{'metric':<{name_width}}  {'tag':<10}  " +
+          "  ".join(f"{label:>{w}}" for label, w in zip(labels, widths)))
+    for name, tag, values in table:
+        print(f"{name:<{name_width}}  {tag:<10}  " +
+              "  ".join(f"{v:>{w}}" for v, w in zip(values, widths)))
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline", required=True)
-    parser.add_argument("--current", required=True)
+    parser.add_argument("--baseline")
+    parser.add_argument("--current")
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed fractional move in the bad direction")
+    parser.add_argument("--report", nargs="+", metavar="FILE",
+                        help="print the per-metric trajectory over FILEs")
     args = parser.parse_args()
+    if args.report:
+        return report(args.report)
+    if not args.baseline or not args.current:
+        parser.error("--baseline and --current are required without --report")
 
     baseline = load_records(args.baseline)
     current = load_records(args.current)

@@ -3,7 +3,11 @@
 
 Run directly (``python3 tools/lint.py``) or via ``ctest -R lint``.
 
-Style rules enforced over ``src/``:
+Every rule below is enforced over ``src/`` and over ``tests/reference/``:
+the reference engines there are what exact gates compare the library
+against, so they keep the library's determinism contract too.
+
+Style rules:
 
   R1  no ``assert(`` outside ``src/common/result.hpp`` — invariants use the
       SWB_CHECK / SWB_DCHECK family (common/check.hpp), which survives
@@ -137,6 +141,8 @@ FIELD_ASSIGN_RE = re.compile(r"\.\s*(\w+)\s*[-+*/]?=(?!=)")
 SUBFIELD_ASSIGN_RE = re.compile(
     r"\.\s*(\w+)\s*\.\s*\w+\s*[-+*/]?=(?!=)")
 OPTION_SEARCH_DIRS = ("src", "tests", "bench", "examples", "perfbench")
+# The trees every rule is enforced over.
+LINTED_DIRS = ("src", "tests/reference")
 NOT_A_FIELD_RE = re.compile(
     r"(?:using|typedef|static|friend|enum|struct|class|template)\b")
 FUNCTION_DECL_RE = re.compile(
@@ -682,8 +688,9 @@ def main() -> int:
     if args.self_test:
         return self_test(root)
 
-    files = sorted((root / "src").rglob("*.hpp")) + \
-        sorted((root / "src").rglob("*.cpp"))
+    files = [path for d in LINTED_DIRS
+             for pattern in ("*.hpp", "*.cpp")
+             for path in sorted((root / d).rglob(pattern))]
     fixtures = root / "tests" / "lint_selftest"
     search = [path for d in OPTION_SEARCH_DIRS
               for path in sorted((root / d).rglob("*.[hc]pp"))
