@@ -24,9 +24,11 @@
 // lookup) — reporting ns/pkt and Mpps/core.  Packet counts and the flow-pinning digest are bit-identical
 // across modes and thread counts; the binary aborts if they are not.
 //
-// Flags: --threads N (sharded sweep up to N; default 8 capped at the host),
-// --json <path>, --smoke (see bench_json.hpp).  Absolute Mpps depends on
-// the host; the scaling *shape* is the reproduction target.
+// Flags: --threads N (sharded sweep up to N; default 8, not capped at the
+// host: sharded and shared-nothing points above hardware_concurrency run
+// time-sliced and carry `oversubscribed` = 1), --json <path>, --smoke (see
+// bench_json.hpp).  Absolute Mpps depends on the host; the scaling *shape*
+// is the reproduction target.
 #include <benchmark/benchmark.h>
 
 #include <chrono>

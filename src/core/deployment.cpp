@@ -347,20 +347,28 @@ Deployment::WalkResult Deployment::inject(ChainId chain,
           : record.spec.egress_service;
   const dataplane::ElementId edge_instance =
       edge_controller(edge_service).ensure_edge_instance(start_site);
-  return inject_from(chain, edge_instance, flow, direction, size_bytes);
+  return walk(record, edge_instance, flow, direction, size_bytes);
 }
 
 Deployment::WalkResult Deployment::inject_from(
     ChainId chain, dataplane::ElementId edge_instance,
     const dataplane::FiveTuple& flow, dataplane::Direction direction,
     std::uint16_t size_bytes) {
-  WalkResult result;
   const control::ChainRecord* found = global_->find_record(chain);
   if (found == nullptr || !found->active) {
+    WalkResult result;
     result.failure = "chain not active";
     return result;
   }
-  const control::ChainRecord& record = *found;
+  return walk(*found, edge_instance, flow, direction, size_bytes);
+}
+
+Deployment::WalkResult Deployment::walk(const control::ChainRecord& record,
+                                        dataplane::ElementId edge_instance,
+                                        const dataplane::FiveTuple& flow,
+                                        dataplane::Direction direction,
+                                        std::uint16_t size_bytes) {
+  WalkResult result;
   // Both edges, the ingress and egress forwarders, and a forwarder plus
   // an instance per VNF: the walk never reallocates its path.
   result.path.reserve(2 * record.spec.vnfs.size() + 4);

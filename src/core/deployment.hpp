@@ -183,6 +183,13 @@ class Deployment {
                             std::uint16_t size_bytes = 64);
 
  private:
+  /// The walk behind inject() and inject_from(), on a chain record
+  /// already found active: the packet enters at `edge_instance`.
+  WalkResult walk(const control::ChainRecord& record,
+                  dataplane::ElementId edge_instance,
+                  const dataplane::FiveTuple& flow,
+                  dataplane::Direction direction, std::uint16_t size_bytes);
+
   DeploymentConfig config_;
   model::NetworkModel model_;
   sim::Simulator sim_;

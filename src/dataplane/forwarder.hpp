@@ -27,7 +27,9 @@
 // Control-plane mutations (rules(), register_attachment()) are NOT
 // synchronized against packet processing — install rules before starting
 // workers or quiesce them first (the paper's make-before-break updates swap
-// whole rules between packet bursts).
+// whole rules between packet bursts).  The RuleTable is one open-addressing
+// array with each rule inline in its slot: an install or remove may move
+// other rules, so a reader racing it could read a slot mid-move.
 //
 // Load-balancing picks are a pure function of (forwarder seed, flow key),
 // made in one place (pick()) for every pinning — first packet, drained
@@ -220,10 +222,10 @@ class Forwarder {
   // Concurrency contract (see DESIGN.md §14): table_ carries its own
   // per-shard swb::Mutex guards; counter_cells_ are relaxed atomics (no
   // lock, quiesce to read a consistent set); selector_seed_ is immutable
-  // after construction; rules_ and attachment_labels_ are *externally
-  // synchronized* — written only while workers are quiesced (make-before-
-  // break rule swaps), so they deliberately carry no guard for the
-  // read-mostly packet path.
+  // after construction; rules_ (one slot array, rules inline) and
+  // attachment_labels_ are *externally synchronized* — written only while
+  // workers are quiesced (make-before-break rule swaps), so they
+  // deliberately carry no guard for the read-mostly packet path.
   ElementId id_;
   std::size_t worker_count_;
   ShardedFlowTable table_;

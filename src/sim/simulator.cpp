@@ -1,4 +1,6 @@
 #include "sim/simulator.hpp"
+
+#include <algorithm>
 #include <utility>
 
 #include "common/check.hpp"
@@ -14,7 +16,8 @@ EventHandle Simulator::schedule_at(SimTime when, Callback fn) {
   SWB_DCHECK(when >= now_);
   SWB_DCHECK(fn);
   const std::uint64_t seq = next_sequence_++;
-  queue_.push(Event{when, seq, std::move(fn)});
+  queue_.push_back(Event{when, seq, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
   return EventHandle{seq, when};
 }
 
@@ -26,14 +29,17 @@ bool Simulator::cancel(EventHandle handle) {
   return cancelled_.insert(handle.sequence).second;
 }
 
-void Simulator::pop_head() {
-  popped_ = {queue_.top().when, queue_.top().sequence};
-  queue_.pop();
+Simulator::Event Simulator::pop_head() {
+  std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
+  Event event = std::move(queue_.back());
+  queue_.pop_back();
+  popped_ = {event.when, event.sequence};
+  return event;
 }
 
 void Simulator::drop_cancelled_head() {
   while (!queue_.empty()) {
-    const auto it = cancelled_.find(queue_.top().sequence);
+    const auto it = cancelled_.find(queue_.front().sequence);
     if (it == cancelled_.end()) return;
     cancelled_.erase(it);
     pop_head();
@@ -43,8 +49,7 @@ void Simulator::drop_cancelled_head() {
 bool Simulator::step() {
   drop_cancelled_head();
   if (queue_.empty()) return false;
-  Event event = queue_.top();
-  pop_head();
+  Event event = pop_head();
   now_ = event.when;
   ++executed_;
   event.fn();
@@ -61,7 +66,7 @@ SimTime Simulator::run_until(SimTime deadline) {
   SWB_DCHECK(deadline >= now_);
   for (;;) {
     drop_cancelled_head();
-    if (queue_.empty() || queue_.top().when > deadline) break;
+    if (queue_.empty() || queue_.front().when > deadline) break;
     step();
   }
   now_ = deadline;
@@ -77,9 +82,9 @@ void Simulator::check_invariants() const {
   if (!queue_.empty()) {
     // The heap top is the next event to fire; an entry before now() would
     // mean time runs backwards for its callback.
-    SWB_CHECK_GE(queue_.top().when, now_) << "event queue head in the past";
-    SWB_CHECK_LT(queue_.top().sequence, next_sequence_);
-    SWB_CHECK_GE(queue_.top().sequence, 1u);
+    SWB_CHECK_GE(queue_.front().when, now_) << "event queue head in the past";
+    SWB_CHECK_LT(queue_.front().sequence, next_sequence_);
+    SWB_CHECK_GE(queue_.front().sequence, 1u);
   }
   // Lazily-deleted events must still be in the queue, else pending_events()
   // undercounts (cancel() refuses sequences that were never allocated, and

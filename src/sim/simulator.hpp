@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -63,8 +62,6 @@ class Simulator {
 
  private:
   void drop_cancelled_head();
-  /// Takes the head event off the queue, fired or skipped.
-  void pop_head();
 
   struct Event {
     SimTime when;
@@ -77,7 +74,13 @@ class Simulator {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
+  /// Takes the head event off the queue, fired or skipped, and hands it
+  /// over: its callback is moved out, never copied.
+  Event pop_head();
+
+  /// A binary min-heap on (when, sequence) under std::push_heap and
+  /// std::pop_heap; front() is the next event to fire.
+  std::vector<Event> queue_;
   SimTime now_{0};
   std::uint64_t next_sequence_{1};
   std::uint64_t executed_{0};

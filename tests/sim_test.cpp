@@ -164,5 +164,38 @@ TEST(Simulator, ManyEventsStressOrdering) {
   EXPECT_EQ(sim.executed_events(), 10000u);
 }
 
+/// Counts its copies; moves are free.
+struct CopyCounter {
+  explicit CopyCounter(int* counter) : copies{counter} {}
+  CopyCounter(const CopyCounter& other) : copies{other.copies} { ++*copies; }
+  CopyCounter(CopyCounter&& other) noexcept = default;
+  CopyCounter& operator=(const CopyCounter& other) {
+    copies = other.copies;
+    ++*copies;
+    return *this;
+  }
+  CopyCounter& operator=(CopyCounter&& other) noexcept = default;
+  int* copies;
+};
+
+TEST(Simulator, StepMovesTheCallbackInsteadOfCopyingIt) {
+  // A callback's captures (bus messages, reports, nested callbacks) are
+  // handed from schedule() to the firing step without one copy.
+  Simulator sim;
+  int copies = 0;
+  int fired = 0;
+  for (int i = 0; i < 8; ++i) {
+    sim.schedule(milliseconds(8 - i),
+                 [probe = CopyCounter{&copies}, &fired] {
+                   (void)probe;
+                   ++fired;
+                 });
+  }
+  while (sim.step()) {
+  }
+  EXPECT_EQ(fired, 8);
+  EXPECT_EQ(copies, 0);
+}
+
 }  // namespace
 }  // namespace switchboard::sim
