@@ -1,21 +1,52 @@
 #include "common/epoch.hpp"
 
+#include <bit>
+
 #include "common/check.hpp"
 
 namespace switchboard::swb {
 
 namespace {
 
-/// Per-thread preferred reader slot: distinct threads start their claim
-/// scan at distinct indexes, so in steady state each thread's CAS lands
-/// on a slot no other thread touches.  The assignment order does not
-/// affect any observable result (slots are interchangeable), only cache
-/// behaviour.
-std::size_t preferred_slot() {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t mine =
-      next.fetch_add(1, std::memory_order_relaxed) % EpochDomain::kMaxReaders;
-  return mine;
+static_assert(EpochDomain::kMaxReaders == 64, "one id-pool bit per slot");
+
+/// Process-wide reader-id pool: bit i is set while a live thread holds
+/// reader id i.
+std::atomic<std::uint64_t> held_reader_ids{0};
+
+/// The calling thread's reader id; kMaxReaders until its first pin.  A
+/// plain thread_local, so the per-pin read needs no TLS init guard.
+thread_local std::size_t this_reader = EpochDomain::kMaxReaders;
+
+/// Frees the thread's reader id when the thread exits.  The release
+/// orders every access the thread made to its slots before the claim of
+/// the thread that gets the id next.
+struct ReaderIdRelease {
+  ReaderIdRelease() = default;
+  ReaderIdRelease(const ReaderIdRelease&) = delete;
+  ReaderIdRelease& operator=(const ReaderIdRelease&) = delete;
+  ~ReaderIdRelease() {
+    held_reader_ids.fetch_and(~(std::uint64_t{1} << this_reader),
+                              std::memory_order_release);
+    this_reader = EpochDomain::kMaxReaders;
+  }
+};
+
+/// The thread's first pin: takes the lowest free reader id.
+std::size_t claim_reader_id() {
+  std::uint64_t held = held_reader_ids.load(std::memory_order_relaxed);
+  std::size_t id = 0;
+  do {
+    SWB_CHECK_NE(held, ~std::uint64_t{0})
+        << "more than kMaxReaders live threads pinned an epoch";
+    id = static_cast<std::size_t>(std::countr_one(held));
+  } while (!held_reader_ids.compare_exchange_weak(
+      held, held | (std::uint64_t{1} << id), std::memory_order_acquire,
+      std::memory_order_relaxed));
+  this_reader = id;
+  thread_local const ReaderIdRelease release;   // frees `id` at thread exit
+  (void)release;
+  return id;
 }
 
 }  // namespace
@@ -28,21 +59,10 @@ EpochDomain::~EpochDomain() {
 }
 
 std::size_t EpochDomain::pin() {
-  // Claim a slot: CAS scan starting at this thread's preferred index.
-  const std::size_t start = preferred_slot();
-  std::size_t slot = kMaxReaders;
-  for (std::size_t attempt = 0; attempt < kMaxReaders * 1024; ++attempt) {
-    const std::size_t s = (start + attempt) % kMaxReaders;
-    bool expected = false;
-    if (slots_[s].claimed.compare_exchange_strong(
-            expected, true, std::memory_order_acquire,
-            std::memory_order_relaxed)) {
-      slot = s;
-      break;
-    }
-  }
-  SWB_CHECK_LT(slot, kMaxReaders)
-      << "more than kMaxReaders concurrent epoch readers";
+  std::size_t id = this_reader;
+  if (id == kMaxReaders) id = claim_reader_id();
+  ReaderSlot& slot = slots_[id];
+  if (slot.depth++ > 0) return id;   // nested: the outer epoch covers it
 
   // Publish the epoch we observed, then re-check: if a writer advanced
   // the global epoch in between, republish the newer value.  On exit the
@@ -50,20 +70,22 @@ std::size_t EpochDomain::pin() {
   // next retirement with (see the ordering contract in the header).
   std::uint64_t observed = global_epoch_.load(std::memory_order_seq_cst);
   for (;;) {
-    slots_[slot].pinned.store(observed, std::memory_order_seq_cst);
+    slot.pinned.store(observed, std::memory_order_seq_cst);
     const std::uint64_t now = global_epoch_.load(std::memory_order_seq_cst);
     if (now == observed) break;
     observed = now;
   }
-  return slot;
+  return id;
 }
 
 void EpochDomain::unpin(std::size_t slot) {
-  SWB_CHECK_LT(slot, kMaxReaders);
+  SWB_CHECK_EQ(slot, this_reader) << "unpin from a thread that did not pin";
+  ReaderSlot& reader = slots_[slot];
+  SWB_DCHECK_GT(reader.depth, 0u);
+  if (--reader.depth > 0) return;
   // Release order: every protected load this reader performed happens
   // before the unpin becomes visible to a reclaiming writer.
-  slots_[slot].pinned.store(kUnpinned, std::memory_order_release);
-  slots_[slot].claimed.store(false, std::memory_order_release);
+  reader.pinned.store(kUnpinned, std::memory_order_release);
 }
 
 void EpochDomain::retire(void* object, void (*deleter)(void*)) {

@@ -14,9 +14,10 @@
 //   * the domain keeps a GLOBAL EPOCH counter and a fixed array of
 //     cacheline-padded reader slots;
 //   * a reader PINS an epoch before touching any protected pointer
-//     (EpochGuard): it claims a slot, publishes the epoch it observed,
-//     and re-checks the global epoch so the publication can never lag a
-//     concurrent writer's advance (the seq_cst store/load pair below);
+//     (EpochGuard): in its thread's slot (below) it publishes the epoch
+//     it observed, and re-checks the global epoch so the publication can
+//     never lag a concurrent writer's advance (the seq_cst store/load
+//     pair below);
 //   * a writer RETIREs an object only after making it unreachable
 //     (storing the replacement pointer with release order).  retire()
 //     stamps the object with the current epoch and advances the global
@@ -36,7 +37,19 @@
 //   replacement pointer and the retired object is unreachable to this
 //   reader.
 //
-// Locking: reader pin/unpin is lock-free (one CAS + two stores).  The
+// Reader slots are thread-owned: a thread claims a process-wide reader id
+// (0..kMaxReaders-1) at its first pin in any domain and frees it when it
+// exits (a thread_local destructor); in every domain it pins through
+// slot `id`, so no pin claims anything.  A slot's depth counts its
+// thread's nested pins in that domain, and only the owning thread touches
+// it.  The outermost pin publishes an epoch; a nested pin keeps the outer
+// epoch, so nested guards act as one longer outer pin.  kMaxReaders
+// therefore bounds the live threads that have pinned, not concurrent
+// pins: one thread more aborts through SWB_CHECK.
+//
+// Locking: pin/unpin take no lock and run one locked instruction at
+// most, the seq_cst store of an outermost pin.  A nested pin bumps the
+// depth; an unpin drops it and, back at 0, makes one release store.  The
 // retired list is guarded by a leaf swb::Mutex; callers may hold their
 // own write locks while calling retire() (shard mutex -> retire mutex is
 // the documented order; nothing is ever acquired under retire_mutex_).
@@ -53,9 +66,9 @@ namespace switchboard::swb {
 
 class EpochDomain {
  public:
-  /// Reader slots per domain.  Claiming scans from a per-thread preferred
-  /// index, so steady-state readers reuse "their" slot and the claim CAS
-  /// stays on an unshared cacheline.
+  /// Reader slots per domain, one per process-wide reader id: the bound
+  /// on live threads that have pinned (any domain), not on concurrent
+  /// pins.  The thread past it aborts (SWB_CHECK).
   static constexpr std::size_t kMaxReaders = 64;
   /// Slot value meaning "no epoch pinned".
   static constexpr std::uint64_t kUnpinned = ~std::uint64_t{0};
@@ -68,13 +81,17 @@ class EpochDomain {
   /// SWB_CHECK) if any reader is still pinned.
   ~EpochDomain();
 
-  /// Claims a reader slot and publishes the current epoch in it.  Returns
-  /// the slot index (pass it to unpin()).  Lock-free; aborts if more than
-  /// kMaxReaders threads pin simultaneously.  Prefer EpochGuard.
+  /// Pins the calling thread in its own slot: the outermost pin publishes
+  /// the current epoch, a nested one only deepens the pin and keeps the
+  /// outer epoch.  Returns the slot index, the thread's reader id (pass it
+  /// to unpin()).  Lock-free; the first pin of a thread claims its reader
+  /// id and aborts if kMaxReaders live threads already hold one.  Prefer
+  /// EpochGuard.
   [[nodiscard]] std::size_t pin();
 
-  /// Releases a slot claimed by pin().  After this the caller must not
-  /// dereference any epoch-protected pointer it loaded under the pin.
+  /// Undoes one pin() of the calling thread; `slot` is what it returned.
+  /// When the outermost pin ends, the caller must not dereference any
+  /// epoch-protected pointer it loaded under the pin.
   void unpin(std::size_t slot);
 
   /// Hands `object` to the domain for deferred deletion via `deleter`.
@@ -114,10 +131,13 @@ class EpochDomain {
   /// never shares a cacheline.
   struct alignas(64) ReaderSlot {
     std::atomic<std::uint64_t> pinned{kUnpinned};
-    std::atomic<bool> claimed{false};
+    /// The owning thread's nested pins; no other thread reads or writes
+    /// it (a recycled reader id passes to the next thread through the id
+    /// pool's release/acquire pair).
+    std::size_t depth{0};
   };
 
-  /// Minimum epoch pinned by any claimed slot (kUnpinned when none).
+  /// Minimum epoch pinned by any slot (kUnpinned when none).
   [[nodiscard]] std::uint64_t min_pinned_epoch() const;
 
   /// Frees retired objects with epoch < `horizon`; caller holds

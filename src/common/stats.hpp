@@ -9,13 +9,16 @@
 
 namespace switchboard {
 
-/// Thread-safe event counter: a drop-in replacement for a plain
-/// `std::uint64_t` statistics field that several worker threads bump
-/// concurrently (e.g. the forwarder's per-packet counters).  All operations
-/// use relaxed ordering — counters are monotonic tallies, not
-/// synchronization points; readers that need a consistent *set* of counters
-/// must quiesce the writers first (the data plane reads them after joining
-/// its workers).
+/// Single-writer event counter: a drop-in replacement for a plain
+/// `std::uint64_t` statistics field that one thread at a time bumps while
+/// any thread may read it (the forwarder's per-shard cells, written by the
+/// worker owning the shard; a flow table's inserts/erases, written under
+/// the shard mutex).  A bump is a relaxed load plus a relaxed store, no
+/// locked instruction: two threads bumping one counter at once can lose
+/// an update, but the value never tears.  Counters are monotonic tallies,
+/// not synchronization points; readers that need a consistent *set* of
+/// counters must quiesce the writers first (the data plane reads them
+/// after joining its workers).
 class RelaxedCounter {
  public:
   constexpr RelaxedCounter() = default;
@@ -40,12 +43,10 @@ class RelaxedCounter {
     return value_.load(std::memory_order_relaxed);
   }
 
-  RelaxedCounter& operator++() {
-    value_.fetch_add(1, std::memory_order_relaxed);
-    return *this;
-  }
+  RelaxedCounter& operator++() { return *this += 1; }
   RelaxedCounter& operator+=(std::uint64_t delta) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+    value_.store(value_.load(std::memory_order_relaxed) + delta,
+                 std::memory_order_relaxed);
     return *this;
   }
 

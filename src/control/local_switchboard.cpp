@@ -1,5 +1,6 @@
 #include "control/local_switchboard.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -243,7 +244,10 @@ void LocalSwitchboard::handle_route(const RouteAnnouncement& announcement) {
 void LocalSwitchboard::install_rule(const PerChain& pc,
                                     dataplane::ElementId forwarder,
                                     Fronted& fronted) {
-  // Next-hop forwarders, merged across live routes.
+  // Next-hop forwarders, merged across live routes: a forwarder that
+  // several routes reach is one candidate weighted by the sum of its
+  // route.weight x announcement weight, in first-seen order.
+  std::vector<std::pair<dataplane::ElementId, double>> next;
   const auto add_next = [&](const RouteAnnouncement& route,
                             std::size_t stage) {
     const auto [vnf, site] = next_forwarders(route, stage);
@@ -252,8 +256,17 @@ void LocalSwitchboard::install_rule(const PerChain& pc,
             .path);
     if (it == pc.forwarders.end()) return;
     for (const ForwarderAnnouncement& ann : it->second) {
-      add_live(fronted.rule.next_forwarders, ann.forwarder,
-               route.weight * ann.weight);
+      const double weight = route.weight * ann.weight;
+      if (!live(weight)) continue;
+      const auto same = std::find_if(next.begin(), next.end(),
+                                     [&](const auto& candidate) {
+                                       return candidate.first == ann.forwarder;
+                                     });
+      if (same == next.end()) {
+        next.emplace_back(ann.forwarder, weight);
+      } else {
+        same->second += weight;
+      }
     }
   };
   for (const RouteAnnouncement& route : pc.routes) {
@@ -268,6 +281,9 @@ void LocalSwitchboard::install_rule(const PerChain& pc,
     } else if (pc.ingress_site == site_) {
       add_next(route, 0);   // the ingress edge forwarder
     }
+  }
+  for (const auto& [element, weight] : next) {
+    fronted.rule.next_forwarders.add(element, weight);
   }
   context_.elements.forwarder(forwarder).rules().install(
       pc.labels, std::move(fronted.rule));

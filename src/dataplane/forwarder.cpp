@@ -114,10 +114,11 @@ ForwardAction Forwarder::wire_resolve(const Packet& packet,
 
 ForwardAction Forwarder::process_from_wire(const Packet& packet) {
   const FiveTuple key = canonical_tuple(packet);
-  ForwarderCounters& counters = cell_for(packet.labels, key);
+  const std::uint64_t hash = flow_hash(packet.labels, key);
+  ForwarderCounters& counters = cell_for(hash);
   ++counters.from_wire;
   return wire_resolve(packet, key, counters,
-                      table_.find(packet.labels, key));
+                      table_.find(packet.labels, key, hash));
 }
 
 std::size_t Forwarder::process_batch(std::span<const Packet> packets,
@@ -142,7 +143,7 @@ std::size_t Forwarder::process_batch(std::span<const Packet> packets,
     for (std::size_t i = 0; i < chunk; ++i) {
       const Packet& packet = packets[base + i];
       const ShardedFlowTable::LookupRequest& request = requests[i];
-      ForwarderCounters& counters = cell_for(packet.labels, request.tuple);
+      ForwarderCounters& counters = cell_for(request.hash);
       ++counters.from_wire;
       ForwardAction action;
       if (request.hit && request.entry.vnf_instance != kNoElement) {
@@ -163,7 +164,7 @@ std::size_t Forwarder::process_batch(std::span<const Packet> packets,
 
 ForwardAction Forwarder::process_annotated(Packet& packet) {
   const FiveTuple key = canonical_tuple(packet);
-  ForwarderCounters& counters = cell_for(packet.labels, key);
+  ForwarderCounters& counters = cell_for(flow_hash(packet.labels, key));
   ++counters.from_wire;
   if (!packet.steering.valid_for(rules_.version())) {
     // Missing or stale: affix the pinning the flow table would hold.
@@ -199,7 +200,7 @@ ForwardAction Forwarder::process_from_attached(Packet& packet) {
     const auto it = attachment_labels_.find(packet.arrival_source);
     if (it == attachment_labels_.end()) {
       ForwarderCounters& counters =
-          cell_for(packet.labels, canonical_tuple(packet));
+          cell_for(flow_hash(packet.labels, canonical_tuple(packet)));
       ++counters.from_attached;
       return drop(counters);
     }
@@ -208,11 +209,12 @@ ForwardAction Forwarder::process_from_attached(Packet& packet) {
   }
 
   const FiveTuple key = canonical_tuple(packet);
-  ForwarderCounters& counters = cell_for(packet.labels, key);
+  const std::uint64_t hash = flow_hash(packet.labels, key);
+  ForwarderCounters& counters = cell_for(hash);
   ++counters.from_attached;
   if (reaffixed) ++counters.label_reaffixed;
 
-  std::optional<FlowEntry> entry = table_.find(packet.labels, key);
+  std::optional<FlowEntry> entry = table_.find(packet.labels, key, hash);
   if (!entry) {
     // First packet of a connection entering from an attached ingress edge.
     ++counters.flow_misses;

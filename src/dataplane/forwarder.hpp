@@ -21,9 +21,14 @@
 // packets, re-pins, teardown) take their shard's lock.  fig8's
 // lock-per-lookup baseline wraps this read path from outside the library
 // (tests/reference/lock_per_lookup.hpp).  process_from_wire /
-// process_from_attached / process_batch are thread-safe for any
-// interleaving (per-shard writer locks + atomic counters); honoring the
-// worker mapping is what keeps writers off each other's shards.
+// process_from_attached / process_batch keep the flow table consistent
+// for any interleaving (per-shard writer locks, seqlocked slots).  The
+// per-packet counters are exact when every packet goes to its
+// worker_for() worker: each counter cell is written only by the worker
+// owning its shard, with a plain load and store (RelaxedCounter).  A
+// caller driving one shard from two threads can under-count, never tear
+// memory (the cells stay std::atomic).  Honoring the worker mapping also
+// keeps writers off each other's shard locks.
 // Control-plane mutations (rules(), register_attachment()) are NOT
 // synchronized against packet processing — install rules before starting
 // workers or quiesce them first (the paper's make-before-break updates swap
@@ -65,11 +70,11 @@ struct ForwardAction {
                                    const ForwardAction&) = default;
 };
 
-/// Per-packet tallies; bumped with relaxed atomics so N workers can share
-/// the forwarder.  Read them quiesced (workers joined) for exact totals.
-/// Internally the forwarder stripes one cell per flow-table shard (a
-/// worker only touches its own shards' cells — no cross-core cacheline
-/// traffic on the hot path); counters() aggregates the stripes on read.
+/// Per-packet tallies.  Internally the forwarder stripes one cell per
+/// flow-table shard, written only by the worker owning the shard
+/// (worker_for()): no locked instruction and no cross-core cacheline
+/// traffic on the hot path.  counters() aggregates the stripes on read;
+/// read them quiesced (workers joined) for exact totals.
 struct ForwarderCounters {
   RelaxedCounter from_wire{0};
   RelaxedCounter from_attached{0};
@@ -211,21 +216,20 @@ class Forwarder {
     ForwarderCounters counters;
   };
 
-  /// The stripe for a packet: the cell of the shard owning its flow.
-  [[nodiscard]] ForwarderCounters& cell_for(const Labels& labels,
-                                            const FiveTuple& key) {
-    return counter_cells_[rss_shard(flow_hash(labels, key),
-                                    counter_cells_.size())]
-        .counters;
+  /// The stripe for a packet whose flow hashes to `hash`: the cell of
+  /// the shard owning the flow, so the worker_for() worker is its writer.
+  [[nodiscard]] ForwarderCounters& cell_for(std::uint64_t hash) {
+    return counter_cells_[rss_shard(hash, counter_cells_.size())].counters;
   }
 
   // Concurrency contract (see DESIGN.md §14): table_ carries its own
-  // per-shard swb::Mutex guards; counter_cells_ are relaxed atomics (no
-  // lock, quiesce to read a consistent set); selector_seed_ is immutable
-  // after construction; rules_ (one slot array, rules inline) and
-  // attachment_labels_ are *externally synchronized* — written only while
-  // workers are quiesced (make-before-break rule swaps), so they
-  // deliberately carry no guard for the read-mostly packet path.
+  // per-shard swb::Mutex guards; counter_cells_ are single-writer relaxed
+  // atomics (each written by its shard's worker; quiesce to read a
+  // consistent set); selector_seed_ is immutable after construction;
+  // rules_ (one slot array, rules inline) and attachment_labels_ are
+  // *externally synchronized* — written only while workers are quiesced
+  // (make-before-break rule swaps), so they deliberately carry no guard
+  // for the read-mostly packet path.
   ElementId id_;
   std::size_t worker_count_;
   ShardedFlowTable table_;

@@ -105,15 +105,13 @@ std::optional<FlowEntry> ShardedFlowTable::probe(const BucketArray& array,
 }
 
 std::optional<FlowEntry> ShardedFlowTable::find(const Labels& labels,
-                                                const FiveTuple& tuple) const {
-  const std::uint64_t hash = flow_hash(labels, tuple);
-  const Shard& shard = shard_for_hash(hash);
-  ++shard.stats.finds;
+                                                const FiveTuple& tuple,
+                                                std::uint64_t hash) const {
+  SWB_DCHECK_EQ(hash, flow_hash(labels, tuple));
   const swb::EpochGuard guard{epoch_};
-  const BucketArray& array = *shard.buckets.load(std::memory_order_acquire);
-  std::optional<FlowEntry> entry = probe(array, labels, tuple, hash);
-  if (entry) ++shard.stats.hits;
-  return entry;
+  const BucketArray& array =
+      *shard_for_hash(hash).buckets.load(std::memory_order_acquire);
+  return probe(array, labels, tuple, hash);
 }
 
 void ShardedFlowTable::find_batch(std::span<LookupRequest> batch) const {
@@ -130,9 +128,8 @@ void ShardedFlowTable::find_batch(std::span<LookupRequest> batch) const {
     for (std::size_t i = 0; i < chunk; ++i) {
       LookupRequest& request = batch[base + i];
       request.hash = flow_hash(request.labels, request.tuple);
-      const Shard& shard = shard_for_hash(request.hash);
-      ++shard.stats.finds;
-      arrays[i] = shard.buckets.load(std::memory_order_acquire);
+      arrays[i] = shard_for_hash(request.hash).buckets.load(
+          std::memory_order_acquire);
       prefetch_ro(&arrays[i]->slots[request.hash & arrays[i]->mask]);
     }
     for (std::size_t i = 0; i < chunk; ++i) {
@@ -140,10 +137,7 @@ void ShardedFlowTable::find_batch(std::span<LookupRequest> batch) const {
       const std::optional<FlowEntry> entry =
           probe(*arrays[i], request.labels, request.tuple, request.hash);
       request.hit = entry.has_value();
-      if (entry) {
-        request.entry = *entry;
-        ++shard_for_hash(request.hash).stats.hits;
-      }
+      if (entry) request.entry = *entry;
     }
   }
 }
@@ -285,8 +279,6 @@ std::size_t ShardedFlowTable::shard_size(std::size_t shard) const {
 ShardedFlowTable::Stats ShardedFlowTable::stats() const {
   Stats total;
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    total.finds += shard->stats.finds;
-    total.hits += shard->stats.hits;
     total.inserts += shard->stats.inserts;
     total.erases += shard->stats.erases;
   }

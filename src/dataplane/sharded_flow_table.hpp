@@ -44,9 +44,10 @@
 // ALL shard locks in ascending index order — the repo-wide lock order.
 // Lock order with the epoch domain: shard mutex -> retire mutex (leaf).
 //
-// Counters: finds/hits are bumped by lock-free readers (RelaxedCounter);
-// inserts/erases under the shard lock use the same type so stats() needs
-// no lock.  Read them quiesced for exact totals.
+// Counters: inserts and erases, bumped under the shard mutex (one writer
+// at a time: RelaxedCounter), so stats() reads them without a lock.  A
+// lookup writes nothing, so a hit costs no store to shared memory beyond
+// its epoch pin; the forwarder's counters count its lookups and misses.
 #pragma once
 
 #include <atomic>
@@ -105,8 +106,6 @@ class ShardedFlowTable {
  public:
   /// Aggregated operation counters (see stats()).
   struct Stats {
-    std::uint64_t finds{0};
-    std::uint64_t hits{0};
     std::uint64_t inserts{0};
     std::uint64_t erases{0};
   };
@@ -135,7 +134,16 @@ class ShardedFlowTable {
   /// Lock-free lookup (epoch-read): pins an epoch, probes the published
   /// bucket array, returns a copy.  Never blocks on writers.
   [[nodiscard]] std::optional<FlowEntry> find(const Labels& labels,
-                                              const FiveTuple& tuple) const;
+                                              const FiveTuple& tuple) const {
+    return find(labels, tuple, flow_hash(labels, tuple));
+  }
+
+  /// The same lookup for a caller that already holds
+  /// `hash == flow_hash(labels, tuple)` (the forwarder hashes once per
+  /// packet, as find_batch's LookupRequest::hash does).
+  [[nodiscard]] std::optional<FlowEntry> find(const Labels& labels,
+                                              const FiveTuple& tuple,
+                                              std::uint64_t hash) const;
 
   /// Batched lock-free lookup: one epoch pin per chunk, structure-of-
   /// arrays phases (hash all keys, prefetch all probe starts, then
@@ -163,8 +171,8 @@ class ShardedFlowTable {
   /// Live entries in one shard.
   [[nodiscard]] std::size_t shard_size(std::size_t shard) const;
 
-  /// Operation counters aggregated over shards.  Lock-free (relaxed
-  /// tallies); quiesce writers and readers for exact totals.
+  /// Write counters aggregated over shards.  Lock-free (relaxed loads);
+  /// quiesce writers for a consistent set.
   [[nodiscard]] Stats stats() const;
 
   void clear() SWB_NO_THREAD_SAFETY_ANALYSIS;
@@ -274,10 +282,8 @@ class ShardedFlowTable {
     std::size_t mask;
   };
 
-  /// Lock-free tallies (readers bump finds/hits without the shard lock).
+  /// Write tallies: bumped under the shard mutex, read lock-free.
   struct ShardStats {
-    RelaxedCounter finds;
-    RelaxedCounter hits;
     RelaxedCounter inserts;
     RelaxedCounter erases;
   };
@@ -294,7 +300,7 @@ class ShardedFlowTable {
     std::atomic<BucketArray*> buckets{nullptr};
     std::size_t live SWB_GUARDED_BY(mutex){0};
     std::size_t tombstones SWB_GUARDED_BY(mutex){0};
-    mutable ShardStats stats;
+    ShardStats stats;
   };
 
   [[nodiscard]] Shard& shard_for_hash(std::uint64_t hash) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <utility>
 
 #include "control/messages.hpp"
 #include "core/middleware.hpp"
@@ -321,6 +323,52 @@ TEST(AddRoute, ExistingFlowKeepsItsPath) {
   const auto after = mw.send(chain, tuple(7));
   ASSERT_TRUE(after.delivered);
   EXPECT_EQ(after.vnf_instances(), before.vnf_instances());
+}
+
+TEST(AddRoute, RoutesThroughOneNextHopShareOneCandidate) {
+  // A second route through the first route's site reaches the same
+  // next-hop forwarders: each rule names such a forwarder once, weighted
+  // by the sum of route.weight x its announced weight over the routes.
+  Fixture fx;
+  Middleware mw{fx.make_model()};
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  const auto created = mw.create_chain(fx.make_spec(edge));
+  ASSERT_TRUE(created.ok());
+  const ChainId chain = created->chain;
+  const dataplane::Labels labels = mw.chain_record(chain).labels;
+  auto& elements = mw.deployment().elements();
+
+  // With one route at weight 1, each next-hop candidate's weight is the
+  // forwarder's announced weight.
+  std::map<dataplane::ElementId, std::pair<dataplane::ElementId, double>>
+      announced;   // forwarder -> (its one next hop, announced weight)
+  for (std::size_t id = 0; id < elements.size(); ++id) {
+    const auto fw = static_cast<dataplane::ElementId>(id);
+    if (elements.info(fw).type != ElementType::kForwarder) continue;
+    const auto* rule = elements.forwarder(fw).rules().find(labels);
+    if (rule == nullptr || rule->next_forwarders.empty()) continue;
+    ASSERT_EQ(rule->next_forwarders.size(), 1u);
+    const dataplane::ElementId next =
+        rule->next_forwarders.elements()[0].element;
+    announced[fw] = {next, rule->next_forwarders.weight_of(next)};
+  }
+  ASSERT_EQ(announced.size(), 2u);   // the ingress edge's and the VNF's
+
+  const SiteId first_site = mw.chain_record(chain).routes[0].vnf_sites[0];
+  ASSERT_TRUE(mw.add_route(chain, {first_site}).ok());
+  const ChainRecord& record = mw.chain_record(chain);
+  ASSERT_EQ(record.routes.size(), 2u);
+  ASSERT_EQ(record.routes[1].vnf_sites[0], first_site);
+
+  for (const auto& [fw, before] : announced) {
+    const auto* rule = elements.forwarder(fw).rules().find(labels);
+    ASSERT_NE(rule, nullptr);
+    ASSERT_EQ(rule->next_forwarders.size(), 1u) << "forwarder " << fw;
+    EXPECT_EQ(rule->next_forwarders.elements()[0].element, before.first);
+    EXPECT_DOUBLE_EQ(rule->next_forwarders.weight_of(before.first),
+                     record.routes[0].weight * before.second +
+                         record.routes[1].weight * before.second);
+  }
 }
 
 TEST(AddRoute, FailsWhenEveryRouteCrossesAFullLink) {

@@ -1,9 +1,11 @@
 // Unit tests for the epoch-based reclamation domain (common/epoch.hpp):
-// grace periods, deferred vs eager reclamation, guard RAII, typed
-// deleters, and quiesced teardown.
+// grace periods, deferred vs eager reclamation, nested pins, guard RAII,
+// typed deleters, and quiesced teardown.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
+#include <thread>
 
 #include "common/epoch.hpp"
 
@@ -54,12 +56,48 @@ TEST(EpochDomain, LateReaderDoesNotBlockEarlierRetirement) {
   domain.retire(new Tracked{&freed});   // stamped while `early` is pinned
   // A reader pinning AFTER the retirement observes the advanced epoch —
   // it can never reach the retired object, so it must not extend the
-  // grace period.
-  const std::size_t late = domain.pin();
+  // grace period.  The late reader is another thread: a second pin on
+  // this thread would nest into `early`.
+  std::atomic<bool> late_pinned{false};
+  std::atomic<bool> late_may_unpin{false};
+  std::thread late{[&] {
+    const EpochGuard guard{domain};
+    late_pinned.store(true, std::memory_order_release);
+    while (!late_may_unpin.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  }};
+  while (!late_pinned.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(domain.pinned_readers(), 2u);
   domain.unpin(early);
   EXPECT_EQ(domain.try_reclaim(), 1u);
   EXPECT_EQ(freed, 1);
-  domain.unpin(late);
+  late_may_unpin.store(true, std::memory_order_release);
+  late.join();
+  EXPECT_EQ(domain.pinned_readers(), 0u);
+}
+
+TEST(EpochDomain, NestedPinsShareOneSlot) {
+  EpochDomain domain;
+  int freed = 0;
+  const std::size_t outer = domain.pin();
+  domain.retire(new Tracked{&freed});   // retired between the two pins
+  const std::size_t inner = domain.pin();
+  EXPECT_EQ(inner, outer);
+  EXPECT_EQ(domain.pinned_readers(), 1u);
+
+  // The inner pin kept the outer epoch: its unpin ends nothing.
+  domain.unpin(inner);
+  EXPECT_EQ(domain.pinned_readers(), 1u);
+  EXPECT_EQ(domain.try_reclaim(), 0u);
+  EXPECT_EQ(freed, 0);
+
+  domain.unpin(outer);
+  EXPECT_EQ(domain.pinned_readers(), 0u);
+  EXPECT_EQ(domain.try_reclaim(), 1u);
+  EXPECT_EQ(freed, 1);
 }
 
 TEST(EpochDomain, GuardPinsAndUnpinsRaii) {
@@ -105,7 +143,8 @@ TEST(EpochDomain, DestructorReclaimsEverythingOutstanding) {
 
 TEST(EpochDomain, SlotsAreReusableAcrossPinCycles) {
   EpochDomain domain;
-  // Far more pin/unpin cycles than kMaxReaders: slots must recycle.
+  // Far more pin/unpin cycles than kMaxReaders: a thread pins through
+  // its one slot every time, so cycles never run out of slots.
   for (std::size_t i = 0; i < EpochDomain::kMaxReaders * 4; ++i) {
     const EpochGuard guard{domain};
     EXPECT_EQ(domain.pinned_readers(), 1u);

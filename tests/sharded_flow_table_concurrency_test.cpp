@@ -33,12 +33,10 @@ TEST(ShardedFlowTableConcurrency, WritersAndReadersOverlappingKeys) {
   ShardedFlowTable table{1024, 16};
   const Labels labels{1, 1};
   std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> reader_hits{0};
 
   std::vector<std::thread> readers;
   for (std::size_t r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
-      std::uint64_t hits = 0;
       std::uint32_t i = static_cast<std::uint32_t>(r);
       while (!stop.load(std::memory_order_relaxed)) {
         const std::uint32_t key = i++ % (kWriters * kKeysPerWriter);
@@ -46,10 +44,8 @@ TEST(ShardedFlowTableConcurrency, WritersAndReadersOverlappingKeys) {
           // Entries are only ever written with value == key: a torn or
           // half-constructed entry would fail this.
           EXPECT_EQ(entry->vnf_instance, key);
-          ++hits;
         }
       }
-      reader_hits.fetch_add(hits, std::memory_order_relaxed);
     });
   }
 
@@ -86,15 +82,11 @@ TEST(ShardedFlowTableConcurrency, WritersAndReadersOverlappingKeys) {
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : readers) t.join();
 
-  // Counter snapshot BEFORE the survivor checks below add finds of their
-  // own.  Readers are the only find() callers so far, so hits must equal
-  // what the readers tallied; live size can never exceed inserts minus
-  // successful erases (audited per shard inside check_invariants(),
-  // asserted on the aggregate here).
+  // Readers checked every hit's entry as they read it.  Live size can
+  // never exceed inserts minus successful erases (audited per shard
+  // inside check_invariants(), asserted on the aggregate here).
   const ShardedFlowTable::Stats stats = table.stats();
   EXPECT_GE(stats.inserts, kWriters * kKeysPerWriter);
-  EXPECT_EQ(stats.hits, reader_hits.load());
-  EXPECT_GE(stats.finds, stats.hits);
   EXPECT_LE(table.size() + stats.erases, stats.inserts);
 
   // Deterministic survivors: every even key of every owned range (erases

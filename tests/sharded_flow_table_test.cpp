@@ -123,16 +123,15 @@ TEST(ShardedFlowTable, StatsAggregateAcrossShards) {
   for (std::uint32_t i = 0; i < 100; ++i) {
     table.insert(labels, make_tuple(i), FlowEntry{i, i, i});
   }
-  for (std::uint32_t i = 0; i < 150; ++i) {   // 100 hits, 50 misses
+  for (std::uint32_t i = 0; i < 150; ++i) {   // lookups count nothing
     (void)table.find(labels, make_tuple(i));
   }
   for (std::uint32_t i = 0; i < 40; ++i) {
     EXPECT_TRUE(table.erase(labels, make_tuple(i)));
   }
+  EXPECT_FALSE(table.erase(labels, make_tuple(0)));   // not an erase
   const ShardedFlowTable::Stats stats = table.stats();
   EXPECT_EQ(stats.inserts, 100u);
-  EXPECT_EQ(stats.finds, 150u);
-  EXPECT_EQ(stats.hits, 100u);
   EXPECT_EQ(stats.erases, 40u);
   EXPECT_EQ(table.size(), 60u);
   table.check_invariants();
@@ -328,7 +327,7 @@ TEST(FlowTable, Clear) {
 // ---------------------------------------------------- epoch-read protocol
 
 // The lock-per-lookup baseline (tests/reference) and the lock-free path
-// are the same lookup: same results, and the same find/hit tallies.
+// are the same lookup: same results for every key, present or not.
 TEST(ShardedFlowTable, FindMutexMatchesFind) {
   ShardedFlowTable table{64, 4};
   const Labels labels{1, 1};
@@ -340,22 +339,19 @@ TEST(ShardedFlowTable, FindMutexMatchesFind) {
   }
   LockPerLookup locks{table.shard_count()};
   for (std::uint32_t i = 0; i < 600; ++i) {
-    const ShardedFlowTable::Stats before = table.stats();
     const auto epoch_read = table.find(labels, make_tuple(i));
-    const ShardedFlowTable::Stats mid = table.stats();
     const auto mutex_read = locks.find(table, labels, make_tuple(i));
-    const ShardedFlowTable::Stats after = table.stats();
     ASSERT_EQ(epoch_read.has_value(), mutex_read.has_value()) << i;
+    // Present exactly when inserted and not erased.
+    EXPECT_EQ(epoch_read.has_value(), i < 500 && i % 3 != 1) << i;
     if (epoch_read) {
       EXPECT_EQ(*epoch_read, *mutex_read) << i;
+      EXPECT_EQ(*epoch_read, (FlowEntry{i, i + 1, i + 2})) << i;
     }
-    EXPECT_EQ(mid.finds - before.finds, after.finds - mid.finds) << i;
-    EXPECT_EQ(mid.hits - before.hits, after.hits - mid.hits) << i;
   }
 }
 
-// find_batch resolves exactly like per-key find(), including misses, and
-// tallies the same stats.
+// find_batch resolves exactly like per-key find(), including misses.
 TEST(ShardedFlowTable, FindBatchMatchesSingleLookups) {
   ShardedFlowTable table{64, 4};
   const Labels labels{2, 2};
@@ -368,17 +364,16 @@ TEST(ShardedFlowTable, FindBatchMatchesSingleLookups) {
     batch[i].labels = labels;
     batch[i].tuple = make_tuple(i);
   }
-  const ShardedFlowTable::Stats before = table.stats();
   table.find_batch(batch);
-  const ShardedFlowTable::Stats after = table.stats();
-  EXPECT_EQ(after.finds - before.finds, 300u);
-  EXPECT_EQ(after.hits - before.hits, 150u);
 
   for (std::uint32_t i = 0; i < 300; ++i) {
     EXPECT_EQ(batch[i].hit, i % 2 == 0) << i;
     EXPECT_EQ(batch[i].hash, flow_hash(labels, make_tuple(i)));
+    const auto single = table.find(labels, make_tuple(i));
+    ASSERT_EQ(batch[i].hit, single.has_value()) << i;
     if (batch[i].hit) {
       EXPECT_EQ(batch[i].entry.vnf_instance, i);
+      EXPECT_EQ(batch[i].entry, *single) << i;
     }
   }
 }
