@@ -24,9 +24,8 @@ Topic forwarders_topic(ChainId chain, std::uint32_t egress_label, VnfId vnf,
                site};
 }
 
-Topic chain_routes_topic(ChainId chain, SiteId controller_site) {
-  return Topic{"/chains/" + std::to_string(chain.value()) + "/routes",
-               controller_site};
+Topic routes_topic(SiteId controller_site) {
+  return Topic{"/chains/all", controller_site};
 }
 
 Topic health_topic(SiteId site) {

@@ -44,11 +44,12 @@ struct Topic {
 [[nodiscard]] Topic forwarders_topic(ChainId chain, std::uint32_t egress_label,
                                      VnfId vnf, SiteId site);
 
-/// "/chains/<chain>/routes" — wide-area routes + labels of a chain,
-/// published by Global Switchboard (hosted at `controller_site`) and
-/// replicated to Local Switchboards at every site (Section 6, edge-site
-/// extension).
-[[nodiscard]] Topic chain_routes_topic(ChainId chain, SiteId controller_site);
+/// "/chains/all" — the one routes topic: every chain's wide-area routes,
+/// labels and route tombstones, published by the Global Switchboard
+/// (hosted at `controller_site`) and subscribed by the Local Switchboard
+/// of every site at start (Section 6).  One topic for all chains, not one
+/// per chain: a site learns a new chain without a new subscription.
+[[nodiscard]] Topic routes_topic(SiteId controller_site);
 
 /// "/health/site_<s>" — liveness heartbeats of a site's Local Switchboard
 /// (plus its down-element list), consumed by the failure detector.  The

@@ -13,10 +13,6 @@ GlobalSwitchboard::GlobalSwitchboard(ControlContext& context, SiteId home_site)
   state_.epoch = 1;   // bumped by every restart
 }
 
-bus::Topic GlobalSwitchboard::routes_topic() const {
-  return bus::Topic{"/chains/all", home_site_};
-}
-
 void GlobalSwitchboard::register_edge_controller(EdgeController* controller) {
   SWB_CHECK(controller != nullptr);
   if (edge_controllers_.size() <= controller->id().value()) {

@@ -105,7 +105,9 @@ class GlobalSwitchboard {
   [[nodiscard]] SiteId home_site() const { return home_site_; }
   /// The topic on which all route announcements are published; every
   /// Local Switchboard subscribes to it at start().
-  [[nodiscard]] bus::Topic routes_topic() const;
+  [[nodiscard]] bus::Topic routes_topic() const {
+    return bus::routes_topic(home_site_);
+  }
 
   void register_edge_controller(EdgeController* controller);
   void register_vnf_controller(VnfController* controller);

@@ -170,7 +170,7 @@ void ReplicaGroup::bootstrap_install() {
 }
 
 void ReplicaGroup::on_leader_append(const std::string& record) {
-  std::vector<std::pair<bus::Topic, std::string>> outbox;
+  Outbox outbox;
   {
     const swb::MutexLock lock{mutex_};
     // The coordinator already applied the change; the leader's replica
@@ -198,9 +198,7 @@ void ReplicaGroup::on_leader_append(const std::string& record) {
           payload);
     }
   }
-  for (auto& [topic, payload] : outbox) {
-    context_.bus.publish(topic, std::move(payload));
-  }
+  publish(std::move(outbox));
 }
 
 void ReplicaGroup::on_quorum_gate(std::function<void()> resume) {
@@ -221,7 +219,7 @@ void ReplicaGroup::on_quorum_gate(std::function<void()> resume) {
 }
 
 void ReplicaGroup::on_compaction_wanted() {
-  std::vector<std::pair<bus::Topic, std::string>> outbox;
+  Outbox outbox;
   bool compact_now = false;
   {
     const swb::MutexLock lock{mutex_};
@@ -252,9 +250,7 @@ void ReplicaGroup::on_compaction_wanted() {
     }
   }
   if (compact_now) global_.compact_journal_now();
-  for (auto& [topic, payload] : outbox) {
-    context_.bus.publish(topic, std::move(payload));
-  }
+  publish(std::move(outbox));
 }
 
 void ReplicaGroup::push_install_to(std::uint32_t to) {
@@ -274,9 +270,28 @@ void ReplicaGroup::push_install_to(std::uint32_t to) {
       serialize(frame));
 }
 
+ReplicaGroup::Outbox ReplicaGroup::start_stream() {
+  stream_seq_ = 0;
+  for (Replica& replica : replicas_) {
+    replica.acked = 0;
+    replica.stalled_beats = 0;
+  }
+  for (std::uint32_t f = 0; f < replicas_.size(); ++f) {
+    if (f == leader_ || !replicas_[f].up) continue;
+    push_install_to(f);
+  }
+  return std::exchange(install_outbox_, {});
+}
+
+void ReplicaGroup::publish(Outbox outbox) {
+  for (auto& [topic, payload] : outbox) {
+    context_.bus.publish(topic, std::move(payload));
+  }
+}
+
 void ReplicaGroup::on_stream_frame(std::uint32_t to,
                                    const ReplicationFrame& frame) {
-  std::vector<std::pair<bus::Topic, std::string>> outbox;
+  Outbox outbox;
   {
     const swb::MutexLock lock{mutex_};
     Replica& replica = replicas_[to];
@@ -343,9 +358,7 @@ void ReplicaGroup::on_stream_frame(std::uint32_t to,
           serialize(ack));
     }
   }
-  for (auto& [topic, payload] : outbox) {
-    context_.bus.publish(topic, std::move(payload));
-  }
+  publish(std::move(outbox));
 }
 
 void ReplicaGroup::on_ack_frame(std::uint32_t to,
@@ -414,7 +427,7 @@ std::vector<std::function<void()>> ReplicaGroup::collect_released_barriers()
 }
 
 void ReplicaGroup::beat() {
-  std::vector<std::pair<bus::Topic, std::string>> outbox;
+  Outbox outbox;
   {
     const swb::MutexLock lock{mutex_};
     if (!beating_) return;
@@ -451,9 +464,7 @@ void ReplicaGroup::beat() {
     beat_event_ = context_.sim.schedule(config_.detector.period,
                                        [this] { beat(); });
   }
-  for (auto& [topic, payload] : outbox) {
-    context_.bus.publish(topic, std::move(payload));
-  }
+  publish(std::move(outbox));
 }
 
 void ReplicaGroup::on_replica_suspected(std::uint32_t replica) {
@@ -521,19 +532,14 @@ void ReplicaGroup::elect_and_promote() {
   // fence.
   global_.warm_failover(winner_journal, std::move(adopted));
 
-  std::vector<std::pair<bus::Topic, std::string>> outbox;
+  Outbox outbox;
   {
     const swb::MutexLock lock{mutex_};
     promoting_ = false;
-    stream_seq_ = 0;
     Replica& lead = replicas_[winner];
     lead.applied_seq = 0;
     lead.epoch_seen = global_.epoch();
     lead.reorder.clear();
-    for (std::uint32_t r = 0; r < replicas_.size(); ++r) {
-      replicas_[r].acked = 0;
-      replicas_[r].stalled_beats = 0;
-    }
     ++elections_;
     std::ostringstream entry;
     entry << "t=" << context_.sim.now() << ";winner=" << winner
@@ -542,15 +548,9 @@ void ReplicaGroup::elect_and_promote() {
     election_log_ += entry.str();
     // The new epoch starts every follower from a fresh install (seq 0):
     // whatever the old leader half-streamed becomes irrelevant history.
-    for (std::uint32_t f = 0; f < replicas_.size(); ++f) {
-      if (f == winner || !replicas_[f].up) continue;
-      push_install_to(f);
-    }
-    outbox.swap(install_outbox_);
+    outbox = start_stream();
   }
-  for (auto& [topic, payload] : outbox) {
-    context_.bus.publish(topic, std::move(payload));
-  }
+  publish(std::move(outbox));
 }
 
 void ReplicaGroup::crash_replica(std::uint32_t replica) {
@@ -601,26 +601,15 @@ void ReplicaGroup::restore_replica(std::uint32_t replica) {
     // legacy §13 path — full journal replay, replay cost charged.  This
     // is exactly the cold/hot contrast the failover bench measures.
     global_.cold_start();
-    std::vector<std::pair<bus::Topic, std::string>> outbox;
+    Outbox outbox;
     {
       const swb::MutexLock lock{mutex_};
       promoting_ = false;
       ++cold_restarts_;
       refold_leader_digest();
-      stream_seq_ = 0;
-      for (std::uint32_t r = 0; r < replicas_.size(); ++r) {
-        replicas_[r].acked = 0;
-        replicas_[r].stalled_beats = 0;
-      }
-      for (std::uint32_t f = 0; f < replicas_.size(); ++f) {
-        if (f == leader_ || !replicas_[f].up) continue;
-        push_install_to(f);
-      }
-      outbox.swap(install_outbox_);
+      outbox = start_stream();
     }
-    for (auto& [topic, payload] : outbox) {
-      context_.bus.publish(topic, std::move(payload));
-    }
+    publish(std::move(outbox));
     return;
   }
 
@@ -628,7 +617,7 @@ void ReplicaGroup::restore_replica(std::uint32_t replica) {
   // install.  With the leader also dead, the next election or cold
   // restart installs instead.
   if (leader_live && global_.up()) {
-    std::vector<std::pair<bus::Topic, std::string>> outbox;
+    Outbox outbox;
     {
       const swb::MutexLock lock{mutex_};
       replicas_[replica].applied_records = 0;
@@ -639,9 +628,7 @@ void ReplicaGroup::restore_replica(std::uint32_t replica) {
       push_install_to(replica);
       outbox.swap(install_outbox_);
     }
-    for (auto& [topic, payload] : outbox) {
-      context_.bus.publish(topic, std::move(payload));
-    }
+    publish(std::move(outbox));
   }
 }
 

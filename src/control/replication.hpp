@@ -229,10 +229,20 @@ class ReplicaGroup {
   void on_ack_frame(std::uint32_t to, const ReplicationFrame& frame);
   void on_replica_suspected(std::uint32_t replica);
 
+  /// Frames to publish once the lock is released.
+  using Outbox = std::vector<std::pair<bus::Topic, std::string>>;
+
   void beat();
   void elect_and_promote() SWB_EXCLUDES(mutex_);
   /// Streams a full snapshot install to `to` from the current leader.
   void push_install_to(std::uint32_t to) SWB_REQUIRES(mutex_);
+  /// Starts the new epoch's stream at seq 0: every follower's ack and
+  /// stall count reset, a snapshot install queued for every live one.
+  /// Returns the queued installs for publish().
+  [[nodiscard]] Outbox start_stream() SWB_REQUIRES(mutex_);
+  /// Publishes `outbox` in order — outside the lock, the
+  /// no-publish-under-lock contract.
+  void publish(Outbox outbox) SWB_EXCLUDES(mutex_);
   /// Installs the base snapshot into every replica's journal + state
   /// locally (bootstrap only — no messaging).
   void bootstrap_install() SWB_EXCLUDES(mutex_);
@@ -274,8 +284,7 @@ class ReplicaGroup {
   std::set<std::uint32_t> install_acks_ SWB_GUARDED_BY(mutex_);
   /// Frames queued by push_install_to() under the lock, published by the
   /// caller after release (the no-publish-under-lock contract).
-  std::vector<std::pair<bus::Topic, std::string>> install_outbox_
-      SWB_GUARDED_BY(mutex_);
+  Outbox install_outbox_ SWB_GUARDED_BY(mutex_);
   sim::EventHandle beat_event_ SWB_GUARDED_BY(mutex_){};
   bool beating_ SWB_GUARDED_BY(mutex_){false};
 

@@ -35,7 +35,6 @@ VnfController::VnfController(ControlContext& context, VnfId vnf)
       pending_load_(context.model.sites().size(), 0.0) {}
 
 bool VnfController::fenced(std::uint64_t epoch, const char* verb) {
-  if (epoch == kUnfencedEpoch) return false;
   if (epoch < highest_epoch_) {
     ++stale_commands_rejected_;
     SB_LOG(kDebug) << "vnf " << vnf_ << ": fenced stale " << verb

@@ -21,8 +21,7 @@
 // epoch.  The participant tracks the highest epoch it has seen and
 // rejects-and-counts commands from older incarnations — a coordinator
 // that crashed, lost its memory, and was superseded must not mutate
-// reservations here.  kUnfencedEpoch (pre-durability callers and tests)
-// bypasses the fence without advancing it.
+// reservations here.  Every caller passes its epoch: there is no bypass.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +39,6 @@
 #include "control/two_phase.hpp"
 
 namespace switchboard::control {
-
-/// Sentinel epoch that bypasses fencing (and never advances the fence).
-inline constexpr std::uint64_t kUnfencedEpoch = ~0ULL;
 
 class VnfController {
  public:
@@ -63,7 +59,7 @@ class VnfController {
   /// reservation: re-delivery of an already-recorded (chain, route, stage)
   /// prepare is an idempotent yes (no double reservation).
   bool prepare(ChainId chain, RouteId route, SiteId site, double load,
-               std::size_t stage = 0, std::uint64_t epoch = kUnfencedEpoch);
+               std::size_t stage, std::uint64_t epoch);
 
   /// Converts the reservation into a committed allocation, allocates (or
   /// reuses) an instance at each reserved site, and publishes the
@@ -71,19 +67,17 @@ class VnfController {
   /// the reservation was aborted (kAborted) is rejected and counted; a
   /// commit while kIdle still crashes (coordinator bug).
   void commit(ChainId chain, RouteId route, std::uint32_t egress_label,
-              std::uint64_t epoch = kUnfencedEpoch);
+              std::uint64_t epoch);
 
   /// Drops the reservation.  A late abort for an already-committed route
   /// (message duplication / coordinator retry) is rejected-and-counted —
   /// un-accounting committed capacity would corrupt it.
-  void abort(ChainId chain, RouteId route,
-             std::uint64_t epoch = kUnfencedEpoch);
+  void abort(ChainId chain, RouteId route, std::uint64_t epoch);
 
   /// Releases the committed allocation of (chain, route) — the recovery
   /// path's "this route no longer exists".  The 2PC state stays
   /// kCommitted (terminal); only the capacity accounting is returned.
-  void release(ChainId chain, RouteId route,
-               std::uint64_t epoch = kUnfencedEpoch);
+  void release(ChainId chain, RouteId route, std::uint64_t epoch);
 
   /// Committed + pending load at a site.
   [[nodiscard]] double allocated(SiteId site) const;

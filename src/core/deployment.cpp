@@ -208,8 +208,8 @@ void Deployment::enable_recovery() {
           global_->on_instance_down(info.vnf, site);
         }
       });
-  detector_->set_site_down_callback([this](SiteId site) {
-    // A dead site takes every VNF pool it hosts with it; reroute each.
+  // The VNFs with an instance at `site`, in id order.
+  const auto vnfs_at = [this](SiteId site) {
     std::set<std::uint32_t> vnfs;
     for (const dataplane::ElementId element : elements_.elements_at(site)) {
       const control::ElementInfo& info = elements_.info(element);
@@ -217,21 +217,18 @@ void Deployment::enable_recovery() {
         vnfs.insert(info.vnf.value());
       }
     }
-    for (const std::uint32_t vnf : vnfs) {
+    return vnfs;
+  };
+  detector_->set_site_down_callback([this, vnfs_at](SiteId site) {
+    // A dead site takes every VNF pool it hosts with it; reroute each.
+    for (const std::uint32_t vnf : vnfs_at(site)) {
       global_->on_instance_down(VnfId{vnf}, site);
     }
   });
-  detector_->set_site_up_callback([this](SiteId site) {
+  detector_->set_site_up_callback([this, vnfs_at](SiteId site) {
     // The site's heartbeats are back: restore every VNF pool it hosts so
     // capacity returns and routes can rebalance onto it.
-    std::set<std::uint32_t> vnfs;
-    for (const dataplane::ElementId element : elements_.elements_at(site)) {
-      const control::ElementInfo& info = elements_.info(element);
-      if (info.type == control::ElementType::kVnfInstance) {
-        vnfs.insert(info.vnf.value());
-      }
-    }
-    for (const std::uint32_t vnf : vnfs) {
+    for (const std::uint32_t vnf : vnfs_at(site)) {
       global_->on_instance_up(VnfId{vnf}, site);
     }
   });

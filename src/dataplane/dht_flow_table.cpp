@@ -45,16 +45,18 @@ std::vector<std::size_t> DhtFlowTable::owners(std::uint64_t key_hash) const {
 
 void DhtFlowTable::insert(const Labels& labels, const FiveTuple& tuple,
                           const FlowEntry& entry) {
-  for (const std::size_t node : owners(flow_hash(labels, tuple))) {
-    shards_[node]->insert(labels, tuple, entry);
+  const std::uint64_t hash = flow_hash(labels, tuple);
+  for (const std::size_t node : owners(hash)) {
+    shards_[node]->insert(labels, tuple, hash, entry);
   }
 }
 
 std::optional<FlowEntry> DhtFlowTable::find(const Labels& labels,
                                             const FiveTuple& tuple) const {
-  for (const std::size_t node : owners(flow_hash(labels, tuple))) {
+  const std::uint64_t hash = flow_hash(labels, tuple);
+  for (const std::size_t node : owners(hash)) {
     if (const std::optional<FlowEntry> entry =
-            shards_[node]->find(labels, tuple)) {
+            shards_[node]->find(labels, tuple, hash)) {
       return entry;
     }
   }

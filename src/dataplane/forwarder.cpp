@@ -45,71 +45,82 @@ ForwarderCounters Forwarder::counters() const {
   return total;
 }
 
-FlowEntry Forwarder::pick(const LoadBalanceRule& rule, const Labels& labels,
-                          const FiveTuple& key) const {
-  const std::uint64_t selector =
-      mix64(selector_seed_ ^ flow_hash(labels, key));
-  FlowEntry pinning;
-  if (!rule.vnf_instances.empty()) {
-    pinning.vnf_instance = rule.vnf_instances.pick(selector);
+std::optional<FlowEntry> Forwarder::pick(const Labels& labels, Side side,
+                                         std::uint64_t hash) const {
+  const LoadBalanceRule* rule = rules_.find(labels);
+  if (rule == nullptr ||
+      (side == Side::kWire && rule->vnf_instances.empty())) {
+    return std::nullopt;
   }
-  if (!rule.next_forwarders.empty()) {
-    pinning.next_forwarder = rule.next_forwarders.pick(mix64(selector));
+  const std::uint64_t selector = mix64(selector_seed_ ^ hash);
+  FlowEntry pinning;
+  if (!rule->vnf_instances.empty()) {
+    pinning.vnf_instance = rule->vnf_instances.pick(selector);
+  }
+  if (!rule->next_forwarders.empty()) {
+    pinning.next_forwarder = rule->next_forwarders.pick(mix64(selector));
   }
   return pinning;
 }
 
 std::optional<FlowEntry> Forwarder::first_pinning(
-    const Packet& packet, const FiveTuple& key,
+    const Packet& packet, Side side, std::uint64_t hash,
     ForwarderCounters& counters) const {
   ++counters.flow_misses;
-  const LoadBalanceRule* rule = rules_.find(packet.labels);
-  if (packet.direction == Direction::kReverse || rule == nullptr ||
-      rule->vnf_instances.empty()) {
+  std::optional<FlowEntry> pinning;
+  if (packet.direction == Direction::kForward) {
+    pinning = pick(packet.labels, side, hash);
+  }
+  if (!pinning) {
     drop(counters);
     return std::nullopt;
   }
-  FlowEntry pinning = pick(*rule, packet.labels, key);
-  pinning.prev_element = packet.arrival_source;
+  if (side == Side::kWire) {
+    pinning->prev_element = packet.arrival_source;   // the previous hop
+  } else {
+    pinning->vnf_instance = packet.arrival_source;   // the ingress edge
+  }
   return pinning;
 }
 
-ForwardAction Forwarder::repin(const Labels& labels, const FiveTuple& key,
-                               FlowEntry entry, const FlowEntry& pinning) {
-  entry.vnf_instance = pinning.vnf_instance;
-  if (entry.next_forwarder == kNoElement) {
-    entry.next_forwarder = pinning.next_forwarder;
+ForwardAction Forwarder::resolve(const Packet& packet, Side side,
+                                 const FiveTuple& key, std::uint64_t hash,
+                                 ForwarderCounters& counters,
+                                 std::optional<FlowEntry> entry) {
+  std::optional<FlowEntry> pinning;   // this packet's one pick, once made
+  if (!entry) {
+    pinning = first_pinning(packet, side, hash, counters);
+    if (!pinning) return ForwardAction{};
+    // insert_if_absent: if another worker raced us to the first packet,
+    // adopt its pinning so every packet of the flow sees one entry —
+    // re-pinned below if it was drained between our miss and the insert.
+    entry = table_.insert_if_absent(packet.labels, key, hash, *pinning);
   }
-  table_.insert(labels, key, entry);
-  return {ActionType::kDeliverToAttached, entry.vnf_instance};
-}
+  const bool wire = side == Side::kWire;
+  const bool forward = packet.direction == Direction::kForward;
+  const ActionType type =
+      wire ? ActionType::kDeliverToAttached : ActionType::kSendToForwarder;
+  // Where this side sends the packet, aliasing the entry's field so the
+  // re-pin below updates it in place.
+  ElementId& target = wire      ? entry->vnf_instance
+                      : forward ? entry->next_forwarder
+                                : entry->prev_element;
+  if (target != kNoElement) return {type, target};
 
-ForwardAction Forwarder::wire_resolve(const Packet& packet,
-                                      const FiveTuple& key,
-                                      ForwarderCounters& counters,
-                                      const std::optional<FlowEntry>& entry) {
-  if (entry) {
-    if (entry->vnf_instance != kNoElement) {
-      return {ActionType::kDeliverToAttached, entry->vnf_instance};
-    }
-    // Drained pinning: the instance serving this flow died.  Re-pin onto a
-    // survivor from the current rule; workers racing on the same flow
-    // write identical entries.
-    const LoadBalanceRule* rule = rules_.find(packet.labels);
-    if (rule == nullptr || rule->vnf_instances.empty()) return drop(counters);
-    return repin(packet.labels, key, *entry, pick(*rule, packet.labels, key));
+  // Drained: re-pin from the current rule, by the side rules in the
+  // header.  An egress forwarder's rule has no next hop, so its terminal
+  // flows drop here; prev_element is kept, so the reverse path stays
+  // symmetric; workers racing on one flow write identical entries.
+  if (!wire && !forward) return drop(counters);
+  if (!pinning) pinning = pick(packet.labels, side, hash);
+  if (!pinning) return drop(counters);
+  if (wire) entry->vnf_instance = pinning->vnf_instance;
+  if (entry->next_forwarder == kNoElement) {
+    entry->next_forwarder = pinning->next_forwarder;
   }
-
-  const std::optional<FlowEntry> fresh = first_pinning(packet, key, counters);
-  if (!fresh) return ForwardAction{};
-  // insert_if_absent: if another worker raced us to the first packet, adopt
-  // its pinning so every packet of the flow sees one consistent entry —
-  // re-pinned if it was drained between our lookup miss and the insert.
-  const FlowEntry stored = table_.insert_if_absent(packet.labels, key, *fresh);
-  if (stored.vnf_instance == kNoElement) {
-    return repin(packet.labels, key, stored, *fresh);
-  }
-  return {ActionType::kDeliverToAttached, stored.vnf_instance};
+  if (target == kNoElement) return drop(counters);
+  table_.insert(packet.labels, key, hash, *entry);
+  return {type, target};
 }
 
 ForwardAction Forwarder::process_from_wire(const Packet& packet) {
@@ -117,8 +128,8 @@ ForwardAction Forwarder::process_from_wire(const Packet& packet) {
   const std::uint64_t hash = flow_hash(packet.labels, key);
   ForwarderCounters& counters = cell_for(hash);
   ++counters.from_wire;
-  return wire_resolve(packet, key, counters,
-                      table_.find(packet.labels, key, hash));
+  return resolve(packet, Side::kWire, key, hash, counters,
+                 table_.find(packet.labels, key, hash));
 }
 
 std::size_t Forwarder::process_batch(std::span<const Packet> packets,
@@ -126,10 +137,10 @@ std::size_t Forwarder::process_batch(std::span<const Packet> packets,
   SWB_CHECK(actions.empty() || actions.size() == packets.size())
       << "actions span must be empty or match the packet batch";
   // SoA pipeline: find_batch hashes + prefetches + probes a chunk under
-  // one epoch pin; the act phase below then runs lock-free for hits and
-  // falls back to wire_resolve for misses and drained pinnings (both take
-  // the shard write lock, exactly like the per-packet path — so counters
-  // and actions stay byte-identical).
+  // one epoch pin; the act phase below then runs lock-free for live hits
+  // and hands misses and drained pinnings to resolve() (which takes the
+  // shard write lock, exactly like the per-packet path — so counters and
+  // actions stay byte-identical).
   std::size_t delivered = 0;
   ShardedFlowTable::LookupRequest requests[kBatchChunk];
   for (std::size_t base = 0; base < packets.size(); base += kBatchChunk) {
@@ -150,10 +161,10 @@ std::size_t Forwarder::process_batch(std::span<const Packet> packets,
         // Hot path: resolved entirely inside the batch lookup.
         action = {ActionType::kDeliverToAttached, request.entry.vnf_instance};
       } else {
-        action = wire_resolve(
-            packet, request.tuple, counters,
-            request.hit ? std::optional<FlowEntry>{request.entry}
-                        : std::nullopt);
+        action = resolve(packet, Side::kWire, request.tuple, request.hash,
+                         counters,
+                         request.hit ? std::optional<FlowEntry>{request.entry}
+                                     : std::nullopt);
       }
       if (!actions.empty()) actions[base + i] = action;
       if (action.type != ActionType::kDrop) ++delivered;
@@ -163,15 +174,16 @@ std::size_t Forwarder::process_batch(std::span<const Packet> packets,
 }
 
 ForwardAction Forwarder::process_annotated(Packet& packet) {
-  const FiveTuple key = canonical_tuple(packet);
-  ForwarderCounters& counters = cell_for(flow_hash(packet.labels, key));
+  const std::uint64_t hash = flow_hash(packet.labels, canonical_tuple(packet));
+  ForwarderCounters& counters = cell_for(hash);
   ++counters.from_wire;
-  if (!packet.steering.valid_for(rules_.version())) {
+  const std::uint32_t epoch = rules_.version();
+  if (!packet.steering.valid_for(epoch)) {
     // Missing or stale: affix the pinning the flow table would hold.
     const std::optional<FlowEntry> pinning =
-        first_pinning(packet, key, counters);
+        first_pinning(packet, Side::kWire, hash, counters);
     if (!pinning) return ForwardAction{};
-    packet.steering = SteeringAnnotation{*pinning, rules_.version()};
+    packet.steering = SteeringAnnotation{*pinning, epoch};
   }
   // Steering rides in the packet: no per-flow state touched at all.
   return {ActionType::kDeliverToAttached,
@@ -213,39 +225,8 @@ ForwardAction Forwarder::process_from_attached(Packet& packet) {
   ForwarderCounters& counters = cell_for(hash);
   ++counters.from_attached;
   if (reaffixed) ++counters.label_reaffixed;
-
-  std::optional<FlowEntry> entry = table_.find(packet.labels, key, hash);
-  if (!entry) {
-    // First packet of a connection entering from an attached ingress edge.
-    ++counters.flow_misses;
-    const LoadBalanceRule* rule = rules_.find(packet.labels);
-    if (packet.direction == Direction::kReverse || rule == nullptr) {
-      return drop(counters);
-    }
-    FlowEntry fresh = pick(*rule, packet.labels, key);
-    fresh.vnf_instance = packet.arrival_source;   // the ingress edge
-    entry = table_.insert_if_absent(packet.labels, key, fresh);
-  }
-
-  ElementId target = packet.direction == Direction::kForward
-      ? entry->next_forwarder
-      : entry->prev_element;
-  if (target == kNoElement && packet.direction == Direction::kForward) {
-    // Drained next hop: re-pick from the current rule.  An egress
-    // forwarder keeps an empty next_forwarders rule, so terminal flows
-    // still fall through to the drop below.
-    const LoadBalanceRule* rule = rules_.find(packet.labels);
-    if (rule != nullptr) {
-      target = pick(*rule, packet.labels, key).next_forwarder;
-    }
-    if (target != kNoElement) {
-      FlowEntry updated = *entry;
-      updated.next_forwarder = target;
-      table_.insert(packet.labels, key, updated);
-    }
-  }
-  if (target == kNoElement) return drop(counters);
-  return {ActionType::kSendToForwarder, target};
+  return resolve(packet, Side::kAttached, key, hash, counters,
+                 table_.find(packet.labels, key, hash));
 }
 
 bool Forwarder::complete_flow(const Labels& labels, const FiveTuple& tuple) {

@@ -34,14 +34,19 @@
 // workers or quiesce them first (the paper's make-before-break updates swap
 // whole rules between packet bursts).  The RuleTable is one open-addressing
 // array with each rule inline in its slot: an install or remove may move
-// other rules, so a reader racing it could read a slot mid-move.
+// other rules, so a reader racing it could read a slot mid-move.  A
+// packet reads it at most once, in pick().
 //
-// Load-balancing picks are a pure function of (forwarder seed, flow key),
-// made in one place (pick()) for every pinning — first packet, drained
-// re-pin and annotation: the pinning a flow gets does not depend on packet
-// interleaving, worker count or mode, which keeps the threaded data plane
-// bit-identical to the single-threaded one (tested by
-// forwarder_concurrency_test).
+// Every entry point hashes the packet's key once, looks the flow up, and
+// hands the rest to one resolve() step: act on a live pinning, pin a
+// first packet, or re-pin a drained one (process_batch acts on a live hit
+// itself, in one line).  Load-balancing picks are a pure function of
+// (forwarder seed, flow hash), made in one place (pick()) for every
+// pinning — first packet, drained re-pin and annotation: the pinning a
+// flow gets does not depend on packet interleaving, worker count or mode,
+// which keeps the threaded data plane bit-identical to the
+// single-threaded one (tested by forwarder_concurrency_test; the seeded
+// action trace in dataplane_test pins what the forwarder does).
 #pragma once
 
 #include <cstdint>
@@ -122,10 +127,11 @@ class Forwarder {
   /// Wire-side batch entry point for worker threads, a structure-of-arrays
   /// pipeline: hash every key in a chunk, prefetch every probe-start
   /// bucket, resolve all lookups under ONE epoch pin, then act — probe
-  /// cache misses overlap instead of serializing.  Actions and counters are byte-identical to calling
-  /// process_from_wire per packet (tested).  When `actions` is non-empty
-  /// it must match `packets` in size and receives the per-packet actions.
-  /// Returns the number of packets not dropped.
+  /// cache misses overlap instead of serializing.  Actions and counters
+  /// are byte-identical to calling process_from_wire per packet (tested).
+  /// When `actions` is non-empty it must match `packets` in size and
+  /// receives the per-packet actions.  Returns the number of packets not
+  /// dropped.
   std::size_t process_batch(std::span<const Packet> packets,
                             std::span<ForwardAction> actions = {});
 
@@ -180,35 +186,41 @@ class Forwarder {
                                                    : packet.flow.reversed();
   }
 
-  /// Everything process_from_wire does AFTER the flow lookup (hit-valid
-  /// deliver, drained re-pin, first-packet miss).  Shared with the batch
-  /// pipeline so both paths count and act identically.
-  ForwardAction wire_resolve(const Packet& packet, const FiveTuple& key,
-                             ForwarderCounters& counters,
-                             const std::optional<FlowEntry>& entry);
+  /// The side a packet reached the forwarder from: the wire (a tunnel, or
+  /// the ingress edge's wire side) or an attached instance handing it back.
+  enum class Side : std::uint8_t { kWire, kAttached };
 
-  /// The one pick: the attached instance and the next hop `rule` gives a
-  /// flow (kNoElement for an empty set).  A pure function of (forwarder
-  /// seed, flow key), so pinning is independent of packet order, thread
-  /// count and racing first packets, and annotation picks equal table
-  /// picks by construction.
-  [[nodiscard]] FlowEntry pick(const LoadBalanceRule& rule,
-                               const Labels& labels,
-                               const FiveTuple& key) const;
+  /// Everything a packet does after its flow lookup (`entry`, looked up
+  /// under `hash == flow_hash(packet.labels, key)`): act on a live
+  /// pinning, pin a first packet, or re-pin a drained one.  The wire side
+  /// delivers to the pinned instance, re-pins a drained instance in either
+  /// direction and fills a drained next hop on the way; the attached side
+  /// sends to the next hop (forward) or the learned previous hop (reverse)
+  /// and re-picks only a forward packet's drained next hop.  Reads the
+  /// rule table at most once, through pick().
+  ForwardAction resolve(const Packet& packet, Side side, const FiveTuple& key,
+                        std::uint64_t hash, ForwarderCounters& counters,
+                        std::optional<FlowEntry> entry);
 
   /// First packet of a flow at this forwarder — a table miss, or no valid
-  /// annotation: counts the miss and returns the flow's pinning.  A
-  /// reverse packet (it needs state the forward direction created) or a
-  /// flow no rule serves counts a drop and gets nothing.
-  std::optional<FlowEntry> first_pinning(const Packet& packet,
-                                         const FiveTuple& key,
+  /// annotation: counts the miss and returns the flow's pinning, with the
+  /// arrival source as its previous hop (wire) or as its attached ingress
+  /// edge instance (attached).  A reverse packet (it needs state the
+  /// forward direction created) or a flow no rule serves counts a drop and
+  /// gets nothing.
+  std::optional<FlowEntry> first_pinning(const Packet& packet, Side side,
+                                         std::uint64_t hash,
                                          ForwarderCounters& counters) const;
 
-  /// Re-pins a drained entry onto `pinning`'s instance, and onto its next
-  /// hop if that was drained too.  prev_element is kept, so the reverse
-  /// path stays symmetric.
-  ForwardAction repin(const Labels& labels, const FiveTuple& key,
-                      FlowEntry entry, const FlowEntry& pinning);
+  /// The one rule read and the one pick: the attached instance and the
+  /// next hop the current rule for `labels` gives the flow hashing to
+  /// `hash` (kNoElement for an empty set), or nullopt when no rule serves
+  /// `side` — a wire-side pinning needs at least one instance.  A pure
+  /// function of (forwarder seed, flow hash, rule), so pinning is
+  /// independent of packet order, thread count and racing first packets,
+  /// and annotation picks equal table picks by construction.
+  [[nodiscard]] std::optional<FlowEntry> pick(const Labels& labels, Side side,
+                                              std::uint64_t hash) const;
 
   /// One counter stripe, padded to its own cacheline so the per-packet
   /// bumps of different workers never share a line.

@@ -220,9 +220,9 @@ void ShardedFlowTable::maybe_grow(Shard& shard) {
 }
 
 FlowEntry ShardedFlowTable::insert(const Labels& labels,
-                                   const FiveTuple& tuple,
+                                   const FiveTuple& tuple, std::uint64_t hash,
                                    const FlowEntry& entry) {
-  const std::uint64_t hash = flow_hash(labels, tuple);
+  SWB_DCHECK_EQ(hash, flow_hash(labels, tuple));
   Shard& shard = shard_for_hash(hash);
   const swb::MutexLock lock{shard.mutex};
   ++shard.stats.inserts;
@@ -232,8 +232,9 @@ FlowEntry ShardedFlowTable::insert(const Labels& labels,
 
 FlowEntry ShardedFlowTable::insert_if_absent(const Labels& labels,
                                              const FiveTuple& tuple,
+                                             std::uint64_t hash,
                                              const FlowEntry& entry) {
-  const std::uint64_t hash = flow_hash(labels, tuple);
+  SWB_DCHECK_EQ(hash, flow_hash(labels, tuple));
   Shard& shard = shard_for_hash(hash);
   const swb::MutexLock lock{shard.mutex};
   BucketArray& array = *shard.buckets.load(std::memory_order_relaxed);

@@ -140,7 +140,8 @@ class ShardedFlowTable {
 
   /// The same lookup for a caller that already holds
   /// `hash == flow_hash(labels, tuple)` (the forwarder hashes once per
-  /// packet, as find_batch's LookupRequest::hash does).
+  /// packet, as find_batch's LookupRequest::hash does).  insert and
+  /// insert_if_absent take the hash the same way.
   [[nodiscard]] std::optional<FlowEntry> find(const Labels& labels,
                                               const FiveTuple& tuple,
                                               std::uint64_t hash) const;
@@ -153,13 +154,21 @@ class ShardedFlowTable {
 
   /// Inserts, overwriting any existing entry; returns the stored value.
   FlowEntry insert(const Labels& labels, const FiveTuple& tuple,
-                   const FlowEntry& entry);
+                   const FlowEntry& entry) {
+    return insert(labels, tuple, flow_hash(labels, tuple), entry);
+  }
+  FlowEntry insert(const Labels& labels, const FiveTuple& tuple,
+                   std::uint64_t hash, const FlowEntry& entry);
 
   /// Inserts only if absent; returns the winning entry (the existing one on
   /// conflict).  This is the first-packet path: when two packets of one
   /// flow race, both observe the same pinning.
   FlowEntry insert_if_absent(const Labels& labels, const FiveTuple& tuple,
-                             const FlowEntry& entry);
+                             const FlowEntry& entry) {
+    return insert_if_absent(labels, tuple, flow_hash(labels, tuple), entry);
+  }
+  FlowEntry insert_if_absent(const Labels& labels, const FiveTuple& tuple,
+                             std::uint64_t hash, const FlowEntry& entry);
 
   /// Removes the entry; returns true if it existed.
   bool erase(const Labels& labels, const FiveTuple& tuple);

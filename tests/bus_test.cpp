@@ -30,8 +30,8 @@ TEST(Topic, PathsFollowPaperConvention) {
   EXPECT_EQ(t.publisher_site, SiteId{2});
   const Topic i = instances_topic(ChainId{1}, 3, VnfId{7}, SiteId{2});
   EXPECT_EQ(i.path, "/c1/e3/vnf_7/site_2_instances");
-  const Topic r = chain_routes_topic(ChainId{4}, SiteId{0});
-  EXPECT_EQ(r.path, "/chains/4/routes");
+  const Topic r = routes_topic(SiteId{0});
+  EXPECT_EQ(r.path, "/chains/all");
   EXPECT_EQ(r.publisher_site, SiteId{0});
 }
 
@@ -375,7 +375,7 @@ TYPED_TEST(RetainedReplay, HealthTopicReplaysNothing) {
 }
 
 // Replication frames and acks are reliable but never retained: a late
-// subscriber to a stream or ack topic gets no replay, while a chain-route
+// subscriber to a stream or ack topic gets no replay, while the routes
 // topic published the same way still replays.
 TYPED_TEST(RetainedReplay, ReplicationTopicReplaysNothing) {
   const std::vector<std::string> frames{"k=1;e=1;s=1", "k=1;e=1;s=2"};
@@ -385,9 +385,7 @@ TYPED_TEST(RetainedReplay, ReplicationTopicReplaysNothing) {
   EXPECT_TRUE(
       this->late_replay(replication_ack_topic(0, 1, SiteId{0}).path, frames)
           .empty());
-  EXPECT_EQ(this->late_replay(chain_routes_topic(ChainId{3}, SiteId{0}).path,
-                              frames),
-            frames);
+  EXPECT_EQ(this->late_replay(routes_topic(SiteId{0}).path, frames), frames);
 }
 
 TYPED_TEST(RetainedReplay, RetainOffReplaysNothing) {

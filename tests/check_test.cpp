@@ -331,20 +331,23 @@ TEST(VnfControllerAudit, ReservationLifecycleTracksTwoPhaseState) {
   ControlFixture fx;
   core::Middleware mw{fx.make_model()};
   auto& controller = mw.deployment().vnf_controller(fx.fw);
+  const std::uint64_t epoch = mw.deployment().global().epoch();
 
-  ASSERT_TRUE(controller.prepare(ChainId{1}, RouteId{1}, fx.site_m, 10.0));
+  ASSERT_TRUE(
+      controller.prepare(ChainId{1}, RouteId{1}, fx.site_m, 10.0, 0, epoch));
   EXPECT_EQ(controller.two_phase_state(ChainId{1}, RouteId{1}),
             TwoPhaseState::kPrepared);
   controller.check_invariants();
 
-  controller.abort(ChainId{1}, RouteId{1});
+  controller.abort(ChainId{1}, RouteId{1}, epoch);
   EXPECT_EQ(controller.two_phase_state(ChainId{1}, RouteId{1}),
             TwoPhaseState::kAborted);
   EXPECT_DOUBLE_EQ(controller.allocated(fx.site_m), 0.0);
   controller.check_invariants();
 
   // A rejected vote (capacity 100 at M) records the no as kAborted.
-  EXPECT_FALSE(controller.prepare(ChainId{2}, RouteId{2}, fx.site_m, 500.0));
+  EXPECT_FALSE(
+      controller.prepare(ChainId{2}, RouteId{2}, fx.site_m, 500.0, 0, epoch));
   EXPECT_EQ(controller.two_phase_state(ChainId{2}, RouteId{2}),
             TwoPhaseState::kAborted);
   controller.check_invariants();
@@ -354,7 +357,8 @@ TEST(VnfControllerDeathTest, CommitOfUnpreparedRouteAborts) {
   ControlFixture fx;
   core::Middleware mw{fx.make_model()};
   auto& controller = mw.deployment().vnf_controller(fx.fw);
-  EXPECT_DEATH(controller.commit(ChainId{5}, RouteId{5}, /*egress_label=*/2),
+  EXPECT_DEATH(controller.commit(ChainId{5}, RouteId{5}, /*egress_label=*/2,
+                                 mw.deployment().global().epoch()),
                "illegal 2PC transition idle -> committed");
 }
 

@@ -409,8 +409,10 @@ TEST(AddRoute, RetryPreparesTheNewRoutesShare) {
 
   // Out-of-band reservation leaves M 0.5 of headroom: less than the new
   // route's 1.25.
-  ASSERT_TRUE(controller.prepare(ChainId{900}, RouteId{900}, fx.site_m,
-                                 controller.headroom(fx.site_m) - 0.5));
+  ASSERT_TRUE(controller.prepare(
+      ChainId{900}, RouteId{900}, fx.site_m,
+      controller.headroom(fx.site_m) - 0.5, /*stage=*/0,
+      mw.deployment().global().epoch()));
   const auto added = mw.add_route(chain, {fx.site_m});
   ASSERT_TRUE(added.ok()) << added.error().to_string();
   const ChainRecord& record = mw.chain_record(chain);
@@ -445,7 +447,9 @@ TEST(TwoPhaseCommit, RejectionTriggersRecompute) {
 
   // Out-of-band reservation eats M's capacity at the controller.
   auto& controller = mw.deployment().vnf_controller(fx.fw);
-  ASSERT_TRUE(controller.prepare(ChainId{900}, RouteId{900}, fx.site_m, 2.9));
+  ASSERT_TRUE(controller.prepare(ChainId{900}, RouteId{900}, fx.site_m, 2.9,
+                                 /*stage=*/0,
+                                 mw.deployment().global().epoch()));
 
   const auto result = mw.create_chain(fx.make_spec(edge, /*traffic=*/1.0));
   ASSERT_TRUE(result.ok()) << result.error().to_string();
@@ -465,9 +469,11 @@ TEST(TwoPhaseCommit, AbortReleasesReservations) {
   Fixture fx;
   Middleware mw{fx.make_model()};
   auto& controller = mw.deployment().vnf_controller(fx.fw);
-  ASSERT_TRUE(controller.prepare(ChainId{1}, RouteId{1}, fx.site_m, 50.0));
+  const std::uint64_t epoch = mw.deployment().global().epoch();
+  ASSERT_TRUE(
+      controller.prepare(ChainId{1}, RouteId{1}, fx.site_m, 50.0, 0, epoch));
   EXPECT_DOUBLE_EQ(controller.allocated(fx.site_m), 50.0);
-  controller.abort(ChainId{1}, RouteId{1});
+  controller.abort(ChainId{1}, RouteId{1}, epoch);
   EXPECT_DOUBLE_EQ(controller.allocated(fx.site_m), 0.0);
 }
 
@@ -475,9 +481,13 @@ TEST(TwoPhaseCommit, PrepareEnforcesCapacity) {
   Fixture fx;
   Middleware mw{fx.make_model(/*cap_m=*/10.0)};
   auto& controller = mw.deployment().vnf_controller(fx.fw);
-  EXPECT_TRUE(controller.prepare(ChainId{1}, RouteId{1}, fx.site_m, 6.0));
-  EXPECT_FALSE(controller.prepare(ChainId{2}, RouteId{2}, fx.site_m, 6.0));
-  EXPECT_TRUE(controller.prepare(ChainId{2}, RouteId{3}, fx.site_m, 4.0));
+  const std::uint64_t epoch = mw.deployment().global().epoch();
+  EXPECT_TRUE(
+      controller.prepare(ChainId{1}, RouteId{1}, fx.site_m, 6.0, 0, epoch));
+  EXPECT_FALSE(
+      controller.prepare(ChainId{2}, RouteId{2}, fx.site_m, 6.0, 0, epoch));
+  EXPECT_TRUE(
+      controller.prepare(ChainId{2}, RouteId{3}, fx.site_m, 4.0, 0, epoch));
   EXPECT_DOUBLE_EQ(controller.headroom(fx.site_m), 0.0);
 }
 

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <initializer_list>
 #include <memory>
 #include <set>
 #include <unordered_set>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "dataplane/forwarder.hpp"
 #include "dataplane/load_balancer.hpp"
 #include "dataplane/ovs_forwarder.hpp"
@@ -356,7 +360,7 @@ TEST_F(ForwarderTest, BatchPipelineMatchesPerPacketPath) {
   single.rules().install(kLabels, std::move(rule));
 
   // Mixed batch: first packets, repeats (hits), reverse packets with and
-  // without state, unknown labels — every wire_resolve branch.
+  // without state, unknown labels — every wire-side resolve branch.
   std::vector<Packet> packets;
   for (std::uint32_t f = 0; f < 100; ++f) packets.push_back(wire_packet(f));
   for (std::uint32_t f = 0; f < 100; f += 2) {
@@ -485,6 +489,217 @@ TEST_F(ForwarderTest, AnnotatedBatchMatchesPerPacket) {
     Packet p = wire_packet(static_cast<std::uint32_t>(i));
     EXPECT_EQ(first_pass[i], reference.process_annotated(p)) << i;
   }
+}
+
+// ------------------------------------------------------------ action trace
+
+// A seeded script on one forwarder: wire and attached packets in both
+// directions, first packets and hits, unknown labels, label re-affix, a
+// rule with no instance and one with no next hop, drains of instances and
+// of a next hop mid-stream, a make-before-break rule replacement, a rule
+// removal, annotated packets and flow completions.  Every action, the final
+// counters and the sorted table contents fold into one FNV-1a digest,
+// pinned below: any change to what the forwarder does moves it.
+namespace trace {
+
+constexpr Labels kChain{7, 3};       // instances and next hops
+constexpr Labels kIngress{8, 3};     // next hops only (an ingress edge's rule)
+constexpr Labels kEgress{9, 4};      // instances only (an egress site's rule)
+constexpr Labels kUnknown{99, 99};   // no rule
+constexpr ElementId kEdge = 300;
+constexpr std::uint64_t kSeed = 24;
+
+enum class StepKind : std::uint8_t {
+  kWire, kAttached, kAnnotated, kComplete, kDrain, kReplaceRule, kRemoveRule,
+};
+
+struct Step {
+  StepKind kind{StepKind::kWire};
+  Packet packet;
+  ElementId drained{kNoElement};
+};
+
+struct Digest {
+  std::uint64_t value{14695981039346656037ULL};   // FNV-1a offset basis
+  void fold(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      value ^= (word >> (8 * byte)) & 0xFF;
+      value *= 1099511628211ULL;
+    }
+  }
+  void fold(const ForwardAction& action) {
+    fold(static_cast<std::uint64_t>(action.type));
+    fold(action.element);
+  }
+};
+
+LoadBalanceRule make_rule(std::initializer_list<ElementId> instances,
+                          std::initializer_list<ElementId> next_hops) {
+  LoadBalanceRule rule;
+  double weight = 1.0;
+  for (const ElementId e : instances) rule.vnf_instances.add(e, weight++);
+  for (const ElementId e : next_hops) rule.next_forwarders.add(e, weight++);
+  return rule;
+}
+
+std::unique_ptr<Forwarder> make_forwarder() {
+  auto fw = std::make_unique<Forwarder>(7);
+  fw->rules().install(kChain, make_rule({101, 102, 103}, {201, 202}));
+  fw->rules().install(kIngress, make_rule({}, {203}));
+  fw->rules().install(kEgress, make_rule({104}, {}));
+  fw->register_attachment(101, kChain);
+  fw->register_attachment(104, kEgress);
+  fw->register_attachment(kEdge, kIngress);
+  return fw;
+}
+
+std::vector<Step> make_script(std::uint64_t seed) {
+  Rng rng{seed};
+  const Labels labels[] = {kChain, kChain, kChain, kIngress, kEgress,
+                           kUnknown};
+  const ElementId attached[] = {101, 102, 103, 104, 105, kEdge};
+  std::vector<Step> script;
+  for (int i = 0; i < 800; ++i) {
+    if (i == 200) script.push_back({StepKind::kDrain, {}, 102});
+    if (i == 400) script.push_back({StepKind::kReplaceRule, {}, kNoElement});
+    if (i == 500) script.push_back({StepKind::kDrain, {}, kEdge});
+    if (i == 600) script.push_back({StepKind::kDrain, {}, 201});
+    if (i == 700) script.push_back({StepKind::kRemoveRule, {}, kNoElement});
+    Step step;
+    const std::int64_t draw = rng.uniform_int(0, 99);
+    step.kind = draw < 55   ? StepKind::kWire
+                : draw < 85 ? StepKind::kAttached
+                : draw < 92 ? StepKind::kAnnotated
+                            : StepKind::kComplete;
+    Packet& p = step.packet;
+    const auto flow = static_cast<std::uint32_t>(rng.uniform_int(0, 23));
+    p.labels = labels[rng.uniform_int(0, 5)];
+    p.direction = rng.bernoulli(0.7) ? Direction::kForward
+                                     : Direction::kReverse;
+    p.flow = p.direction == Direction::kForward ? make_tuple(flow)
+                                                : make_tuple(flow).reversed();
+    if (step.kind == StepKind::kAttached) {
+      p.arrival_source = attached[rng.uniform_int(0, 5)];
+      if (rng.bernoulli(0.2)) p.labels = Labels{};   // a stripping VNF
+    } else {
+      p.arrival_source = static_cast<ElementId>(200 + rng.uniform_int(0, 4));
+    }
+    script.push_back(step);
+  }
+  return script;
+}
+
+/// Runs one step the per-packet way and folds what it returned.
+void run_step(Forwarder& fw, const Step& step, Digest& digest) {
+  Packet packet = step.packet;
+  switch (step.kind) {
+    case StepKind::kWire:
+      digest.fold(fw.process_from_wire(packet));
+      break;
+    case StepKind::kAttached:
+      digest.fold(fw.process_from_attached(packet));
+      digest.fold(packet.labels.chain);   // re-affixed in place
+      break;
+    case StepKind::kAnnotated:
+      digest.fold(fw.process_annotated(packet));
+      digest.fold(packet.steering.pinning.vnf_instance);
+      digest.fold(packet.steering.pinning.next_forwarder);
+      digest.fold(packet.steering.pinning.prev_element);
+      digest.fold(packet.steering.route_epoch);
+      break;
+    case StepKind::kComplete:
+      digest.fold(fw.complete_flow(
+          packet.labels, packet.direction == Direction::kForward
+                             ? packet.flow
+                             : packet.flow.reversed()));
+      break;
+    case StepKind::kDrain:
+      digest.fold(fw.drain_element(step.drained));
+      break;
+    case StepKind::kReplaceRule:
+      // Make-before-break: 102 and 201 leave, 105 and 204 join.
+      fw.rules().install(kChain, make_rule({101, 103, 105}, {202, 204}));
+      break;
+    case StepKind::kRemoveRule:
+      fw.rules().remove(kEgress);
+      break;
+  }
+}
+
+/// The table as sorted (key, entry) words.
+std::vector<std::array<std::uint64_t, 6>> table_contents(
+    const Forwarder& fw) {
+  std::vector<std::array<std::uint64_t, 6>> rows;
+  fw.flow_table().for_each([&](const Labels& labels, const FiveTuple& tuple,
+                               const FlowEntry& entry) {
+    rows.push_back({(std::uint64_t{labels.chain} << 32) | labels.egress_site,
+                    (std::uint64_t{tuple.src_ip} << 32) | tuple.dst_ip,
+                    (std::uint64_t{tuple.src_port} << 24) |
+                        (std::uint64_t{tuple.dst_port} << 8) | tuple.protocol,
+                    entry.vnf_instance, entry.next_forwarder,
+                    entry.prev_element});
+  });
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+}  // namespace trace
+
+TEST(ForwarderTrace, SeededScriptReproducesThePinnedDigest) {
+  const std::unique_ptr<Forwarder> fw = trace::make_forwarder();
+  trace::Digest digest;
+  for (const trace::Step& step : trace::make_script(trace::kSeed)) {
+    trace::run_step(*fw, step, digest);
+  }
+  const ForwarderCounters counters = fw->counters();
+  for (const RelaxedCounter* counter :
+       {&counters.from_wire, &counters.from_attached, &counters.flow_misses,
+        &counters.drops, &counters.label_reaffixed}) {
+    digest.fold(counter->value());
+  }
+  for (const auto& row : trace::table_contents(*fw)) {
+    for (const std::uint64_t word : row) digest.fold(word);
+  }
+  EXPECT_EQ(digest.value, 0xf8bcc7fe2d1089a5ULL);
+}
+
+TEST(ForwarderTrace, BatchReplayActsLikePerPacketCalls) {
+  // The script again on two forwarders: one takes each wire packet through
+  // process_from_wire, the other takes each run of wire packets between two
+  // other steps through process_batch.
+  const std::unique_ptr<Forwarder> per_packet = trace::make_forwarder();
+  const std::unique_ptr<Forwarder> batched = trace::make_forwarder();
+  std::vector<ForwardAction> expected;
+  std::vector<ForwardAction> replayed;
+  std::vector<Packet> pending;
+  const auto flush = [&] {
+    std::vector<ForwardAction> actions(pending.size());
+    const std::size_t delivered = batched->process_batch(pending, actions);
+    EXPECT_EQ(delivered,
+              static_cast<std::size_t>(std::count_if(
+                  actions.begin(), actions.end(), [](const ForwardAction& a) {
+                    return a.type != ActionType::kDrop;
+                  })));
+    replayed.insert(replayed.end(), actions.begin(), actions.end());
+    pending.clear();
+  };
+  trace::Digest per_packet_steps;
+  trace::Digest batched_steps;
+  for (const trace::Step& step : trace::make_script(trace::kSeed)) {
+    if (step.kind == trace::StepKind::kWire) {
+      expected.push_back(per_packet->process_from_wire(step.packet));
+      pending.push_back(step.packet);
+      continue;
+    }
+    flush();
+    trace::run_step(*per_packet, step, per_packet_steps);
+    trace::run_step(*batched, step, batched_steps);
+  }
+  flush();
+  EXPECT_EQ(replayed, expected);
+  EXPECT_EQ(batched_steps.value, per_packet_steps.value);
+  EXPECT_EQ(trace::table_contents(*batched),
+            trace::table_contents(*per_packet));
 }
 
 // ------------------------------------------------------------ OvsForwarder

@@ -315,11 +315,6 @@ TEST(EpochFence, ParticipantRejectsCommandsFromOlderIncarnations) {
   c.commit(ChainId{9}, RouteId{1}, 42, 5);
   ASSERT_EQ(c.committed_routes().size(), 1u);
   EXPECT_EQ(c.committed_routes()[0].first, ChainId{9});
-
-  // An unfenced (legacy) call bypasses the fence entirely.
-  c.release(ChainId{9}, RouteId{1});
-  EXPECT_EQ(c.committed_routes().size(), 0u);
-  EXPECT_EQ(c.stale_commands_rejected(), 1u);
   c.check_invariants();
 }
 
@@ -549,8 +544,9 @@ TEST(ColdStart, OrphanedParticipantCapacityIsReleasedOnReconciliation) {
   // journal record owns (as if the journaled release was lost with a
   // crashed disk batch on a pre-durability build).
   control::VnfController& c = dep.vnf_controller(fw);
-  ASSERT_TRUE(c.prepare(ChainId{77}, RouteId{99}, SiteId{1}, 2.0, 0));
-  c.commit(ChainId{77}, RouteId{99}, 42);
+  const std::uint64_t epoch = dep.global().epoch();
+  ASSERT_TRUE(c.prepare(ChainId{77}, RouteId{99}, SiteId{1}, 2.0, 0, epoch));
+  c.commit(ChainId{77}, RouteId{99}, 42, epoch);
   ASSERT_EQ(c.committed_routes().size(), 2u);   // chain a + the orphan
 
   dep.register_fault_targets();
@@ -584,7 +580,8 @@ TEST(ColdStart, OrphanedPreparedReservationIsAbortedOnReconciliation) {
   // while the participant is unreachable.
   control::VnfController& c = dep.vnf_controller(fw);
   const double before = c.allocated(SiteId{1});
-  ASSERT_TRUE(c.prepare(ChainId{77}, RouteId{99}, SiteId{1}, 2.0, 0));
+  ASSERT_TRUE(c.prepare(ChainId{77}, RouteId{99}, SiteId{1}, 2.0, 0,
+                        dep.global().epoch()));
   ASSERT_DOUBLE_EQ(c.allocated(SiteId{1}), before + 2.0);
 
   dep.register_fault_targets();
