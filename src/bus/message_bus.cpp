@@ -33,7 +33,9 @@ bool ProxyEgress::send(SiteId from, SiteId to, std::function<void()> deliver) {
 // ---------------------------------------------------------------- MessageBus
 
 MessageBus::MessageBus(sim::Simulator& sim, BusConfig config)
-    : sim_{sim}, config_{std::move(config)} {
+    : sim_{sim},
+      config_{std::move(config)},
+      egress_(config_.site_count, ProxyEgress{sim_, config_}) {
   SWB_CHECK(config_.site_count > 0);
   SWB_CHECK(config_.inter_site_delay);
 }
@@ -46,7 +48,7 @@ void MessageBus::count_egress_drop(SiteId from, SiteId to,
                  << from << "->" << to;
 }
 
-bool MessageBus::wire_copy(ProxyEgress& egress, SiteId from, SiteId to,
+bool MessageBus::wire_copy(SiteId from, SiteId to,
                            const std::string& topic_path,
                            const std::function<void()>& arrival) {
   sim::MessageVerdict verdict;
@@ -66,7 +68,7 @@ bool MessageBus::wire_copy(ProxyEgress& egress, SiteId from, SiteId to,
   const std::size_t copies = (verdict.duplicate && !verdict.drop) ? 2u : 1u;
   bool accepted = false;
   for (std::size_t i = 0; i < copies; ++i) {
-    if (egress.send(from, to, wrapped)) {
+    if (egress_[from.value()].send(from, to, wrapped)) {
       accepted = true;
       ++stats_.wide_area_messages;
     } else {
@@ -87,7 +89,7 @@ void MessageBus::reliable_attempt(
     const swb::MutexLock lock{reliable_mutex_};
     ++message->sends;
   }
-  wire_copy(*message->egress, message->from, message->to, message->topic_path,
+  wire_copy(message->from, message->to, message->topic_path,
             [this, message] {
               bool first_delivery = false;
               {
@@ -201,7 +203,7 @@ std::size_t MessageBus::reliable_in_flight() const {
   return in_flight;
 }
 
-void MessageBus::send_copy(ProxyEgress& egress, SiteId from, SiteId to,
+void MessageBus::send_copy(SiteId from, SiteId to,
                            const std::string& topic_path,
                            std::function<void()> deliver) {
   if (from == to) {
@@ -210,7 +212,7 @@ void MessageBus::send_copy(ProxyEgress& egress, SiteId from, SiteId to,
     return;
   }
   if (!config_.reliable_delivery || transient_topic(topic_path)) {
-    wire_copy(egress, from, to, topic_path, deliver);
+    wire_copy(from, to, topic_path, deliver);
     return;
   }
   auto message = std::make_shared<ReliableMessage>();
@@ -218,7 +220,6 @@ void MessageBus::send_copy(ProxyEgress& egress, SiteId from, SiteId to,
   message->to = to;
   message->topic_path = topic_path;
   message->deliver = std::move(deliver);
-  message->egress = &egress;
   {
     const swb::MutexLock lock{reliable_mutex_};
     // Reap finished copies (acked / given up / abandoned) so bookkeeping
@@ -238,119 +239,79 @@ void MessageBus::deliver_to(const SubscriberCallback& callback,
   callback(message);
 }
 
-void MessageBus::retain(const Topic& topic, const std::string& payload) {
-  if (!config_.retain_messages || transient_topic(topic.path) ||
-      topic.path.starts_with(kReplicationPrefix)) {
-    return;
+void MessageBus::subscribe(SiteId subscriber_site, const Topic& topic,
+                           SubscriberCallback callback) {
+  SWB_CHECK(subscriber_site.value() < config_.site_count);
+  SWB_CHECK(topic.publisher_site.value() < config_.site_count);
+  TopicState& state = topics_[topic];
+  if (std::find(state.sites.begin(), state.sites.end(), subscriber_site) ==
+      state.sites.end()) {
+    state.sites.push_back(subscriber_site);
   }
-  RetainedTopic& retained = retained_[{topic.publisher_site, topic.path}];
-  const auto found = retained.position_of.find(payload);
-  if (found == retained.position_of.end()) {
-    retained.payloads.push_back(payload);
-    retained.position_of.emplace(retained.payloads.back(),
-                                 std::prev(retained.payloads.end()));
-  } else {
-    // Republished: it is the topic's latest state again.
-    retained.payloads.splice(retained.payloads.end(), retained.payloads,
-                             found->second);
-  }
-}
-
-void MessageBus::replay(ProxyEgress& egress, SiteId subscriber_site,
-                        const Topic& topic,
-                        const SubscriberCallback& callback) {
-  const auto it = retained_.find({topic.publisher_site, topic.path});
-  if (it == retained_.end()) return;
-  for (const std::string& payload : it->second.payloads) {
-    send_copy(egress, topic.publisher_site, subscriber_site, topic.path,
+  for (const std::string& payload : state.retained) {
+    send_copy(topic.publisher_site, subscriber_site, topic.path,
               [this, callback, message = Message{topic.path, payload,
                                                  sim_.now()}] {
                 deliver_to(callback, message);
               });
   }
+  state.subscribers.push_back(Subscriber{subscriber_site, std::move(callback)});
+}
+
+const MessageBus::TopicState* MessageBus::record_publish(
+    const Topic& topic, const std::string& payload) {
+  ++stats_.published;
+  if (!config_.retain_messages || transient_topic(topic.path) ||
+      topic.path.starts_with(kReplicationPrefix)) {
+    const auto it = topics_.find(topic);
+    return it == topics_.end() ? nullptr : &it->second;
+  }
+  TopicState& state = topics_[topic];
+  const auto found = state.position_of.find(payload);
+  if (found == state.position_of.end()) {
+    state.retained.push_back(payload);
+    state.position_of.emplace(state.retained.back(),
+                              std::prev(state.retained.end()));
+  } else {
+    // Republished: it is the topic's latest state again.
+    state.retained.splice(state.retained.end(), state.retained,
+                          found->second);
+  }
+  return &state;
 }
 
 // ------------------------------------------------------------------ ProxyBus
 
-ProxyBus::ProxyBus(sim::Simulator& sim, BusConfig config)
-    : MessageBus{sim, std::move(config)} {
-  proxies_.resize(config_.site_count);
-  for (SiteProxy& proxy : proxies_) {
-    proxy.egress = std::make_unique<ProxyEgress>(sim_, config_);
-  }
-}
-
-void ProxyBus::subscribe(SiteId subscriber_site, const Topic& topic,
-                         SubscriberCallback callback) {
-  SWB_CHECK(subscriber_site.value() < proxies_.size());
-  SWB_CHECK(topic.publisher_site.value() < proxies_.size());
-  SiteProxy& publisher_proxy = proxies_[topic.publisher_site.value()];
-  // Filter at the publisher's proxy: remember the subscriber *site*.
-  auto& sites = publisher_proxy.filters[topic.path];
-  if (std::find(sites.begin(), sites.end(), subscriber_site) == sites.end()) {
-    sites.push_back(subscriber_site);
-  }
-  // Local fan-out at the subscriber's proxy; retained state replays to
-  // the late subscriber only.
-  proxies_[subscriber_site.value()].locals[topic.path].push_back(callback);
-  replay(*publisher_proxy.egress, subscriber_site, topic, callback);
-}
-
 void ProxyBus::publish(const Topic& topic, std::string payload) {
-  ++stats_.published;
-  const SiteId origin = topic.publisher_site;
-  SiteProxy& proxy = proxies_[origin.value()];
-  retain(topic, payload);
-  Message message{topic.path, std::move(payload), sim_.now()};
-
-  const auto it = proxy.filters.find(topic.path);
-  if (it == proxy.filters.end()) return;   // nobody anywhere subscribed
-  // One copy per subscribed *site*, whatever the number of subscribers
-  // there.
-  for (const SiteId site : it->second) {
-    send_copy(*proxy.egress, origin, site, topic.path,
-              [this, site, message] { deliver_locally(site, message); });
-  }
-}
-
-void ProxyBus::deliver_locally(SiteId site, const Message& message) {
-  const auto it = proxies_[site.value()].locals.find(message.topic_path);
-  if (it == proxies_[site.value()].locals.end()) return;
-  for (const SubscriberCallback& callback : it->second) {
-    deliver_to(callback, message);
+  const TopicState* state = record_publish(topic, payload);
+  if (state == nullptr) return;
+  const Message message{topic.path, std::move(payload), sim_.now()};
+  for (const SiteId site : state->sites) {
+    send_copy(topic.publisher_site, site, topic.path,
+              [this, state, site, message] {
+                // The subscribers at `site` as the copy arrives, by index:
+                // a callback may subscribe.
+                const std::vector<Subscriber>& subscribers = state->subscribers;
+                for (std::size_t i = 0, n = subscribers.size(); i < n; ++i) {
+                  if (subscribers[i].site == site) {
+                    deliver_to(subscribers[i].callback, message);
+                  }
+                }
+              });
   }
 }
 
 // --------------------------------------------------------------- FullMeshBus
 
-FullMeshBus::FullMeshBus(sim::Simulator& sim, BusConfig config)
-    : MessageBus{sim, std::move(config)} {
-  egress_.resize(config_.site_count);
-  for (auto& egress : egress_) {
-    egress = std::make_unique<ProxyEgress>(sim_, config_);
-  }
-}
-
-void FullMeshBus::subscribe(SiteId subscriber_site, const Topic& topic,
-                            SubscriberCallback callback) {
-  subscribers_[topic.path].push_back(Subscriber{subscriber_site, callback});
-  replay(*egress_[topic.publisher_site.value()], subscriber_site, topic,
-         callback);
-}
-
 void FullMeshBus::publish(const Topic& topic, std::string payload) {
-  ++stats_.published;
-  const SiteId origin = topic.publisher_site;
-  retain(topic, payload);
-  const auto it = subscribers_.find(topic.path);
-  if (it == subscribers_.end()) return;
-  Message message{topic.path, std::move(payload), sim_.now()};
-
+  const TopicState* state = record_publish(topic, payload);
+  if (state == nullptr) return;
+  const Message message{topic.path, std::move(payload), sim_.now()};
   // A separate copy per *subscriber*: this is what overloads the
   // publisher's egress under fan-out.
-  for (const Subscriber& sub : it->second) {
-    send_copy(*egress_[origin.value()], origin, sub.site, topic.path,
-              [this, callback = sub.callback, message] {
+  for (const Subscriber& subscriber : state->subscribers) {
+    send_copy(topic.publisher_site, subscriber.site, topic.path,
+              [this, callback = subscriber.callback, message] {
                 deliver_to(callback, message);
               });
   }

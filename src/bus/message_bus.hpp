@@ -1,18 +1,25 @@
 // The global message bus (Section 6) and its full-mesh baseline (Fig. 9).
 //
+// A topic is one (publisher site, path); the bus keeps one TopicState per
+// topic: its subscribers in subscription order, the subscribed sites in
+// first-subscription order, and its retained payloads.  Subscription,
+// retention and replay are written once, in MessageBus; a topology only
+// decides how a publish fans out.
+//
 // Switchboard topology (ProxyBus): a message-queuing proxy at every site.
-// Publishers publish to their own site's proxy; subscription filters are
-// installed at the *publisher's* proxy (the publisher site is named in the
-// topic).  A site with no subscribers for a topic receives nothing; a site
-// with any subscribers receives exactly one copy over the shared
-// inter-proxy connection, and its proxy fans out locally.
+// Publishers publish to their own site's proxy; the subscribed sites are
+// the subscription filter installed at the *publisher's* proxy (the
+// publisher site is named in the topic).  A site with no subscribers for
+// a topic receives nothing; a site with any subscribers receives exactly
+// one copy over the shared inter-proxy connection, and its proxy fans out
+// to the topic's subscribers there.
 //
 // Baseline (FullMeshBus): the publisher sends a separate wide-area copy to
 // every individual subscriber — the per-subscriber copies queue at the
 // publisher's egress, which is what blows up latency and drops messages
 // under load in Fig. 9.
 //
-// Both run on the discrete-event simulator; the egress of each proxy is a
+// Both run on the discrete-event simulator; the egress of each site is a
 // finite-rate, finite-buffer queue.
 //
 // Fault tolerance: every wide-area copy passes through an optional
@@ -124,15 +131,18 @@ class ProxyEgress {
 };
 
 /// Common interface so experiments can swap topologies.  The base owns
-/// what both topologies share: the retained store, the one wide-area send
-/// path (fault hook, drops, reliable delivery) and local delivery.
+/// what both topologies share: one TopicState per topic, one egress per
+/// site, subscription with retained replay, the one wide-area send path
+/// (fault hook, drops, reliable delivery) and local delivery.
 class MessageBus {
  public:
   virtual ~MessageBus() = default;
 
-  /// Subscribes a callback running at `subscriber_site`.
-  virtual void subscribe(SiteId subscriber_site, const Topic& topic,
-                         SubscriberCallback callback) = 0;
+  /// Subscribes a callback running at `subscriber_site`.  The topic's
+  /// retained state replays to this subscriber alone, one copy per payload
+  /// through the publisher's egress.
+  void subscribe(SiteId subscriber_site, const Topic& topic,
+                 SubscriberCallback callback);
 
   /// Publishes from the topic's publisher site.
   virtual void publish(const Topic& topic, std::string payload) = 0;
@@ -170,28 +180,46 @@ class MessageBus {
   }
 
  protected:
+  struct Subscriber {
+    SiteId site;
+    SubscriberCallback callback;
+  };
+
+  /// Everything the bus holds for one (publisher site, path).
+  struct TopicState {
+    /// Every subscriber, in subscription order.
+    std::vector<Subscriber> subscribers;
+    /// The subscribed sites, each once, in first-subscription order: the
+    /// subscription filter at the publisher's proxy.
+    std::vector<SiteId> sites;
+    /// The retained payloads, in the order of their latest publish, plus
+    /// the position of each so that a republish is found without a scan.
+    /// `position_of` is only probed, never iterated (lint rule D1); its
+    /// keys view the list's strings, whose nodes never move.
+    std::list<std::string> retained;
+    std::unordered_map<std::string_view, std::list<std::string>::iterator>
+        position_of;
+  };
+
   MessageBus(sim::Simulator& sim, BusConfig config);
 
+  /// Counts a publish and retains `payload` (identical payloads are stored
+  /// once; a republished one moves to the end, so a replay always ends
+  /// with the latest publish).  Returns the topic's state, or null when
+  /// the bus holds none: nobody subscribed and nothing was retained.
+  [[nodiscard]] const TopicState* record_publish(const Topic& topic,
+                                                 const std::string& payload);
+
   /// One copy of a message from `from` to `to`: a local-queue delivery
-  /// when both are the same site, else a wide-area copy through `egress`
-  /// honoring the fault hook, drop accounting, and (for non-transient
-  /// topics) reliable delivery.  `deliver` runs at `to` on arrival.
-  void send_copy(ProxyEgress& egress, SiteId from, SiteId to,
-                 const std::string& topic_path, std::function<void()> deliver);
+  /// when both are the same site, else a wide-area copy through `from`'s
+  /// egress honoring the fault hook, drop accounting, and (for
+  /// non-transient topics) reliable delivery.  `deliver` runs at `to` on
+  /// arrival.
+  void send_copy(SiteId from, SiteId to, const std::string& topic_path,
+                 std::function<void()> deliver);
 
   /// Hands `message` to one subscriber callback (delivery accounting).
   void deliver_to(const SubscriberCallback& callback, const Message& message);
-
-  /// Records `payload` as retained state of (publisher site, topic path).
-  /// Identical payloads are stored once; a republished one moves to the
-  /// end, so a replay always ends with the latest publish.
-  void retain(const Topic& topic, const std::string& payload);
-
-  /// Replays the retained state of `topic` to one late subscriber at
-  /// `subscriber_site`, one copy per payload through the publisher's
-  /// `egress`.
-  void replay(ProxyEgress& egress, SiteId subscriber_site, const Topic& topic,
-              const SubscriberCallback& callback);
 
   sim::Simulator& sim_;
   BusConfig config_;
@@ -215,13 +243,20 @@ class MessageBus {
     SiteId to;
     std::string topic_path;
     std::function<void()> deliver;
-    ProxyEgress* egress{nullptr};
     bool delivered{false};
     bool acked{false};
     /// Terminal: acked, gave up, or abandoned — eligible for reaping.
     bool done{false};
     std::size_t sends{0};
     sim::EventHandle retry{};
+  };
+
+  struct TopicHash {
+    std::size_t operator()(const Topic& topic) const noexcept {
+      return std::hash<std::string>{}(topic.path) ^
+             (std::size_t{topic.publisher_site.value()} *
+              0x9E3779B97F4A7C15ULL);
+    }
   };
 
   /// Transient telemetry (kTransientPrefix, bus/topic.hpp) is never
@@ -234,13 +269,16 @@ class MessageBus {
   /// (previously these drops were silent).
   void count_egress_drop(SiteId from, SiteId to,
                          const std::string& topic_path);
-  /// Sends one physical wire copy with the fault hook applied; returns
-  /// true when the egress accepted (at least) one copy.
-  bool wire_copy(ProxyEgress& egress, SiteId from, SiteId to,
-                 const std::string& topic_path,
+  /// Sends one physical wire copy through `from`'s egress with the fault
+  /// hook applied; returns true when the egress accepted (at least) one
+  /// copy.
+  bool wire_copy(SiteId from, SiteId to, const std::string& topic_path,
                  const std::function<void()>& arrival);
   /// One (re)transmission attempt of a reliable copy + its retry timer.
   void reliable_attempt(const std::shared_ptr<ReliableMessage>& message);
+
+  /// One egress queue per site, indexed by site id.
+  std::vector<ProxyEgress> egress_;
 
   /// Leaf lock for the reliable-delivery tracker: no other lock is ever
   /// taken while it is held, and no user/delivery callback runs under it.
@@ -248,19 +286,9 @@ class MessageBus {
   std::vector<std::shared_ptr<ReliableMessage>> reliable_
       SWB_GUARDED_BY(reliable_mutex_);
 
-  /// The retained payloads of one (publisher site, topic path), in the
-  /// order of their latest publish, plus the position of each so that a
-  /// republish is found without a scan.  `position_of` is only probed,
-  /// never iterated (lint rule D1); its keys view the list's strings,
-  /// whose nodes never move.
-  struct RetainedTopic {
-    std::list<std::string> payloads;
-    std::unordered_map<std::string_view, std::list<std::string>::iterator>
-        position_of;
-  };
-
-  /// Simulator-thread-owned like stats_.
-  std::map<std::pair<SiteId, std::string>, RetainedTopic> retained_;
+  /// Simulator-thread-owned like stats_.  Only probed, never iterated;
+  /// topics are never erased, so a TopicState never moves.
+  std::unordered_map<Topic, TopicState, TopicHash> topics_;
 
  protected:
   /// Simulator-thread-owned (every mutation happens inside an event
@@ -269,45 +297,23 @@ class MessageBus {
   BusStats stats_;
 };
 
+/// One copy per subscribed site; the site's proxy fans it out to the
+/// topic's subscribers there.
 class ProxyBus final : public MessageBus {
  public:
-  ProxyBus(sim::Simulator& sim, BusConfig config);
+  ProxyBus(sim::Simulator& sim, BusConfig config)
+      : MessageBus{sim, std::move(config)} {}
 
-  void subscribe(SiteId subscriber_site, const Topic& topic,
-                 SubscriberCallback callback) override;
   void publish(const Topic& topic, std::string payload) override;
-
- private:
-  struct SiteProxy {
-    /// Subscription filters installed at this (publisher-side) proxy:
-    /// topic path -> subscriber sites (deduplicated).
-    std::unordered_map<std::string, std::vector<SiteId>> filters;
-    /// Local fan-out at this (subscriber-side) proxy.
-    std::unordered_map<std::string, std::vector<SubscriberCallback>> locals;
-    std::unique_ptr<ProxyEgress> egress;
-  };
-
-  void deliver_locally(SiteId site, const Message& message);
-
-  std::vector<SiteProxy> proxies_;
 };
 
+/// One wide-area copy per subscriber.
 class FullMeshBus final : public MessageBus {
  public:
-  FullMeshBus(sim::Simulator& sim, BusConfig config);
+  FullMeshBus(sim::Simulator& sim, BusConfig config)
+      : MessageBus{sim, std::move(config)} {}
 
-  void subscribe(SiteId subscriber_site, const Topic& topic,
-                 SubscriberCallback callback) override;
   void publish(const Topic& topic, std::string payload) override;
-
- private:
-  struct Subscriber {
-    SiteId site;
-    SubscriberCallback callback;
-  };
-
-  std::unordered_map<std::string, std::vector<Subscriber>> subscribers_;
-  std::vector<std::unique_ptr<ProxyEgress>> egress_;   // per publisher site
 };
 
 }  // namespace switchboard::bus

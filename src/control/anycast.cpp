@@ -250,7 +250,9 @@ std::string AnycastRouter::trace_string() const {
 }
 
 std::uint64_t AnycastRouter::trace_digest() const {
-  std::uint64_t hash = 1469598103934665603ULL;   // FNV-1a offset basis
+  // FNV-1a from a seed one digit short of its offset basis
+  // (14695981039346656037); pinned trace digests depend on this seed.
+  std::uint64_t hash = 1469598103934665603ULL;
   for (const std::string& line : trace_) {
     for (const char c : line) {
       hash ^= static_cast<unsigned char>(c);

@@ -130,7 +130,9 @@ void GlobalSwitchboard::create_chain(const ChainSpec& spec,
     report.labels = labels;
 
     // Fig. 4 step 2: compute the wide-area route and run 2PC.
-    route_and_commit(chain_id, {}, {}, 0, std::move(report), std::move(done));
+    route_and_commit(Round{.chain = chain_id,
+                           .report = std::move(report),
+                           .done = std::move(done)});
   });
 }
 
@@ -151,76 +153,57 @@ sim::Duration retry_delay(std::size_t rpc_retry) {
 
 }  // namespace
 
-void GlobalSwitchboard::route_and_commit(ChainId chain,
-                                         std::vector<SiteId> preferred,
-                                         Exclusions excluded,
-                                         std::size_t attempt,
-                                         CreationReport report,
-                                         CreationCallback done) {
+void GlobalSwitchboard::route_and_commit(Round round,
+                                         std::vector<SiteId> preferred) {
   later(context_.timings.route_compute,
-        [this, chain, preferred = std::move(preferred),
-         excluded = std::move(excluded), attempt, report = std::move(report),
-         done = std::move(done)]() mutable {
-    const ChainRecord& rec = record(chain);
+        [this, round = std::move(round),
+         preferred = std::move(preferred)]() mutable {
+    const ChainRecord& rec = record(round.chain);
     std::optional<std::vector<SiteId>> vnf_sites;
     if (preferred.empty()) {
-      vnf_sites = compute_route(chain, excluded);
+      vnf_sites = compute_route(round.chain, round.excluded);
     } else if (preferred.size() == rec.spec.vnfs.size()) {
       vnf_sites = std::move(preferred);
     } else {
-      done(Result<CreationReport>{ErrorCode::kInvalidArgument,
-                                  "preferred sites must cover every VNF in "
-                                  "the chain"});
+      round.done(Result<CreationReport>{ErrorCode::kInvalidArgument,
+                                        "preferred sites must cover every "
+                                        "VNF in the chain"});
       return;
     }
-    report.events.push_back({attempt == 0 ? "route_computed"
-                                          : "route_recomputed",
-                             context_.sim.now()});
+    round.report.events.push_back(
+        {round.attempt == 0 ? "route_computed" : "route_recomputed",
+         context_.sim.now()});
     if (!vnf_sites) {
-      done(Result<CreationReport>{ErrorCode::kInfeasible,
-                                  "no feasible wide-area route"});
+      round.done(Result<CreationReport>{ErrorCode::kInfeasible,
+                                        "no feasible wide-area route"});
       return;
     }
     // The new route takes an equal share of the chain's traffic.  Its id is
-    // the allocator's next; the BeginRecord journaled by commit_route in
-    // this same event advances the allocator.
-    RouteRecord route{RouteId{state_.next_route_id}, std::move(*vnf_sites),
-                      1.0 / static_cast<double>(rec.routes.size() + 1)};
-    report.route = route.id;
-    commit_route(chain, std::move(route), std::move(report), std::move(done),
-                 std::move(excluded), attempt);
+    // the allocator's next; the BeginRecord below advances the allocator.
+    round.route = RouteRecord{RouteId{state_.next_route_id},
+                              std::move(*vnf_sites),
+                              1.0 / static_cast<double>(rec.routes.size() + 1)};
+    round.report.route = round.route.id;
+    // Journal the 2PC intent before any participant hears about it: after
+    // a crash anywhere in the round, recovery knows this (chain, route,
+    // sites) begun and can re-drive or abort it.
+    apply_and_log(
+        BeginRecord{round.chain, round.route.id, round.route.vnf_sites});
+
+    // Two-phase commit, prepare round: parallel RPCs to each VNF
+    // controller (round trip + processing).
+    round.rpc_retry = 0;
+    later(2 * context_.timings.controller_rpc +
+              context_.timings.controller_processing,
+          [this, round = std::move(round)]() mutable {
+            start_prepare_round(std::move(round));
+          });
   });
 }
 
-void GlobalSwitchboard::commit_route(ChainId chain_id, RouteRecord route,
-                                     CreationReport report,
-                                     CreationCallback done,
-                                     Exclusions excluded,
-                                     std::size_t attempt) {
-  // Journal the 2PC intent before any participant hears about it: after a
-  // crash anywhere in the round, recovery knows this (chain, route, sites)
-  // begun and can re-drive or abort it.
-  apply_and_log(BeginRecord{chain_id, route.id, route.vnf_sites});
-
-  // Two-phase commit, prepare round: parallel RPCs to each VNF controller
-  // (round trip + processing).
-  later(2 * context_.timings.controller_rpc +
-            context_.timings.controller_processing,
-        [this, chain_id, route = std::move(route), report = std::move(report),
-         done = std::move(done), excluded = std::move(excluded),
-         attempt]() mutable {
-    start_prepare_round(chain_id, std::move(route), std::move(report),
-                        std::move(done), std::move(excluded), attempt,
-                        /*rpc_retry=*/0);
-  });
-}
-
-void GlobalSwitchboard::start_prepare_round(
-    ChainId chain_id, RouteRecord route, CreationReport report,
-    CreationCallback done, Exclusions excluded, std::size_t attempt,
-    std::size_t rpc_retry) {
-  const ChainRecord& rec = record(chain_id);
-  const model::Chain& chain = context_.model.chain(chain_id);
+void GlobalSwitchboard::start_prepare_round(Round round) {
+  const ChainRecord& rec = record(round.chain);
+  const model::Chain& chain = context_.model.chain(round.chain);
 
   // Parallel prepares: collect a vote from every reachable participant; a
   // down controller answers nothing and leaves a timeout.  Re-delivered
@@ -231,7 +214,7 @@ void GlobalSwitchboard::start_prepare_round(
   std::set<std::uint32_t> prepared_vnfs;
   for (std::size_t z = 1; z <= rec.spec.vnfs.size(); ++z) {
     const VnfId vnf = rec.spec.vnfs[z - 1];
-    const SiteId site = route.vnf_sites[z - 1];
+    const SiteId site = round.route.vnf_sites[z - 1];
     SWB_CHECK(vnf.value() < vnf_controllers_.size() &&
               vnf_controllers_[vnf.value()] != nullptr)
         << "vnf " << vnf.value() << " has no registered controller";
@@ -243,8 +226,9 @@ void GlobalSwitchboard::start_prepare_round(
     const double load =
         context_.model.vnf(vnf).load_per_unit *
         (chain.stage_traffic(z) + chain.stage_traffic(z + 1)) *
-        route.weight;
-    if (controller->prepare(chain_id, route.id, site, load, z, state_.epoch)) {
+        round.route.weight;
+    if (controller->prepare(round.chain, round.route.id, site, load, z,
+                            state_.epoch)) {
       prepared_vnfs.insert(vnf.value());
     } else {
       all_prepared = false;
@@ -255,79 +239,72 @@ void GlobalSwitchboard::start_prepare_round(
   // Releases the reservations made so far and journals the abort.
   const auto abort_round = [&] {
     for (const std::uint32_t vnf : prepared_vnfs) {
-      vnf_controllers_[vnf]->abort(chain_id, route.id, state_.epoch);
+      vnf_controllers_[vnf]->abort(round.chain, round.route.id, state_.epoch);
     }
-    apply_and_log(AbortRecord{chain_id, route.id});
+    apply_and_log(AbortRecord{round.chain, round.route.id});
   };
 
   if (!all_prepared) {
     // Recompute with the rejecting placement excluded (Section 3, chain
     // creation).
     abort_round();
-    excluded.insert(rejected);
-    report.events.push_back({"route_rejected", context_.sim.now()});
-    if (attempt + 1 >= 4) {
-      done(Result<CreationReport>{
+    round.excluded.insert(rejected);
+    round.report.events.push_back({"route_rejected", context_.sim.now()});
+    if (round.attempt + 1 >= 4) {
+      round.done(Result<CreationReport>{
           ErrorCode::kResourceExhausted,
           "2PC: no feasible route after repeated rejections"});
       return;
     }
-    route_and_commit(chain_id, {}, std::move(excluded), attempt + 1,
-                     std::move(report), std::move(done));
+    ++round.attempt;
+    route_and_commit(std::move(round));
     return;
   }
 
   if (timed_out) {
     // Some participant never answered.  The timeout clock runs from round
     // entry; the round retries with bounded exponential backoff.
-    report.events.push_back({"prepare_timeout", context_.sim.now()});
-    if (rpc_retry >= kMaxRpcRetries) {
-      SB_LOG(kWarn) << "2pc: prepare for chain " << chain_id << " route "
-                    << route.id << " gave up after " << rpc_retry
+    round.report.events.push_back({"prepare_timeout", context_.sim.now()});
+    if (round.rpc_retry >= kMaxRpcRetries) {
+      SB_LOG(kWarn) << "2pc: prepare for chain " << round.chain << " route "
+                    << round.route.id << " gave up after " << round.rpc_retry
                     << " retries";
       abort_round();
-      done(Result<CreationReport>{
+      round.done(Result<CreationReport>{
           ErrorCode::kUnavailable,
           "2PC prepare: participant unreachable after retries"});
       return;
     }
-    later(retry_delay(rpc_retry),
-          [this, chain_id, route, report, done = std::move(done), excluded,
-           attempt, rpc_retry]() mutable {
-      start_prepare_round(chain_id, std::move(route), std::move(report),
-                          std::move(done), std::move(excluded), attempt,
-                          rpc_retry + 1);
+    // The backoff is read before the capture below moves the round.
+    const sim::Duration backoff = retry_delay(round.rpc_retry++);
+    later(backoff, [this, round = std::move(round)]() mutable {
+      start_prepare_round(std::move(round));
     });
     return;
   }
-  report.events.push_back({"prepared", context_.sim.now()});
+  round.report.events.push_back({"prepared", context_.sim.now()});
 
   // Every participant voted yes: journal it so a crash from here on
   // re-drives the commit round instead of aborting (participants may have
   // already committed by then; re-commits are idempotent).
-  apply_and_log(PrepRecord{chain_id, route.id});
+  apply_and_log(PrepRecord{round.chain, round.route.id});
 
   // Commit round — behind the quorum barrier: with replication on, the
   // prep record must be durable on a quorum before any participant hears
   // commit, or a failed-over leader could abort a round whose
   // participants already committed.
-  after_quorum([this, chain_id, route = std::move(route),
-                report = std::move(report), done = std::move(done)]() mutable {
+  round.rpc_retry = 0;
+  after_quorum([this, round = std::move(round)]() mutable {
     later(context_.timings.controller_rpc +
               context_.timings.controller_processing,
-          [this, chain_id, route = std::move(route),
-           report = std::move(report), done = std::move(done)]() mutable {
-      start_commit_round(chain_id, std::move(route), std::move(report),
-                         std::move(done), /*rpc_retry=*/0);
-    });
+          [this, round = std::move(round)]() mutable {
+            start_commit_round(std::move(round));
+          });
   });
 }
 
-void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
-                                           CreationReport report,
-                                           CreationCallback done,
-                                           std::size_t rpc_retry) {
-  ChainRecord* rec = state_.find_chain(chain_id);
+void GlobalSwitchboard::start_commit_round(Round round) {
+  ChainRecord* rec = state_.find_chain(round.chain);
   SWB_CHECK(rec != nullptr);
 
   // Commits to reachable participants; re-delivery on retry is idempotent
@@ -339,60 +316,58 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
       timed_out = true;
       continue;
     }
-    controller->commit(chain_id, route.id, rec->labels.egress_site,
+    controller->commit(round.chain, round.route.id, rec->labels.egress_site,
                        state_.epoch);
   }
 
   if (timed_out) {
-    report.events.push_back({"commit_timeout", context_.sim.now()});
-    if (rpc_retry >= kMaxRpcRetries) {
+    round.report.events.push_back({"commit_timeout", context_.sim.now()});
+    if (round.rpc_retry >= kMaxRpcRetries) {
       // Roll the route back: reachable participants get abort (rejected-
       // and-counted where already committed) and release their committed
       // capacity; unreachable ones are reconciled when they come back
       // (reconcile_participant: the journal no longer owns the round).
-      SB_LOG(kWarn) << "2pc: commit for chain " << chain_id << " route "
-                    << route.id << " gave up after " << rpc_retry
+      SB_LOG(kWarn) << "2pc: commit for chain " << round.chain << " route "
+                    << round.route.id << " gave up after " << round.rpc_retry
                     << " retries";
       // Journal the abort and make it quorum-durable BEFORE releasing the
       // participants: an abort the standbys never saw would make a
       // failed-over leader re-drive this prepared round against
       // participants that already rolled back.
-      apply_and_log(AbortRecord{chain_id, route.id});
-      after_quorum([this, chain_id, route_id = route.id,
-                    done = std::move(done)]() mutable {
-        for (const VnfId vnf : record(chain_id).spec.vnfs) {
+      apply_and_log(AbortRecord{round.chain, round.route.id});
+      after_quorum([this, round = std::move(round)]() mutable {
+        for (const VnfId vnf : record(round.chain).spec.vnfs) {
           if (VnfController* controller = reachable(vnf)) {
-            controller->abort(chain_id, route_id, state_.epoch);
-            controller->release(chain_id, route_id, state_.epoch);
+            controller->abort(round.chain, round.route.id, state_.epoch);
+            controller->release(round.chain, round.route.id, state_.epoch);
           }
         }
-        done(Result<CreationReport>{
+        round.done(Result<CreationReport>{
             ErrorCode::kUnavailable,
             "2PC commit: participant unreachable after retries"});
       });
       return;
     }
-    later(retry_delay(rpc_retry),
-          [this, chain_id, route, report, done = std::move(done),
-           rpc_retry]() mutable {
-      start_commit_round(chain_id, std::move(route), std::move(report),
-                         std::move(done), rpc_retry + 1);
+    // The backoff is read before the capture below moves the round.
+    const sim::Duration backoff = retry_delay(round.rpc_retry++);
+    later(backoff, [this, round = std::move(round)]() mutable {
+      start_commit_round(std::move(round));
     });
     return;
   }
-  report.events.push_back({"committed", context_.sim.now()});
+  round.report.events.push_back({"committed", context_.sim.now()});
 
   // The round is durable-committed from this point: replay re-applies the
   // route and recovery re-drives participant commits if needed.  The
   // commit moves the route into the chain before its record is appended,
   // so a snapshot cut by the append (or while the quorum barrier below is
   // pending) already holds it.
-  apply_and_log(CommitRecord{chain_id, route.id});
+  apply_and_log(CommitRecord{round.chain, round.route.id});
   // Route weights rebalance equally (Fig. 10: the new route takes
   // an even share of new connections).  The engine's loads take the
   // per-route weight deltas instead of a full rebuild over every
   // active chain.
-  const model::Chain& chain = context_.model.chain(chain_id);
+  const model::Chain& chain = context_.model.chain(round.chain);
   const double weight = 1.0 / static_cast<double>(rec->routes.size());
   const bool was_active = rec->active;
   rec->active = true;
@@ -407,24 +382,23 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
   // Acknowledgment — behind the quorum barrier: routes are published,
   // edge instances announced, readiness tracked, and `done` armed only
   // once a quorum of replicas has the commit record durable.
-  after_quorum([this, chain_id, route = std::move(route),
-                report = std::move(report), done = std::move(done)]() mutable {
-    const ChainRecord& committed = record(chain_id);
+  after_quorum([this, round = std::move(round)]() mutable {
+    const ChainRecord& committed = record(round.chain);
     publish_routes(committed);
-    report.events.push_back({"routes_published", context_.sim.now()});
+    round.report.events.push_back({"routes_published", context_.sim.now()});
 
     // Edge controllers allocate + announce instances (Fig. 4 step 4).
     edge_controllers_[committed.spec.ingress_service.value()]
-        ->announce_edge_instance(chain_id, committed.labels.egress_site,
+        ->announce_edge_instance(round.chain, committed.labels.egress_site,
                                  committed.ingress_site);
     edge_controllers_[committed.spec.egress_service.value()]
-        ->announce_edge_instance(chain_id, committed.labels.egress_site,
+        ->announce_edge_instance(round.chain, committed.labels.egress_site,
                                  committed.egress_site);
 
     // Track readiness of every involved site.
-    pending_.push_back(PendingActivation{chain_id, route.id,
-                                         involved_sites(committed, route),
-                                         std::move(report), std::move(done)});
+    pending_.push_back(PendingActivation{
+        round.chain, round.route.id, involved_sites(committed, round.route),
+        std::move(round.report), std::move(round.done)});
 #ifndef NDEBUG
     check_invariants();
 #endif
@@ -448,8 +422,10 @@ void GlobalSwitchboard::add_route(ChainId chain,
   report.chain = chain;
   report.labels = rec->labels;
   report.events.push_back({"route_requested", context_.sim.now()});
-  route_and_commit(chain, preferred_vnf_sites, {}, 0, std::move(report),
-                   std::move(done));
+  route_and_commit(Round{.chain = chain,
+                         .report = std::move(report),
+                         .done = std::move(done)},
+                   preferred_vnf_sites);
 }
 
 void GlobalSwitchboard::check_invariants() const {
@@ -671,17 +647,18 @@ void GlobalSwitchboard::replace_route(ChainId chain) {
   report.chain = chain;
   report.labels = record(chain).labels;
   report.events.push_back({"replacement_requested", context_.sim.now()});
-  route_and_commit(chain, {}, {}, 0, std::move(report),
-                   [chain](Result<CreationReport> result) {
-                     if (result.ok()) {
-                       SB_LOG(kInfo) << "recovery: replacement route active "
-                                     << "for chain " << chain;
-                     } else {
-                       SB_LOG(kWarn) << "recovery: replacement route failed "
-                                     << "for chain " << chain << ": "
-                                     << result.error().message;
-                     }
-                   });
+  route_and_commit(Round{
+      .chain = chain,
+      .report = std::move(report),
+      .done = [chain](Result<CreationReport> result) {
+        if (result.ok()) {
+          SB_LOG(kInfo) << "recovery: replacement route active for chain "
+                        << chain;
+        } else {
+          SB_LOG(kWarn) << "recovery: replacement route failed for chain "
+                        << chain << ": " << result.error().message;
+        }
+      }});
 }
 
 void GlobalSwitchboard::on_route_ready(ChainId chain, RouteId route,
@@ -875,10 +852,11 @@ void GlobalSwitchboard::resolve_inflight_and_reconcile() {
       report.started = context_.sim.now();
       report.chain = chain;
       report.route = route_id;
-      start_commit_round(
-          chain, RouteRecord{route_id, round.vnf_sites, 1.0},
-          std::move(report),
-          [chain, route_id](Result<CreationReport> result) {
+      start_commit_round(Round{
+          .chain = chain,
+          .route = RouteRecord{route_id, round.vnf_sites, 1.0},
+          .report = std::move(report),
+          .done = [chain, route_id](Result<CreationReport> result) {
             if (result.ok()) {
               SB_LOG(kInfo) << "durability: re-driven commit active for "
                             << "chain " << chain << " route " << route_id;
@@ -887,8 +865,7 @@ void GlobalSwitchboard::resolve_inflight_and_reconcile() {
                             << "chain " << chain << " route " << route_id
                             << ": " << result.error().message;
             }
-          },
-          /*rpc_retry=*/0);
+          }});
     } else {
       ++last_cold_start_.aborted_inflight;
       // A round only begins for a known chain.

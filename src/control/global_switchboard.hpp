@@ -261,21 +261,31 @@ class GlobalSwitchboard {
     CreationCallback done;
   };
 
+  /// One 2PC attempt as it moves through the route pipeline, from route
+  /// computation to activation: route_and_commit fills `route`, and the
+  /// prepare and commit rounds carry the whole attempt between events.
+  struct Round {
+    ChainId chain;
+    RouteRecord route{};
+    Exclusions excluded{};
+    /// Route computations so far (0: the first; a prepare rejection
+    /// recomputes, up to four in all).
+    std::size_t attempt{0};
+    /// Timeouts of the current prepare or commit round.
+    std::size_t rpc_retry{0};
+    CreationReport report;
+    CreationCallback done;
+  };
+
   /// The one entry into 2PC — for create_chain, add_route, the prepare-
   /// rejection retry and replace_route: after `route_compute`, takes the
   /// `preferred` placement (when non-empty) or compute_route(chain,
   /// excluded), builds a route of weight 1 / (committed routes + 1) under
-  /// the allocator's next id, and hands it to commit_route.  Attempt 0
-  /// reports "route_computed", a retry "route_recomputed".
-  void route_and_commit(ChainId chain, std::vector<SiteId> preferred,
-                        Exclusions excluded, std::size_t attempt,
-                        CreationReport report, CreationCallback done);
-
-  /// Journals the 2PC intent (its BeginRecord advances the route-id
-  /// allocator), then opens the prepare round after one RPC round trip.
-  void commit_route(ChainId chain, RouteRecord route, CreationReport report,
-                    CreationCallback done, Exclusions excluded,
-                    std::size_t attempt);
+  /// the allocator's next id, journals the 2PC intent (its BeginRecord
+  /// advances the allocator) and opens the prepare round after one RPC
+  /// round trip.  Attempt 0 reports "route_computed", a retry
+  /// "route_recomputed".
+  void route_and_commit(Round round, std::vector<SiteId> preferred = {});
 
   /// 2PC prepare round (fault-tolerant): votes are collected from every
   /// reachable participant; unreachable ones (down controllers) time out
@@ -283,19 +293,14 @@ class GlobalSwitchboard {
   /// already-prepared participants dedup the re-delivered prepare.  After
   /// three timeouts (kMaxRpcRetries, global_switchboard.cpp) the round
   /// aborts (kUnavailable) and releases the partial reservations.
-  void start_prepare_round(ChainId chain, RouteRecord route,
-                           CreationReport report, CreationCallback done,
-                           Exclusions excluded, std::size_t attempt,
-                           std::size_t rpc_retry);
+  void start_prepare_round(Round round);
 
   /// 2PC commit round with the same timeout/retry envelope; re-delivered
   /// commits are idempotent at the participant.  On retry exhaustion the
   /// route rolls back: reachable participants get abort (rejected-and-
   /// counted where already committed) + release; unreachable ones are
   /// left to reconcile_participant().
-  void start_commit_round(ChainId chain, RouteRecord route,
-                          CreationReport report, CreationCallback done,
-                          std::size_t rpc_retry);
+  void start_commit_round(Round round);
 
   /// Shared recovery walk: retires every active route matched by `doomed`
   /// (tombstone, release, negative load delta, pending-activation

@@ -11,16 +11,17 @@
 namespace switchboard::control {
 namespace {
 
-/// Upserts an announcement list by element id.
+/// Upserts an announcement list by element id; true when `item` is new.
 template <typename T, typename IdFn>
-void upsert(std::vector<T>& list, const T& item, IdFn id_of) {
+bool upsert(std::vector<T>& list, const T& item, IdFn id_of) {
   for (T& existing : list) {
     if (id_of(existing) == id_of(item)) {
       existing = item;
-      return;
+      return false;
     }
   }
   list.push_back(item);
+  return true;
 }
 
 /// The one liveness rule (DESIGN.md §12): an element or a route announced
@@ -45,11 +46,11 @@ std::pair<VnfId, SiteId> next_forwarders(const RouteAnnouncement& route,
   return {ControlContext::edge_marker(), route.egress_site};
 }
 
-/// Whether at least one announcement arrived on `topic`.
+/// Whether at least one announcement arrived for `pool`.
 template <typename Map>
-bool announced(const Map& by_path, const bus::Topic& topic) {
-  const auto it = by_path.find(topic.path);
-  return it != by_path.end() && !it->second.empty();
+bool announced(const Map& pools, const typename Map::key_type& pool) {
+  const auto it = pools.find(pool);
+  return it != pools.end() && !it->second.empty();
 }
 
 }  // namespace
@@ -91,18 +92,16 @@ LocalSwitchboard::PerChain& LocalSwitchboard::chain_state(
   return pc;
 }
 
-void LocalSwitchboard::subscribe_instances(PerChain& pc, VnfId vnf,
-                                           SiteId site) {
-  const bus::Topic topic = bus::instances_topic(
-      pc.chain, pc.labels.egress_site, vnf, site);
-  if (!pc.subscribed.insert(topic.path).second) return;
+void LocalSwitchboard::subscribe_instances(PerChain& pc, VnfId vnf) {
+  if (!pc.instances.try_emplace(vnf).second) return;
   const ChainId chain = pc.chain;
   context_.bus.subscribe(
-      site_, topic, [this, chain, path = topic.path](const bus::Message& m) {
+      site_, bus::instances_topic(pc.chain, pc.labels.egress_site, vnf, site_),
+      [this, chain, vnf](const bus::Message& m) {
         const auto announcement = parse_instance(m.payload);
         if (!announcement.has_value()) return;
         PerChain& state = chains_[chain.value()];
-        upsert(state.instances[path], *announcement,
+        upsert(state.instances[vnf], *announcement,
                [](const InstanceAnnouncement& a) { return a.instance; });
         // Weight 0 announces a dead instance: invalidate the pinned flow
         // entries on its fronting forwarder so the next packet of each
@@ -119,17 +118,15 @@ void LocalSwitchboard::subscribe_instances(PerChain& pc, VnfId vnf,
 
 void LocalSwitchboard::subscribe_forwarders(PerChain& pc, VnfId vnf,
                                             SiteId site) {
-  const bus::Topic topic = bus::forwarders_topic(
-      pc.chain, pc.labels.egress_site, vnf, site);
-  if (!pc.subscribed.insert(topic.path).second) return;
+  if (!pc.forwarders.try_emplace({vnf, site}).second) return;
   const ChainId chain = pc.chain;
   context_.bus.subscribe(
-      site_, topic,
-      [this, chain, vnf, site, path = topic.path](const bus::Message& m) {
+      site_, bus::forwarders_topic(pc.chain, pc.labels.egress_site, vnf, site),
+      [this, chain, vnf, site](const bus::Message& m) {
         const auto announcement = parse_forwarder(m.payload);
         if (!announcement.has_value()) return;
         PerChain& state = chains_[chain.value()];
-        upsert(state.forwarders[path], *announcement,
+        upsert(state.forwarders[{vnf, site}], *announcement,
                [](const ForwarderAnnouncement& a) { return a.forwarder; });
         // Weight 0 retracts a next-hop forwarder (it died, or everything
         // behind it did): drop the pinned next-hop choices referencing it
@@ -206,39 +203,40 @@ void LocalSwitchboard::handle_route(const RouteAnnouncement& announcement) {
   }
   max_route_epoch_ = announcement.epoch;
   PerChain& pc = chain_state(announcement);
-  upsert(pc.routes, announcement,
-         [](const RouteAnnouncement& r) { return r.route; });
+  const bool is_new =
+      upsert(pc.routes, announcement,
+             [](const RouteAnnouncement& r) { return r.route; });
   if (route_observer_) route_observer_(announcement);
+  if (is_new) subscribe_route(pc, announcement);
+  reconcile(pc);
+}
 
-  // Set up this site's subscriptions.
-  for (const RouteAnnouncement& route : pc.routes) {
-    for (std::size_t i = 0; i < route.hops.size(); ++i) {
-      const RouteHop& hop = route.hops[i];
-      if (hop.site != site_) continue;
-      subscribe_instances(pc, hop.vnf, site_);
-      const auto [next_vnf, next_site] = next_forwarders(route, i + 1);
-      subscribe_forwarders(pc, next_vnf, next_site);
-      // Mobility: the first VNF's site listens for edge forwarders
-      // appearing at any site (on-demand edge addition, Section 6).
-      if (i == 0) {
-        for (const model::CloudSite& any_site : context_.model.sites()) {
-          subscribe_forwarders(pc, ControlContext::edge_marker(),
-                               any_site.id);
-        }
+void LocalSwitchboard::subscribe_route(PerChain& pc,
+                                       const RouteAnnouncement& route) {
+  for (std::size_t i = 0; i < route.hops.size(); ++i) {
+    const RouteHop& hop = route.hops[i];
+    if (hop.site != site_) continue;
+    subscribe_instances(pc, hop.vnf);
+    const auto [next_vnf, next_site] = next_forwarders(route, i + 1);
+    subscribe_forwarders(pc, next_vnf, next_site);
+    // Mobility: the first VNF's site listens for edge forwarders
+    // appearing at any site (on-demand edge addition, Section 6).
+    if (i == 0) {
+      for (const model::CloudSite& any_site : context_.model.sites()) {
+        subscribe_forwarders(pc, ControlContext::edge_marker(), any_site.id);
       }
     }
-    if (pc.ingress_site == site_) {
-      subscribe_instances(pc, ControlContext::edge_marker(), site_);
-      // A chain with no VNFs forwards straight to the egress edge (the
-      // demo's "default chain", Section 2).
-      const auto [first_vnf, first_site] = next_forwarders(route, 0);
-      subscribe_forwarders(pc, first_vnf, first_site);
-    }
-    if (pc.egress_site == site_) {
-      subscribe_instances(pc, ControlContext::edge_marker(), site_);
-    }
   }
-  reconcile(pc);
+  if (pc.ingress_site == site_) {
+    subscribe_instances(pc, ControlContext::edge_marker());
+    // A chain with no VNFs forwards straight to the egress edge (the
+    // demo's "default chain", Section 2).
+    const auto [first_vnf, first_site] = next_forwarders(route, 0);
+    subscribe_forwarders(pc, first_vnf, first_site);
+  }
+  if (pc.egress_site == site_) {
+    subscribe_instances(pc, ControlContext::edge_marker());
+  }
 }
 
 void LocalSwitchboard::install_rule(const PerChain& pc,
@@ -250,10 +248,7 @@ void LocalSwitchboard::install_rule(const PerChain& pc,
   std::vector<std::pair<dataplane::ElementId, double>> next;
   const auto add_next = [&](const RouteAnnouncement& route,
                             std::size_t stage) {
-    const auto [vnf, site] = next_forwarders(route, stage);
-    const auto it = pc.forwarders.find(
-        bus::forwarders_topic(pc.chain, pc.labels.egress_site, vnf, site)
-            .path);
+    const auto it = pc.forwarders.find(next_forwarders(route, stage));
     if (it == pc.forwarders.end()) return;
     for (const ForwarderAnnouncement& ann : it->second) {
       const double weight = route.weight * ann.weight;
@@ -296,7 +291,7 @@ void LocalSwitchboard::reconcile(PerChain& pc) {
   // back) but stay out of the rule; an edge instance is a choice only at
   // the egress.
   std::map<dataplane::ElementId, Fronted> fronted;
-  for (const auto& [path, announcements] : pc.instances) {
+  for (const auto& [vnf, announcements] : pc.instances) {
     for (const InstanceAnnouncement& ann : announcements) {
       if (!context_.elements.exists(ann.instance)) continue;
       const ElementInfo& info = context_.elements.info(ann.instance);
@@ -337,19 +332,12 @@ void LocalSwitchboard::reconcile(PerChain& pc) {
         });
   }
 
-  // Route readiness.  Every site hears every route, so the edge-instance
-  // topic is built only where this site is the chain's ingress or egress.
+  // Route readiness.
   const bool edge_announced =
-      (pc.ingress_site == site_ || pc.egress_site == site_) &&
-      announced(pc.instances,
-                bus::instances_topic(pc.chain, pc.labels.egress_site,
-                                     ControlContext::edge_marker(), site_));
+      announced(pc.instances, ControlContext::edge_marker());
   const auto next_announced = [&](const RouteAnnouncement& route,
                                   std::size_t stage) {
-    const auto [vnf, site] = next_forwarders(route, stage);
-    return announced(pc.forwarders, bus::forwarders_topic(
-                                        pc.chain, pc.labels.egress_site, vnf,
-                                        site));
+    return announced(pc.forwarders, next_forwarders(route, stage));
   };
   for (const RouteAnnouncement& route : pc.routes) {
     if (pc.ready_routes.count(route.route.value()) != 0) continue;
@@ -359,10 +347,7 @@ void LocalSwitchboard::reconcile(PerChain& pc) {
       const RouteHop& hop = route.hops[i];
       if (hop.site != site_) continue;
       involved = true;
-      ready = announced(pc.instances,
-                        bus::instances_topic(pc.chain, pc.labels.egress_site,
-                                             hop.vnf, site_)) &&
-              next_announced(route, i + 1);
+      ready = announced(pc.instances, hop.vnf) && next_announced(route, i + 1);
     }
     if (pc.ingress_site == site_) {
       involved = true;

@@ -2,11 +2,12 @@
 //
 // It learns chain routes from the bus (replicated to every site), figures
 // out this site's roles in each route (VNF host, ingress, egress),
-// subscribes to the instance/forwarder topics those roles require,
-// derives the hierarchical weighted load-balancing rules (site-level
-// routing weight x instance weight), installs them on the site's
-// forwarders, publishes forwarder announcements, and reports readiness
-// back to Global Switchboard.
+// subscribes once per pool those roles require — this site's instances of
+// a VNF, the forwarders of a (VNF, site) next hop — when a route new to
+// the site names it, derives the hierarchical weighted load-balancing
+// rules (site-level routing weight x instance weight), installs them on
+// the site's forwarders, publishes forwarder announcements, and reports
+// readiness back to Global Switchboard.
 //
 // It also implements on-demand edge-site addition (Section 6, Table 2):
 // when a chain's user appears at a new edge site, the Local Switchboard
@@ -19,8 +20,7 @@
 #include <functional>
 #include <map>
 #include <set>
-#include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bus/topic.hpp"
@@ -112,16 +112,16 @@ class LocalSwitchboard {
     SiteId egress_site;
     /// Routes merged by route id (weights update in place).
     std::vector<RouteAnnouncement> routes;
-    /// Announcements gathered from the bus, keyed by topic path; within a
-    /// topic, entries are upserted by element id.  `instances` is walked,
-    /// so it is ordered: topic path, then announcement order, fixes the
-    /// order of rule construction and of the published weight sums
-    /// (determinism contract, DESIGN.md §14).  `forwarders` is only
-    /// looked up.
-    std::map<std::string, std::vector<InstanceAnnouncement>> instances;
-    std::unordered_map<std::string, std::vector<ForwarderAnnouncement>>
+    /// Announcements gathered from the bus, one entry per pool this site
+    /// subscribed to: created by the subscription, then upserted by
+    /// element id.  `instances` (this site's, by VNF) is walked, so it is
+    /// ordered: VNF id, then announcement order, fixes the order of rule
+    /// construction and of the published weight sums (determinism
+    /// contract, DESIGN.md §14).  `forwarders` (a next hop's, by VNF and
+    /// site) is only looked up.
+    std::map<VnfId, std::vector<InstanceAnnouncement>> instances;
+    std::map<std::pair<VnfId, SiteId>, std::vector<ForwarderAnnouncement>>
         forwarders;
-    std::set<std::string> subscribed;
     std::set<std::uint32_t> ready_routes;           // notified route ids
     std::map<dataplane::ElementId, double> published_weight;
     /// Edge forwarders whose return path this site already configured.
@@ -148,7 +148,10 @@ class LocalSwitchboard {
   };
 
   PerChain& chain_state(const RouteAnnouncement& announcement);
-  void subscribe_instances(PerChain& pc, VnfId vnf, SiteId site);
+  /// Subscribes to every pool `route` needs at this site; runs once per
+  /// route id (a route's hops never change).
+  void subscribe_route(PerChain& pc, const RouteAnnouncement& route);
+  void subscribe_instances(PerChain& pc, VnfId vnf);
   void subscribe_forwarders(PerChain& pc, VnfId vnf, SiteId site);
   void handle_new_edge_forwarder(PerChain& pc, SiteId edge_site,
                                  const ForwarderAnnouncement& announcement);

@@ -137,10 +137,11 @@ std::size_t Forwarder::process_batch(std::span<const Packet> packets,
   SWB_CHECK(actions.empty() || actions.size() == packets.size())
       << "actions span must be empty or match the packet batch";
   // SoA pipeline: find_batch hashes + prefetches + probes a chunk under
-  // one epoch pin; the act phase below then runs lock-free for live hits
-  // and hands misses and drained pinnings to resolve() (which takes the
-  // shard write lock, exactly like the per-packet path — so counters and
-  // actions stay byte-identical).
+  // one epoch pin; the act phase below then runs lock-free for live hits.
+  // Every other packet takes the per-packet path, lookup included: an
+  // earlier packet of the chunk may have pinned or re-pinned its flow
+  // since the chunk was looked up, so counters, table writes and actions
+  // stay byte-identical to process_from_wire.
   std::size_t delivered = 0;
   ShardedFlowTable::LookupRequest requests[kBatchChunk];
   for (std::size_t base = 0; base < packets.size(); base += kBatchChunk) {
@@ -163,8 +164,8 @@ std::size_t Forwarder::process_batch(std::span<const Packet> packets,
       } else {
         action = resolve(packet, Side::kWire, request.tuple, request.hash,
                          counters,
-                         request.hit ? std::optional<FlowEntry>{request.entry}
-                                     : std::nullopt);
+                         table_.find(request.labels, request.tuple,
+                                     request.hash));
       }
       if (!actions.empty()) actions[base + i] = action;
       if (action.type != ActionType::kDrop) ++delivered;

@@ -127,8 +127,10 @@ class Forwarder {
   /// Wire-side batch entry point for worker threads, a structure-of-arrays
   /// pipeline: hash every key in a chunk, prefetch every probe-start
   /// bucket, resolve all lookups under ONE epoch pin, then act — probe
-  /// cache misses overlap instead of serializing.  Actions and counters
-  /// are byte-identical to calling process_from_wire per packet (tested).
+  /// cache misses overlap instead of serializing.  Actions, counters and
+  /// table writes are byte-identical to calling process_from_wire per
+  /// packet (tested): a packet that is not a live hit looks its flow up
+  /// again, since an earlier packet of its chunk may have pinned it.
   /// When `actions` is non-empty it must match `packets` in size and
   /// receives the per-packet actions.  Returns the number of packets not
   /// dropped.

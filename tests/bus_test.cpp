@@ -392,6 +392,30 @@ TYPED_TEST(RetainedReplay, RetainOffReplaysNothing) {
   EXPECT_TRUE(this->late_replay("/t", {"a", "b"}, /*retain=*/false).empty());
 }
 
+// ------------------------------------------------------------ Subscription
+
+// A subscription belongs to one (publisher site, path): a publish by site 0
+// on "/x" reaches the subscriber of (site 0, "/x") at site 2, not the one of
+// (site 1, "/x") beside it.
+template <typename Bus>
+class Subscription : public ::testing::Test {};
+TYPED_TEST_SUITE(Subscription, BusTypes);
+
+TYPED_TEST(Subscription, BelongsToOnePublisherSite) {
+  sim::Simulator sim;
+  TypeParam bus{sim, make_config(3)};
+  int from_site0 = 0;
+  int from_site1 = 0;
+  bus.subscribe(SiteId{2}, Topic{"/x", SiteId{0}},
+                [&from_site0](const Message&) { ++from_site0; });
+  bus.subscribe(SiteId{2}, Topic{"/x", SiteId{1}},
+                [&from_site1](const Message&) { ++from_site1; });
+  bus.publish(Topic{"/x", SiteId{0}}, "m");
+  sim.run();
+  EXPECT_EQ(from_site0, 1);
+  EXPECT_EQ(from_site1, 0);
+}
+
 // ------------------------------------------------------------ ReliableBus
 
 // Without abandonment, every reliable copy toward a silent site burns its

@@ -643,6 +643,24 @@ std::vector<std::array<std::uint64_t, 6>> table_contents(
   return rows;
 }
 
+/// Every per-packet counter, then the table's insert and erase counts.
+std::array<std::uint64_t, 7> counter_words(const Forwarder& fw) {
+  const ForwarderCounters c = fw.counters();
+  const ShardedFlowTable::Stats table = fw.flow_table().stats();
+  return {c.from_wire.value(),   c.from_attached.value(),
+          c.flow_misses.value(), c.drops.value(),
+          c.label_reaffixed.value(), table.inserts, table.erases};
+}
+
+/// A forward wire packet of flow `flow` on the kChain rule.
+Step wire_step(std::uint32_t flow) {
+  Step step;
+  step.packet.labels = kChain;
+  step.packet.flow = make_tuple(flow);
+  step.packet.arrival_source = 200;
+  return step;
+}
+
 }  // namespace trace
 
 TEST(ForwarderTrace, SeededScriptReproducesThePinnedDigest) {
@@ -666,7 +684,22 @@ TEST(ForwarderTrace, SeededScriptReproducesThePinnedDigest) {
 TEST(ForwarderTrace, BatchReplayActsLikePerPacketCalls) {
   // The script again on two forwarders: one takes each wire packet through
   // process_from_wire, the other takes each run of wire packets between two
-  // other steps through process_batch.
+  // other steps through process_batch.  It opens with the two batches in
+  // which an earlier packet changes a later one's flow: a new flow's first
+  // two packets (one miss, one insert), and, after a drain of the instance
+  // it pinned, another flow's next two (one re-pin, one insert).
+  const trace::Step drained = trace::wire_step(1001);
+  trace::Step drain;
+  drain.kind = trace::StepKind::kDrain;
+  drain.drained =
+      trace::make_forwarder()->process_from_wire(drained.packet).element;
+  std::vector<trace::Step> script{trace::wire_step(1000),
+                                  trace::wire_step(1000), drained, drain,
+                                  drained, drained};
+  for (const trace::Step& step : trace::make_script(trace::kSeed)) {
+    script.push_back(step);
+  }
+
   const std::unique_ptr<Forwarder> per_packet = trace::make_forwarder();
   const std::unique_ptr<Forwarder> batched = trace::make_forwarder();
   std::vector<ForwardAction> expected;
@@ -685,7 +718,7 @@ TEST(ForwarderTrace, BatchReplayActsLikePerPacketCalls) {
   };
   trace::Digest per_packet_steps;
   trace::Digest batched_steps;
-  for (const trace::Step& step : trace::make_script(trace::kSeed)) {
+  for (const trace::Step& step : script) {
     if (step.kind == trace::StepKind::kWire) {
       expected.push_back(per_packet->process_from_wire(step.packet));
       pending.push_back(step.packet);
@@ -700,6 +733,7 @@ TEST(ForwarderTrace, BatchReplayActsLikePerPacketCalls) {
   EXPECT_EQ(batched_steps.value, per_packet_steps.value);
   EXPECT_EQ(trace::table_contents(*batched),
             trace::table_contents(*per_packet));
+  EXPECT_EQ(trace::counter_words(*batched), trace::counter_words(*per_packet));
 }
 
 // ------------------------------------------------------------ OvsForwarder

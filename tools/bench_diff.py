@@ -5,11 +5,17 @@ Usage:
     python3 tools/bench_diff.py --baseline BENCH_seed.json \
         --current BENCH_pr.json [--tolerance 0.25]
     python3 tools/bench_diff.py --report BENCH_seed.json BENCH_[0-9]*.json
+    python3 tools/bench_diff.py --unchanged BENCH_24.json BENCH_pr.json
 
 --report prints the trajectory instead of gating: one row per metric, one
 column per file (BENCH_seed.json first, then BENCH_<n>.json in PR order),
 gated metrics first, wall-clock metrics tagged "wall" (a gated one
 "gated+wall").
+
+--unchanged PREVIOUS CURRENT checks that a change left every deterministic
+metric alone: it compares every metric outside WALL_CLOCK exactly, prints
+how many it compared and each difference or metric missing from one side,
+and exits 1 if there is any.
 
 Both files are the `jq -s` merge CI produces:
 
@@ -289,6 +295,37 @@ def report(paths):
     return 0
 
 
+def unchanged(previous_path, current_path):
+    """Compares every metric outside WALL_CLOCK of two runs exactly."""
+    previous = load_records(previous_path)
+    current = load_records(current_path)
+    findings = []
+    compared = 0
+    for key in sorted(previous.keys() | current.keys()):
+        wall = WALL_CLOCK.get((key[0], key[1]), set())
+        before = previous.get(key, {})
+        after = current.get(key, {})
+        for metric in sorted((before.keys() | after.keys()) - wall):
+            if metric not in after:
+                findings.append(f"{describe(key)}: {metric} missing from "
+                                f"{current_path}")
+            elif metric not in before:
+                findings.append(f"{describe(key)}: {metric} missing from "
+                                f"{previous_path}")
+            else:
+                compared += 1
+                if after[metric] != before[metric]:
+                    findings.append(f"{describe(key)}: {metric} "
+                                    f"{before[metric]!r} -> {after[metric]!r}")
+    print(f"bench_diff: compared {compared} deterministic metrics exactly")
+    for finding in findings:
+        print(f"DIFF {finding}")
+    if findings:
+        return 1
+    print("bench_diff: every deterministic metric unchanged")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline")
@@ -297,9 +334,14 @@ def main():
                         help="allowed fractional move in the bad direction")
     parser.add_argument("--report", nargs="+", metavar="FILE",
                         help="print the per-metric trajectory over FILEs")
+    parser.add_argument("--unchanged", nargs=2,
+                        metavar=("PREVIOUS", "CURRENT"),
+                        help="compare every non-wall-clock metric exactly")
     args = parser.parse_args()
     if args.report:
         return report(args.report)
+    if args.unchanged:
+        return unchanged(*args.unchanged)
     if not args.baseline or not args.current:
         parser.error("--baseline and --current are required without --report")
 
