@@ -167,6 +167,11 @@ RecoveryRun run_recovery(double period_ms, std::size_t chain_count) {
 //     replay_cost_per_record times the records;
 //   - measured_replay_ns_per_record: the MEASURED wall-clock cost of that
 //     replay work on this host (ungated);
+//   - measured_snapshot_cold_us / measured_snapshot_warm_us: the MEASURED
+//     wall time to encode and write one snapshot of the replayed state
+//     into a scratch journal — cold with every chain block to encode (the
+//     first compaction after a restart), warm with nothing changed since
+//     (ungated);
 //   - recovery_ms: restore -> every Local Switchboard fenced at the new
 //     epoch and every chain active again;
 //   - reconciliation_messages: sweep + re-publish traffic of the fresh
@@ -176,30 +181,58 @@ struct RestartRun {
   double replay_records{0.0};
   double replay_ms{0.0};
   double measured_replay_ns_per_record{0.0};
+  double measured_snapshot_cold_us{0.0};
+  double measured_snapshot_warm_us{0.0};
   double recovery_ms{-1.0};
   double reconciliation_messages{0.0};
   double snapshots_taken{0.0};
 };
 
-/// Wall-clock ns per record of the replay a cold start does: the minimum
-/// over a few repeats of folding `snapshot` + `log` through a fresh
-/// ControllerState.  Checks the fold rejects `rejected` records, as the
-/// cold start did.
-double measured_replay_ns_per_record(const std::vector<std::string>& snapshot,
-                                     const std::vector<std::string>& log,
-                                     std::size_t rejected) {
-  double best_ns = std::numeric_limits<double>::infinity();
+struct MeasuredReplay {
+  double ns_per_record{0.0};
+  double snapshot_cold_us{0.0};
+  double snapshot_warm_us{0.0};
+};
+
+/// Wall-clock cost of the replay a cold start does — ns per record of
+/// folding `snapshot` + `log` through a fresh ControllerState with the
+/// controller's id check — and of two snapshots of the replayed state,
+/// each encoded and written to a scratch journal: the first encodes every
+/// chain block, the second none.  Minimum over a few repeats.  Checks the
+/// fold rejects `rejected` records, as the cold start did.
+MeasuredReplay measure_replay(const control::GlobalSwitchboard& global,
+                              const std::vector<std::string>& snapshot,
+                              const std::vector<std::string>& log,
+                              std::size_t rejected) {
+  using Clock = std::chrono::steady_clock;
+  const auto us_since = [](Clock::time_point start) {
+    return std::chrono::duration<double, std::micro>(Clock::now() - start)
+        .count();
+  };
+  const control::ControllerState::IdCheck known = global.id_check();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double replay_us = kInf;
+  MeasuredReplay best{kInf, kInf, kInf};
   for (int repeat = 0; repeat < 5; ++repeat) {
-    const auto start = std::chrono::steady_clock::now();
+    auto start = Clock::now();
     control::ControllerState state;
     const std::size_t skipped =
-        state.apply_lines(snapshot) + state.apply_lines(log);
-    best_ns = std::min(best_ns, std::chrono::duration<double, std::nano>(
-                                    std::chrono::steady_clock::now() - start)
-                                    .count());
+        state.apply_lines(snapshot, known) + state.apply_lines(log, known);
+    replay_us = std::min(replay_us, us_since(start));
     SWB_CHECK_EQ(skipped, rejected);
+
+    sim::DurableStore scratch;
+    control::StateJournal journal{scratch};
+    start = Clock::now();
+    journal.write_snapshot(state.snapshot());
+    best.snapshot_cold_us = std::min(best.snapshot_cold_us, us_since(start));
+    start = Clock::now();
+    journal.write_snapshot(state.snapshot());
+    best.snapshot_warm_us = std::min(best.snapshot_warm_us, us_since(start));
   }
-  return best_ns / static_cast<double>(snapshot.size() + log.size());
+  best.ns_per_record =
+      replay_us * 1e3 / static_cast<double>(snapshot.size() + log.size());
+  return best;
 }
 
 RestartRun run_restart(std::size_t chain_count,
@@ -290,8 +323,11 @@ RestartRun run_restart(std::size_t chain_count,
   run.replay_ms = sim::to_ms(report.replay_cost);
   SWB_CHECK_EQ(crashed_snapshot.size() + crashed_log.size(),
                report.replayed_records);
-  run.measured_replay_ns_per_record = measured_replay_ns_per_record(
-      crashed_snapshot, crashed_log, report.rejected_records);
+  const MeasuredReplay measured = measure_replay(
+      dep.global(), crashed_snapshot, crashed_log, report.rejected_records);
+  run.measured_replay_ns_per_record = measured.ns_per_record;
+  run.measured_snapshot_cold_us = measured.snapshot_cold_us;
+  run.measured_snapshot_warm_us = measured.snapshot_warm_us;
   run.recovery_ms = sim::to_ms(recovered_at - restore_at);
   run.reconciliation_messages =
       static_cast<double>(report.reconciliation_messages);
@@ -455,12 +491,14 @@ int main(int argc, char** argv) {
   std::printf(
       "\n=== Controller restart: journal replay + re-publish convergence ===\n");
   std::printf("(replay: modeled = configured %.0f ns per record, simulated; "
-              "measured = wall-clock fold on this host)\n",
+              "measured = wall-clock fold on this host; snap-cold/warm-us = "
+              "measured encode + write of one snapshot)\n",
               sim::to_ms(control::JournalConfig{}.replay_cost_per_record) *
                   1e6);
-  std::printf("%-8s %10s %16s %18s %16s %14s %12s %12s\n", "chains",
-              "snap-int", "replay-records", "modeled-replay-ms",
-              "measured-ns/rec", "recovery-ms", "reconcile", "snapshots");
+  std::printf("%-8s %10s %16s %18s %16s %14s %12s %12s %14s %14s\n",
+              "chains", "snap-int", "replay-records", "modeled-replay-ms",
+              "measured-ns/rec", "recovery-ms", "reconcile", "snapshots",
+              "snap-cold-us", "snap-warm-us");
   struct RestartPoint {
     std::size_t chains;
     std::uint32_t snapshot_interval;
@@ -473,11 +511,12 @@ int main(int argc, char** argv) {
         RestartPoint{6, 8}, RestartPoint{6, 0}}) {
     const RestartRun run =
         run_restart(point.chains, point.snapshot_interval);
-    std::printf("%-8zu %10u %16.0f %18.2f %16.0f %14.2f %12.0f %12.0f\n",
-                point.chains, point.snapshot_interval, run.replay_records,
-                run.replay_ms, run.measured_replay_ns_per_record,
-                run.recovery_ms, run.reconciliation_messages,
-                run.snapshots_taken);
+    std::printf(
+        "%-8zu %10u %16.0f %18.2f %16.0f %14.2f %12.0f %12.0f %14.1f %14.1f\n",
+        point.chains, point.snapshot_interval, run.replay_records,
+        run.replay_ms, run.measured_replay_ns_per_record, run.recovery_ms,
+        run.reconciliation_messages, run.snapshots_taken,
+        run.measured_snapshot_cold_us, run.measured_snapshot_warm_us);
     session.add("controller_restart")
         .param("chains", static_cast<double>(point.chains))
         .param("snapshot_interval",
@@ -486,6 +525,8 @@ int main(int argc, char** argv) {
         .metric("replay_ms", run.replay_ms)
         .metric("measured_replay_ns_per_record",
                 run.measured_replay_ns_per_record)
+        .metric("measured_snapshot_cold_us", run.measured_snapshot_cold_us)
+        .metric("measured_snapshot_warm_us", run.measured_snapshot_warm_us)
         .metric("recovery_ms", run.recovery_ms)
         .metric("reconciliation_messages", run.reconciliation_messages)
         .metric("snapshots_taken", run.snapshots_taken);

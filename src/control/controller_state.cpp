@@ -12,6 +12,23 @@ namespace {
 
 Status reject(const char* why) { return Status{ErrorCode::kNotFound, why}; }
 
+template <typename Record>
+void put_line(std::string& out, const Record& record) {
+  out += encode_record(record);
+  out += '\n';
+}
+
+/// A chain's snapshot records: the chain, then begin + commit per route.
+std::string encode_block(const ChainRecord& chain) {
+  std::string block;
+  put_line(block, chain);
+  for (const RouteRecord& route : chain.routes) {
+    put_line(block, BeginRecord{chain.id, route.id, route.vnf_sites});
+    put_line(block, CommitRecord{chain.id, route.id});
+  }
+  return block;
+}
+
 /// Chains stay sorted by id (the model allocates ids in creation order).
 template <typename Chains>
 auto chain_position(Chains& chains, ChainId id) {
@@ -46,6 +63,8 @@ Status ControllerState::apply(JournalRecord record) {
           }
           r.routes.clear();   // routes arrive by begin + commit
           r.active = false;
+          // The new chain's block is empty: the next snapshot encodes it.
+          blocks_.emplace(blocks_.begin() + (at - chains.begin()));
           chains.insert(at, std::move(r));
         } else if constexpr (std::is_same_v<R, BeginRecord>) {
           const ChainRecord* chain = find_chain(r.chain);
@@ -72,14 +91,17 @@ Status ControllerState::apply(JournalRecord record) {
           SWB_CHECK(chain != nullptr);
           chain->routes.push_back(
               RouteRecord{r.route, std::move(it->second.vnf_sites), 1.0});
+          drop_block(*chain);
           inflight.erase(it);
         } else if constexpr (std::is_same_v<R, AbortRecord> ||
                              std::is_same_v<R, RetireRecord>) {
           inflight.erase({r.chain.value(), r.route.value()});
-          if (ChainRecord* chain = find_chain(r.chain)) {
-            std::erase_if(chain->routes, [&](const RouteRecord& route) {
-              return route.id == r.route;
-            });
+          ChainRecord* chain = find_chain(r.chain);
+          if (chain != nullptr &&
+              std::erase_if(chain->routes, [&](const RouteRecord& route) {
+                return route.id == r.route;
+              }) > 0) {
+            drop_block(*chain);
           }
         } else if constexpr (std::is_same_v<R, PoolDownRecord>) {
           dead_pools[{r.vnf.value(), r.site.value()}] = r.capacity;
@@ -92,45 +114,50 @@ Status ControllerState::apply(JournalRecord record) {
       record);
 }
 
-bool ControllerState::apply_line(std::string_view line) {
+void ControllerState::drop_block(const ChainRecord& chain) {
+  const auto index = static_cast<std::size_t>(&chain - chains.data());
+  SWB_DCHECK_LT(index, blocks_.size());
+  blocks_[index].clear();
+}
+
+bool ControllerState::apply_line(std::string_view line,
+                                 const IdCheck& known) {
   Result<JournalRecord> record = decode_record(line);
-  return record.ok() && apply(std::move(record).value()).ok();
+  return record.ok() && known(record.value()) &&
+         apply(std::move(record).value()).ok();
 }
 
 std::size_t ControllerState::apply_lines(
-    const std::vector<std::string>& lines) {
+    const std::vector<std::string>& lines, const IdCheck& known) {
   return static_cast<std::size_t>(std::count_if(
       lines.begin(), lines.end(),
-      [this](const std::string& line) { return !apply_line(line); }));
+      [&](const std::string& line) { return !apply_line(line, known); }));
 }
 
-std::vector<std::string> ControllerState::snapshot() const {
-  std::vector<std::string> lines;
-  lines.reserve(2 + 3 * chains.size() + dead_pools.size() +
-                2 * inflight.size());
-  lines.push_back(encode_record(EpochRecord{epoch}));
-  lines.push_back(encode_record(NextRouteRecord{next_route_id}));
-  for (const ChainRecord& chain : chains) {
-    lines.push_back(encode_record(chain));
-    for (const RouteRecord& route : chain.routes) {
-      lines.push_back(
-          encode_record(BeginRecord{chain.id, route.id, route.vnf_sites}));
-      lines.push_back(encode_record(CommitRecord{chain.id, route.id}));
-    }
+std::string ControllerState::snapshot() const {
+  SWB_CHECK_EQ(blocks_.size(), chains.size())
+      << "chains inserted or erased outside apply()";
+  std::size_t block_bytes = 0;
+  for (std::size_t c = 0; c < chains.size(); ++c) {
+    if (blocks_[c].empty()) blocks_[c] = encode_block(chains[c]);
+    block_bytes += blocks_[c].size();
   }
+  std::string blob;
+  put_line(blob, EpochRecord{epoch});
+  put_line(blob, NextRouteRecord{next_route_id});
+  blob.reserve(blob.size() + block_bytes);
+  for (const std::string& block : blocks_) blob += block;
   for (const auto& [pool, capacity] : dead_pools) {
-    lines.push_back(encode_record(
-        PoolDownRecord{VnfId{pool.first}, SiteId{pool.second}, capacity}));
+    put_line(blob,
+             PoolDownRecord{VnfId{pool.first}, SiteId{pool.second}, capacity});
   }
   for (const auto& [key, round] : inflight) {
     const ChainId chain{key.first};
     const RouteId route{key.second};
-    lines.push_back(encode_record(BeginRecord{chain, route, round.vnf_sites}));
-    if (round.prepared) {
-      lines.push_back(encode_record(PrepRecord{chain, route}));
-    }
+    put_line(blob, BeginRecord{chain, route, round.vnf_sites});
+    if (round.prepared) put_line(blob, PrepRecord{chain, route});
   }
-  return lines;
+  return blob;
 }
 
 void ControllerState::check_invariants() const {
@@ -153,6 +180,13 @@ void ControllerState::check_invariants() const {
           << "round (" << chain.id.value() << "," << route.id.value()
           << ") both in flight and committed";
     }
+  }
+  SWB_CHECK_EQ(blocks_.size(), chains.size())
+      << "chains inserted or erased outside apply()";
+  for (std::size_t c = 0; c < chains.size(); ++c) {
+    SWB_CHECK(blocks_[c].empty() || blocks_[c] == encode_block(chains[c]))
+        << "chain " << chains[c].id.value()
+        << " changed a journaled field outside apply()";
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -755,6 +757,46 @@ VnfController* GlobalSwitchboard::reachable(VnfId vnf) const {
   return controller != nullptr && controller->up() ? controller : nullptr;
 }
 
+ControllerState::IdCheck GlobalSwitchboard::id_check() const {
+  return [this](const JournalRecord& record) {
+    const model::NetworkModel& model = context_.model;
+    const auto node = [&](NodeId id) {
+      return id.value() < model.topology().node_count();
+    };
+    const auto site = [&](SiteId id) {
+      return id.value() < model.sites().size();
+    };
+    const auto vnf = [&](VnfId id) {
+      return id.value() < model.vnfs().size() &&
+             id.value() < vnf_controllers_.size() &&
+             vnf_controllers_[id.value()] != nullptr;
+    };
+    const auto edge = [&](EdgeServiceId id) {
+      return id.value() < edge_controllers_.size() &&
+             edge_controllers_[id.value()] != nullptr;
+    };
+    return std::visit(
+        [&](const auto& r) {
+          using R = std::decay_t<decltype(r)>;
+          if constexpr (std::is_same_v<R, ChainRecord>) {
+            return r.id.value() < model.chains().size() &&
+                   edge(r.spec.ingress_service) && node(r.spec.ingress_node) &&
+                   edge(r.spec.egress_service) && node(r.spec.egress_node) &&
+                   std::all_of(r.spec.vnfs.begin(), r.spec.vnfs.end(), vnf) &&
+                   site(r.ingress_site) && site(r.egress_site);
+          } else if constexpr (std::is_same_v<R, BeginRecord>) {
+            return std::all_of(r.vnf_sites.begin(), r.vnf_sites.end(), site);
+          } else if constexpr (std::is_same_v<R, PoolDownRecord> ||
+                               std::is_same_v<R, PoolUpRecord>) {
+            return vnf(r.vnf) && site(r.site);
+          } else {
+            return true;   // no id, or a round's (chain, route) pair
+          }
+        },
+        record);
+  };
+}
+
 void GlobalSwitchboard::compact_journal_now() {
   if (journal_ == nullptr) return;
   // Re-encode at call time: records appended while the replicated install
@@ -768,14 +810,15 @@ ColdStartReport GlobalSwitchboard::cold_start() {
   SB_LOG(kInfo) << "durability: cold start from journal '"
                 << journal_->config().name << "'";
   // Amnesia: the state is rebuilt from the journal alone.  A record that
-  // does not decode or does not apply is skipped and counted; replay goes
-  // on with the rest.
+  // does not decode, names an id this controller cannot look up, or does
+  // not apply is skipped and counted; replay goes on with the rest.
   ControllerState replayed;
   ColdStartReport report;
+  const ControllerState::IdCheck known = id_check();
   for (const auto& lines :
        {journal_->snapshot_records(), journal_->log_records()}) {
     report.replayed_records += lines.size();
-    report.rejected_records += replayed.apply_lines(lines);
+    report.rejected_records += replayed.apply_lines(lines, known);
   }
   report.replay_cost = static_cast<sim::Duration>(report.replayed_records) *
                        journal_->config().replay_cost_per_record;

@@ -165,7 +165,8 @@ class GlobalSwitchboard {
 
   /// Crash-with-amnesia recovery: wipes all volatile state, folds
   /// snapshot+log through ControllerState::apply() — skipping and counting
-  /// records that do not decode or apply — bumps the epoch, then
+  /// records that do not decode, name an unknown id (id_check()) or do not
+  /// apply — bumps the epoch, then
   /// (after the journal's replay cost in simulated time) re-drives
   /// prepared in-flight 2PC rounds, aborts unprepared ones, reconciles
   /// every reachable participant (reconcile_participant), and re-publishes
@@ -203,10 +204,17 @@ class GlobalSwitchboard {
   void compact_journal_now();
 
   /// Full state as journal records — what a snapshot install streams to
-  /// followers.
+  /// followers: the lines of state().snapshot().
   [[nodiscard]] std::vector<std::string> snapshot_state() const {
-    return state_.snapshot();
+    return split_records(state_.snapshot());
   }
+
+  /// The replay filter every recovery path passes to apply_line(): true
+  /// when each id a record names is one this controller looks up — a
+  /// chain, node, site or VNF of the network model, a VNF or edge service
+  /// with a registered controller.  The chain and route of a 2PC round are
+  /// checked by apply() against the state.
+  [[nodiscard]] ControllerState::IdCheck id_check() const;
 
   /// Leader failover onto a hot standby: re-points the coordinator at the
   /// promoted replica's journal and adopts the state the standby built by

@@ -149,18 +149,20 @@ void ReplicaGroup::stop() {
 }
 
 void ReplicaGroup::bootstrap_install() {
-  const std::vector<std::string> base = global_.snapshot_state();
+  const std::string blob = global_.state().snapshot();
+  const std::vector<std::string> base = split_records(blob);
   const std::uint64_t digest = fold_records(kFnvOffset, base);
   const std::uint64_t epoch = global_.epoch();
+  const ControllerState::IdCheck known = global_.id_check();
   const swb::MutexLock lock{mutex_};
   for (std::uint32_t r = 0; r < replicas_.size(); ++r) {
     Replica& replica = replicas_[r];
     // Replica 0's journal already holds the base snapshot (it is the
     // leader's own journal); followers get a verbatim copy.
     if (r != 0) {
-      replica.journal->write_snapshot(base);
+      replica.journal->write_snapshot(blob);
       replica.state = ControllerState{};
-      replica.state.apply_lines(base);
+      replica.state.apply_lines(base, known);
     }
     replica.applied_records = base.size();
     replica.digest = digest;
@@ -301,9 +303,9 @@ void ReplicaGroup::on_stream_frame(std::uint32_t to,
     if (frame.epoch < replica.epoch_seen) return;   // zombie-leader frame
 
     if (frame.kind == ReplicationKind::kSnapshotInstall) {
-      replica.journal->write_snapshot(frame.records);
+      replica.journal->write_snapshot(join_records(frame.records));
       replica.state = ControllerState{};
-      replica.state.apply_lines(frame.records);
+      replica.state.apply_lines(frame.records, global_.id_check());
       replica.applied_records = frame.records.size();
       replica.digest = frame.digest;
       replica.applied_seq = frame.seq;
@@ -338,10 +340,10 @@ void ReplicaGroup::on_stream_frame(std::uint32_t to,
            it != replica.reorder.end();
            it = replica.reorder.find(
                {replica.epoch_seen, replica.applied_seq + 1})) {
-        // A record that does not decode or apply is skipped, exactly as
-        // a cold start skips it.
+        // A record that does not decode, names an unknown id or does not
+        // apply is skipped, exactly as a cold start skips it.
         replica.journal->append(it->second);
-        (void)replica.state.apply_line(it->second);
+        (void)replica.state.apply_line(it->second, global_.id_check());
         ++replica.applied_records;
         replica.digest = fold_record(replica.digest, it->second);
         ++replica.applied_seq;
@@ -590,9 +592,10 @@ void ReplicaGroup::restore_replica(std::uint32_t replica) {
       // Amnesia: the restarted process holds what its journal holds —
       // the state it may be promoted with before any install arrives.
       Replica& restored = replicas_[replica];
+      const ControllerState::IdCheck known = global_.id_check();
       restored.state = ControllerState{};
-      restored.state.apply_lines(restored.journal->snapshot_records());
-      restored.state.apply_lines(restored.journal->log_records());
+      restored.state.apply_lines(restored.journal->snapshot_records(), known);
+      restored.state.apply_lines(restored.journal->log_records(), known);
     }
   }
 

@@ -1,10 +1,32 @@
 #include "control/state_journal.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.hpp"
 
 namespace switchboard::control {
+
+std::vector<std::string> split_records(std::string_view blob) {
+  std::vector<std::string> records;
+  records.reserve(
+      static_cast<std::size_t>(std::count(blob.begin(), blob.end(), '\n')));
+  for (std::size_t end = blob.find('\n'); end != std::string_view::npos;
+       end = blob.find('\n')) {
+    records.emplace_back(blob.substr(0, end));
+    blob.remove_prefix(end + 1);
+  }
+  return records;
+}
+
+std::string join_records(const std::vector<std::string>& records) {
+  std::string blob;
+  for (const std::string& record : records) {
+    blob += record;
+    blob += '\n';
+  }
+  return blob;
+}
 
 StateJournal::StateJournal(sim::DurableStore& store, JournalConfig config)
     : store_{store}, config_{std::move(config)} {
@@ -45,18 +67,17 @@ bool StateJournal::wants_snapshot() const {
          appends_since_snapshot_ >= config_.snapshot_interval;
 }
 
-void StateJournal::write_snapshot(const std::vector<std::string>& records) {
-  std::string bytes;
-  for (const std::string& record : records) {
-    SWB_CHECK(!record.empty());
-    SWB_CHECK(record.find('\n') == std::string::npos);
-    bytes += record;
-    bytes += '\n';
-  }
+void StateJournal::write_snapshot(std::string blob) {
+  // Every record is non-empty and newline-free: the blob is empty or ends
+  // in a terminator, and no line in it is empty.
+  SWB_CHECK(blob.empty() || (blob.front() != '\n' && blob.back() == '\n'))
+      << "snapshot blob is not a sequence of terminated records";
+  SWB_CHECK(blob.find("\n\n") == std::string::npos)
+      << "empty snapshot record";
   const swb::MutexLock lock{mutex_};
   sealed_ = true;   // the log is truncated below; no torn tail survives
   records_compacted_ += appends_since_snapshot_;
-  store_.write(snap_blob(), bytes);
+  store_.write(snap_blob(), std::move(blob));
   store_.write(log_blob(), "");
   appends_since_snapshot_ = 0;
   ++snapshots_taken_;
@@ -64,23 +85,15 @@ void StateJournal::write_snapshot(const std::vector<std::string>& records) {
 
 std::vector<std::string> StateJournal::split_lines(
     const std::string& bytes) const {
-  std::vector<std::string> lines;
-  std::size_t begin = 0;
-  while (begin < bytes.size()) {
-    const std::size_t end = bytes.find('\n', begin);
-    if (end == std::string::npos) {
-      // A crash mid-append leaves a torn trailing record: the final line
-      // never got its terminator.  Everything before it was committed
-      // whole, so replay proceeds on those; the torn tail is shed and
-      // counted rather than failing the entire recovery.
-      const swb::MutexLock lock{mutex_};
-      ++torn_records_dropped_;
-      break;
-    }
-    lines.push_back(bytes.substr(begin, end - begin));
-    begin = end + 1;
+  if (!bytes.empty() && bytes.back() != '\n') {
+    // A crash mid-append leaves a torn trailing record: the final line
+    // never got its terminator.  Everything before it was committed
+    // whole, so replay proceeds on those; the torn tail is shed and
+    // counted rather than failing the entire recovery.
+    const swb::MutexLock lock{mutex_};
+    ++torn_records_dropped_;
   }
-  return lines;
+  return split_records(bytes);
 }
 
 std::vector<std::string> StateJournal::snapshot_records() const {

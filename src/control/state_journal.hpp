@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/thread_annotations.hpp"
@@ -29,6 +30,12 @@ struct JournalConfig {
   sim::Duration replay_cost_per_record{50};
 };
 
+/// The '\n'-terminated records of `blob`, in order, without terminators;
+/// an unterminated tail is not a record and is left out.
+[[nodiscard]] std::vector<std::string> split_records(std::string_view blob);
+/// `records` as one blob, each '\n'-terminated: split_records' inverse.
+[[nodiscard]] std::string join_records(const std::vector<std::string>& records);
+
 class StateJournal {
  public:
   StateJournal(sim::DurableStore& store, JournalConfig config = {});
@@ -39,13 +46,14 @@ class StateJournal {
   /// concatenate onto the unterminated tail into one corrupt line.
   void append(const std::string& record);
 
-  /// Replaces the snapshot with `records` and truncates the log.  Called
-  /// by the owner when the journal asks for compaction (wants_snapshot())
-  /// and by recovery code after a cold start.
-  void write_snapshot(const std::vector<std::string>& records);
+  /// Replaces the snapshot with `blob` — non-empty records, each
+  /// '\n'-terminated — and truncates the log.  The blob is moved into the
+  /// store, not copied.  Called by the owner when the journal asks for
+  /// compaction (wants_snapshot()) and by replicas installing a snapshot.
+  void write_snapshot(std::string blob);
 
   /// True when the append counter crossed the snapshot interval; the
-  /// owner responds with write_snapshot(full state).
+  /// owner responds with write_snapshot(ControllerState::snapshot()).
   [[nodiscard]] bool wants_snapshot() const;
 
   [[nodiscard]] std::vector<std::string> snapshot_records() const;

@@ -1,5 +1,7 @@
 #include "sim/durable_store.hpp"
 
+#include <utility>
+
 #include "common/check.hpp"
 
 namespace switchboard::sim {
@@ -11,11 +13,11 @@ void DurableStore::append(const std::string& name, const std::string& bytes) {
   bytes_written_ += bytes.size();
 }
 
-void DurableStore::write(const std::string& name, const std::string& bytes) {
+void DurableStore::write(const std::string& name, std::string bytes) {
   const swb::MutexLock lock{mutex_};
-  blobs_[name] = bytes;
-  ++writes_;
   bytes_written_ += bytes.size();
+  blobs_[name] = std::move(bytes);
+  ++writes_;
 }
 
 std::string DurableStore::read(const std::string& name) const {

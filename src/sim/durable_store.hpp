@@ -25,8 +25,9 @@ class DurableStore {
   /// Appends `bytes` to the named blob (creating it if absent).
   void append(const std::string& name, const std::string& bytes);
 
-  /// Replaces the named blob's contents.
-  void write(const std::string& name, const std::string& bytes);
+  /// Replaces the named blob's contents; a caller done with `bytes` moves
+  /// them in.
+  void write(const std::string& name, std::string bytes);
 
   /// Returns a copy of the blob's contents, or "" when it does not exist.
   /// (By value: a reference would let guarded bytes escape the lock and

@@ -16,6 +16,7 @@
 #include "control/codec.hpp"
 #include "control/controller_state.hpp"
 #include "control/messages.hpp"
+#include "control/state_journal.hpp"
 
 namespace switchboard::control {
 namespace {
@@ -118,7 +119,7 @@ TEST(ControllerStateCodec, SnapshotGoldenAndReapply) {
            PoolDownRecord{VnfId{1}, SiteId{2}, 0.1}}) {
     ASSERT_TRUE(state.apply(record).ok());
   }
-  const std::vector<std::string> snapshot = state.snapshot();
+  const std::vector<std::string> snapshot = split_records(state.snapshot());
   const std::vector<std::string> golden{
       "t=epoch;n=1",
       "t=nri;n=2",
@@ -129,25 +130,34 @@ TEST(ControllerStateCodec, SnapshotGoldenAndReapply) {
       "t=pooldown;vnf=1;site=2;cap=0.10000000000000001"};
   EXPECT_EQ(snapshot, golden);
 
+  EXPECT_EQ(state.snapshot(), join_records(golden));
+
   ControllerState replayed;
+  const auto any_id = [](const JournalRecord&) { return true; };
   for (const std::string& line : snapshot) {
-    EXPECT_TRUE(replayed.apply_line(line)) << line;
+    EXPECT_TRUE(replayed.apply_line(line, any_id)) << line;
   }
-  EXPECT_EQ(replayed.snapshot(), snapshot);
+  EXPECT_EQ(replayed.snapshot(), state.snapshot());
   replayed.check_invariants();
 }
 
 TEST(ControllerStateCodec, RecordsThatDoNotFitAreRejectedWithoutEffect) {
   ControllerState state;
   ASSERT_TRUE(state.apply(golden_chain()).ok());
-  const std::vector<std::string> before = state.snapshot();
+  const std::string before = state.snapshot();
   EXPECT_FALSE(state.apply(PrepRecord{ChainId{0}, RouteId{4}}).ok());
   EXPECT_FALSE(state.apply(CommitRecord{ChainId{0}, RouteId{4}}).ok());
   EXPECT_FALSE(
       state.apply(BeginRecord{ChainId{9}, RouteId{4}, {SiteId{1}}}).ok());
   EXPECT_FALSE(state.apply(BeginRecord{ChainId{0}, RouteId{4}, {}}).ok());
   EXPECT_FALSE(state.apply(golden_chain()).ok());
-  EXPECT_FALSE(state.apply_line("t=commit;chain=0;route=x"));
+  const auto any_id = [](const JournalRecord&) { return true; };
+  EXPECT_FALSE(state.apply_line("t=commit;chain=0;route=x", any_id));
+  // A record that decodes and fits is still skipped when the owner's id
+  // check rejects it.
+  EXPECT_FALSE(state.apply_line(
+      encode_record(BeginRecord{ChainId{0}, RouteId{4}, {SiteId{1}}}),
+      [](const JournalRecord&) { return false; }));
   EXPECT_EQ(state.snapshot(), before);
   state.check_invariants();
 }

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <iomanip>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/durable_store.hpp"
@@ -176,7 +178,7 @@ TEST(StateJournal, SnapshotCompactsTheLog) {
   journal.append("r3");
   EXPECT_TRUE(journal.wants_snapshot());
 
-  journal.write_snapshot({"s1", "s2"});
+  journal.write_snapshot("s1\ns2\n");
   EXPECT_EQ(journal.snapshots_taken(), 1u);
   EXPECT_EQ(journal.records_compacted(), 3u);
   EXPECT_EQ(journal.appends_since_snapshot(), 0u);
@@ -230,7 +232,7 @@ TEST(StateJournal, SnapshotAtExactIntervalBoundary) {
   EXPECT_FALSE(journal.wants_snapshot());
   journal.append("r2");
   EXPECT_TRUE(journal.wants_snapshot());
-  journal.write_snapshot({"s1"});
+  journal.write_snapshot("s1\n");
   EXPECT_FALSE(journal.wants_snapshot());
   EXPECT_EQ(journal.appends_since_snapshot(), 0u);
 
@@ -250,9 +252,27 @@ TEST(StateJournal, ReplayCostScalesWithPersistedRecords) {
                         .snapshot_interval = 0,
                         .replay_cost_per_record = sim::Duration{50}}};
   EXPECT_EQ(journal.replay_cost(), sim::Duration{0});
-  journal.write_snapshot({"s1", "s2", "s3"});
+  journal.write_snapshot("s1\ns2\ns3\n");
   journal.append("r1");
   EXPECT_EQ(journal.replay_cost(), sim::Duration{4 * 50});
+}
+
+TEST(StateJournalDeathTest, SnapshotBlobMustHoldOnlyTerminatedRecords) {
+  sim::DurableStore store;
+  StateJournal journal{store, {.name = "j", .snapshot_interval = 0}};
+  journal.write_snapshot("");   // an empty snapshot is fine
+  EXPECT_DEATH(journal.write_snapshot("s1\ns2"), "terminated records");
+  EXPECT_DEATH(journal.write_snapshot("\ns1\n"), "terminated records");
+  EXPECT_DEATH(journal.write_snapshot("s1\n\ns2\n"), "empty snapshot record");
+}
+
+TEST(StateJournal, SplitAndJoinRecordsAreInverses) {
+  const std::vector<std::string> records{"t=epoch;n=1", "t=nri;n=0"};
+  EXPECT_EQ(control::join_records(records), "t=epoch;n=1\nt=nri;n=0\n");
+  EXPECT_EQ(control::split_records(control::join_records(records)), records);
+  // An unterminated tail is not a record.
+  EXPECT_EQ(control::split_records("a\nb"), std::vector<std::string>{"a"});
+  EXPECT_TRUE(control::split_records("").empty());
 }
 
 // ------------------------------------------------- TwoPhaseTracker replay
@@ -830,6 +850,108 @@ TEST(ColdStart, CorruptedLogRecordIsSkippedAndCounted) {
   // The recovered controller keeps serving new chains.
   const auto d = mw.create_chain(make_span_spec(edge, fw, "d"));
   EXPECT_TRUE(d.ok()) << d.error().to_string();
+}
+
+/// Journals chains a, b and c with compaction off, lets `corrupt` rewrite
+/// chain b's records in the log bytes, then crashes the controller and
+/// cold-starts it.  Chains a and c must come back active on the routes
+/// they had and carry a new flow.  Returns the cold start's report.
+control::ColdStartReport cold_start_with_b_corrupted(
+    const std::function<void(std::string& bytes, ChainId b)>& corrupt) {
+  model::NetworkModel m = make_two_pool_model();
+  const VnfId fw = m.vnfs()[0].id;
+  DeploymentConfig config;
+  config.durable_controller = true;
+  config.journal.snapshot_interval = 0;   // every record stays in the log
+  Middleware mw{std::move(m), config};
+  core::Deployment& dep = mw.deployment();
+
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  std::vector<ChainId> chains;
+  for (const char* name : {"a", "b", "c"}) {
+    const auto r = mw.create_chain(make_span_spec(edge, fw, name));
+    if (!r.ok()) {
+      ADD_FAILURE() << r.error().to_string();
+      return {};
+    }
+    chains.push_back(r->chain);
+  }
+  const control::ChainRecord a_before = dep.global().record(chains[0]);
+  const control::ChainRecord c_before = dep.global().record(chains[2]);
+
+  sim::DurableStore& store = dep.durable_store();
+  const std::string blob = dep.state_journal()->log_blob();
+  std::string bytes = store.read(blob);
+  corrupt(bytes, chains[1]);
+  store.write(blob, bytes);
+
+  dep.register_fault_targets();
+  const sim::SimTime t0 = dep.simulator().now();
+  dep.fault_injector().crash_at(t0 + sim::from_ms(5.0), "controller:global");
+  dep.fault_injector().restore_at(t0 + sim::from_ms(25.0),
+                                  "controller:global");
+  dep.simulator().run_until(t0 + sim::from_ms(2000.0));
+
+  const control::ColdStartReport report = dep.global().last_cold_start();
+  EXPECT_EQ(report.epoch, 2u);
+  for (const control::ChainRecord* before : {&a_before, &c_before}) {
+    const control::ChainRecord& after = dep.global().record(before->id);
+    EXPECT_TRUE(after.active);
+    EXPECT_EQ(after.routes, before->routes);
+    const auto walk = mw.send(
+        before->id,
+        dataplane::FiveTuple{0x0A020001u, 0xC0A80002u, 3001, 443, 6});
+    EXPECT_TRUE(walk.delivered) << walk.failure;
+  }
+  const control::ChainRecord* b = dep.global().find_record(chains[1]);
+  EXPECT_TRUE(b == nullptr || (!b->active && b->routes.empty()));
+  dep.global().check_invariants();
+  dep.state_journal()->check_invariants();
+  const auto d = mw.create_chain(make_span_spec(edge, fw, "d"));
+  EXPECT_TRUE(d.ok()) << d.error().to_string();
+  return report;
+}
+
+TEST(ColdStart, BeginNamingASiteOutsideTheModelIsSkippedAndCounted) {
+  // A corrupted digit that still decodes: chain b's begin places its VNF
+  // at site 999, which the model lacks.  Replay skips the begin, then b's
+  // prep and commit, which no longer follow a begin; b comes back with no
+  // route, and its committed capacity has no journaled owner.
+  const control::ColdStartReport report =
+      cold_start_with_b_corrupted([](std::string& bytes, ChainId b) {
+        const std::size_t at =
+            bytes.find("t=begin;chain=" + std::to_string(b.value()) + ";");
+        ASSERT_NE(at, std::string::npos);
+        const std::size_t sites = bytes.find(";sites=", at) + 7;
+        bytes.replace(sites, bytes.find('\n', sites) - sites, "999");
+      });
+  EXPECT_EQ(report.rejected_records, 3u);
+  EXPECT_EQ(report.chains_restored, 3u);
+  EXPECT_EQ(report.routes_restored, 2u);
+  EXPECT_EQ(report.orphans_released, 1u);
+}
+
+TEST(ColdStart, ChainRenumberedOutsideTheModelIsSkippedAndCounted) {
+  // Chain b's records all name chain 999, which the model never
+  // registered: its chain record is skipped, then its begin, prep and
+  // commit, which name no known chain.
+  const control::ColdStartReport report =
+      cold_start_with_b_corrupted([](std::string& bytes, ChainId b) {
+        const std::string id = std::to_string(b.value());
+        using Rewrite = std::pair<std::string, std::string>;
+        for (const auto& [from, to] :
+             {Rewrite{"t=chain;id=" + id + ";", "t=chain;id=999;"},
+              Rewrite{"chain=" + id + ";", "chain=999;"}}) {
+          for (std::size_t at = bytes.find(from); at != std::string::npos;
+               at = bytes.find(from, at + to.size())) {
+            bytes.replace(at, from.size(), to);
+          }
+        }
+      });
+  EXPECT_EQ(report.rejected_records, 4u);
+  EXPECT_EQ(report.chains_restored, 2u);
+  EXPECT_EQ(report.routes_restored, 2u);
+  EXPECT_EQ(report.orphans_released, 1u);
 }
 
 }  // namespace

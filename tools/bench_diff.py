@@ -194,7 +194,8 @@ WALL_CLOCK = {
     ("bench_fig12_te_comparison", "parallel_build"): {
         "parallel_ms", "serial_ms", "speedup"},
     ("bench_fig13_recovery", "controller_restart"): {
-        "measured_replay_ns_per_record"},
+        "measured_replay_ns_per_record", "measured_snapshot_cold_us",
+        "measured_snapshot_warm_us"},
     ("bench_fig7_ovs_overhead", "ovs_overhead"): {
         "affinity_pps", "bridge_pps", "labels_pps", "affinity_overhead_pct",
         "labels_overhead_pct"},
