@@ -15,19 +15,17 @@ constexpr sim::Duration kLocalDeliveryDelay = sim::microseconds(50);
 
 }  // namespace
 
-bool ProxyEgress::send(SiteId from, SiteId to, std::function<void()> deliver) {
+std::optional<sim::SimTime> ProxyEgress::admit(SiteId from, SiteId to) {
   const sim::SimTime now = sim_.now();
   // Outstanding serialization backlog, in messages.
   const sim::SimTime backlog = std::max<sim::SimTime>(0, egress_free_at_ - now);
   const auto queued = static_cast<std::size_t>(
       backlog / std::max<sim::Duration>(1, config_.per_message_service));
-  if (queued >= config_.egress_buffer) return false;
+  if (queued >= config_.egress_buffer) return std::nullopt;
 
   const sim::SimTime start = std::max(now, egress_free_at_);
   egress_free_at_ = start + config_.per_message_service;
-  const sim::Duration propagation = config_.inter_site_delay(from, to);
-  sim_.schedule_at(egress_free_at_ + propagation, std::move(deliver));
-  return true;
+  return egress_free_at_ + config_.inter_site_delay(from, to);
 }
 
 // ---------------------------------------------------------------- MessageBus
@@ -48,36 +46,44 @@ void MessageBus::count_egress_drop(SiteId from, SiteId to,
                  << from << "->" << to;
 }
 
+template <typename Arrival>
 bool MessageBus::wire_copy(SiteId from, SiteId to,
-                           const std::string& topic_path,
-                           const std::function<void()>& arrival) {
+                           const std::string& topic_path, Arrival arrival) {
   sim::MessageVerdict verdict;
   if (config_.fault_hook) verdict = config_.fault_hook(from, to, topic_path);
 
+  bool accepted = false;
+  const auto send = [&](auto&& deliver) {
+    const std::optional<sim::SimTime> at = egress_[from.value()].admit(from, to);
+    if (!at) {
+      count_egress_drop(from, to, topic_path);
+      return;
+    }
+    accepted = true;
+    ++stats_.wide_area_messages;
+    sim_.schedule_at(*at, std::forward<decltype(deliver)>(deliver));
+  };
   // A dropped copy still leaves the egress (serialized, then lost in
   // flight); a delayed copy arrives late; a duplicated copy serializes —
-  // and consumes egress buffer — twice.
-  std::function<void()> wrapped = arrival;
+  // and consumes egress buffer — twice, its first send a copy of the
+  // closure and its second the closure itself.
+  const bool duplicate = verdict.duplicate && !verdict.drop;
   if (verdict.drop) {
-    wrapped = [] {};
+    send([] {});
   } else if (verdict.extra_delay > 0) {
-    wrapped = [this, extra = verdict.extra_delay, arrival] {
-      sim_.schedule(extra, arrival);
+    auto delayed = [this, extra = verdict.extra_delay,
+                    arrival = std::move(arrival)]() mutable {
+      sim_.schedule(extra, std::move(arrival));
     };
-  }
-  const std::size_t copies = (verdict.duplicate && !verdict.drop) ? 2u : 1u;
-  bool accepted = false;
-  for (std::size_t i = 0; i < copies; ++i) {
-    if (egress_[from.value()].send(from, to, wrapped)) {
-      accepted = true;
-      ++stats_.wide_area_messages;
-    } else {
-      count_egress_drop(from, to, topic_path);
-    }
+    if (duplicate) send(delayed);
+    send(std::move(delayed));
+  } else {
+    if (duplicate) send(arrival);
+    send(std::move(arrival));
   }
   if (accepted) {
     if (verdict.drop) ++stats_.faults_dropped;
-    if (verdict.duplicate && !verdict.drop) ++stats_.faults_duplicated;
+    if (duplicate) ++stats_.faults_duplicated;
     if (verdict.extra_delay > 0 && !verdict.drop) ++stats_.faults_delayed;
   }
   return accepted;
@@ -203,16 +209,16 @@ std::size_t MessageBus::reliable_in_flight() const {
   return in_flight;
 }
 
+template <typename Deliver>
 void MessageBus::send_copy(SiteId from, SiteId to,
-                           const std::string& topic_path,
-                           std::function<void()> deliver) {
+                           const std::string& topic_path, Deliver deliver) {
   if (from == to) {
     // Same-site subscriber: local queue only.
     sim_.schedule(kLocalDeliveryDelay, std::move(deliver));
     return;
   }
   if (!config_.reliable_delivery || transient_topic(topic_path)) {
-    wire_copy(from, to, topic_path, deliver);
+    wire_copy(from, to, topic_path, std::move(deliver));
     return;
   }
   auto message = std::make_shared<ReliableMessage>();
@@ -248,11 +254,15 @@ void MessageBus::subscribe(SiteId subscriber_site, const Topic& topic,
       state.sites.end()) {
     state.sites.push_back(subscriber_site);
   }
+  // A replayed copy names the new subscriber by the index it takes below;
+  // no copy arrives before then.
+  const std::size_t index = state.subscribers.size();
   for (const std::string& payload : state.retained) {
     send_copy(topic.publisher_site, subscriber_site, topic.path,
-              [this, callback, message = Message{topic.path, payload,
-                                                 sim_.now()}] {
-                deliver_to(callback, message);
+              [this, state = &state, index,
+               message = std::make_shared<const Message>(
+                   Message{topic.path, payload, sim_.now()})] {
+                deliver_to(state->subscribers[index].callback, *message);
               });
   }
   state.subscribers.push_back(Subscriber{subscriber_site, std::move(callback)});
@@ -285,7 +295,8 @@ const MessageBus::TopicState* MessageBus::record_publish(
 void ProxyBus::publish(const Topic& topic, std::string payload) {
   const TopicState* state = record_publish(topic, payload);
   if (state == nullptr) return;
-  const Message message{topic.path, std::move(payload), sim_.now()};
+  const auto message = std::make_shared<const Message>(
+      Message{topic.path, std::move(payload), sim_.now()});
   for (const SiteId site : state->sites) {
     send_copy(topic.publisher_site, site, topic.path,
               [this, state, site, message] {
@@ -294,7 +305,7 @@ void ProxyBus::publish(const Topic& topic, std::string payload) {
                 const std::vector<Subscriber>& subscribers = state->subscribers;
                 for (std::size_t i = 0, n = subscribers.size(); i < n; ++i) {
                   if (subscribers[i].site == site) {
-                    deliver_to(subscribers[i].callback, message);
+                    deliver_to(subscribers[i].callback, *message);
                   }
                 }
               });
@@ -306,13 +317,14 @@ void ProxyBus::publish(const Topic& topic, std::string payload) {
 void FullMeshBus::publish(const Topic& topic, std::string payload) {
   const TopicState* state = record_publish(topic, payload);
   if (state == nullptr) return;
-  const Message message{topic.path, std::move(payload), sim_.now()};
+  const auto message = std::make_shared<const Message>(
+      Message{topic.path, std::move(payload), sim_.now()});
   // A separate copy per *subscriber*: this is what overloads the
   // publisher's egress under fan-out.
-  for (const Subscriber& subscriber : state->subscribers) {
-    send_copy(topic.publisher_site, subscriber.site, topic.path,
-              [this, callback = subscriber.callback, message] {
-                deliver_to(callback, message);
+  for (std::size_t i = 0, n = state->subscribers.size(); i < n; ++i) {
+    send_copy(topic.publisher_site, state->subscribers[i].site, topic.path,
+              [this, state, i, message] {
+                deliver_to(state->subscribers[i].callback, *message);
               });
   }
 }

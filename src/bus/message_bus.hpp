@@ -22,6 +22,14 @@
 // Both run on the discrete-event simulator; the egress of each site is a
 // finite-rate, finite-buffer queue.
 //
+// A publish holds its bytes once: it builds one immutable Message, and the
+// closure of every copy (per site, per subscriber, or per replayed payload)
+// shares it, the way the prototype's ZeroMQ fans one reference-counted
+// buffer out (zmq_msg_copy).  A copy's closure is moved, not copied, down
+// the send path (only a duplicated copy's extra send copies it) and becomes
+// a simulator event only once the egress admitted it: a copy the egress
+// drops allocates nothing.
+//
 // Fault tolerance: every wide-area copy passes through an optional
 // `fault_hook` (a sim::FaultInjector adapter) that can drop, duplicate, or
 // delay it in flight.  With `reliable_delivery` on, each wide-area copy is
@@ -36,6 +44,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -120,9 +129,11 @@ class ProxyEgress {
   ProxyEgress(sim::Simulator& sim, const BusConfig& config)
       : sim_{sim}, config_{config} {}
 
-  /// Attempts to enqueue a wide-area send; returns false on buffer
-  /// overflow.  On success `deliver` runs at the arrival time at `to`.
-  bool send(SiteId from, SiteId to, std::function<void()> deliver);
+  /// Attempts to enqueue a wide-area send: takes one serialization slot and
+  /// returns the copy's arrival time at `to`, or nothing on buffer
+  /// overflow.  The caller schedules the arrival, so a dropped copy never
+  /// builds one.
+  [[nodiscard]] std::optional<sim::SimTime> admit(SiteId from, SiteId to);
 
  private:
   sim::Simulator& sim_;
@@ -187,7 +198,8 @@ class MessageBus {
 
   /// Everything the bus holds for one (publisher site, path).
   struct TopicState {
-    /// Every subscriber, in subscription order.
+    /// Every subscriber, in subscription order.  Only ever appended to, so
+    /// a copy in flight names its subscriber by index.
     std::vector<Subscriber> subscribers;
     /// The subscribed sites, each once, in first-subscription order: the
     /// subscription filter at the publisher's proxy.
@@ -213,10 +225,12 @@ class MessageBus {
   /// One copy of a message from `from` to `to`: a local-queue delivery
   /// when both are the same site, else a wide-area copy through `from`'s
   /// egress honoring the fault hook, drop accounting, and (for
-  /// non-transient topics) reliable delivery.  `deliver` runs at `to` on
-  /// arrival.
+  /// non-transient topics) reliable delivery.  `deliver`, a closure that
+  /// shares the publish's message, runs at `to` on arrival.  Defined in
+  /// message_bus.cpp, where both topologies and `subscribe` call it.
+  template <typename Deliver>
   void send_copy(SiteId from, SiteId to, const std::string& topic_path,
-                 std::function<void()> deliver);
+                 Deliver deliver);
 
   /// Hands `message` to one subscriber callback (delivery accounting).
   void deliver_to(const SubscriberCallback& callback, const Message& message);
@@ -271,9 +285,11 @@ class MessageBus {
                          const std::string& topic_path);
   /// Sends one physical wire copy through `from`'s egress with the fault
   /// hook applied; returns true when the egress accepted (at least) one
-  /// copy.
+  /// copy.  `arrival` is moved into the scheduled event; only a duplicate
+  /// verdict's first send takes a copy of it.
+  template <typename Arrival>
   bool wire_copy(SiteId from, SiteId to, const std::string& topic_path,
-                 const std::function<void()>& arrival);
+                 Arrival arrival);
   /// One (re)transmission attempt of a reliable copy + its retry timer.
   void reliable_attempt(const std::shared_ptr<ReliableMessage>& message);
 

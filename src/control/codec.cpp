@@ -9,16 +9,39 @@ bool parse(std::string_view text, std::string& out) {
   return true;
 }
 
+namespace {
+
+/// Splits the first pair off `rest`; false when it holds no '='.
+bool next_pair(std::string_view& rest, std::string_view& key,
+               std::string_view& value) {
+  const std::size_t end = std::min(rest.find(';'), rest.size());
+  const std::string_view pair = rest.substr(0, end);
+  rest.remove_prefix(std::min(end + 1, rest.size()));
+  const std::size_t eq = pair.find('=');
+  if (eq == std::string_view::npos) return false;
+  key = pair.substr(0, eq);
+  value = pair.substr(eq + 1);
+  return true;
+}
+
+}  // namespace
+
+Fields::Fields(std::string_view text) : rest_{text} {
+  while (!rest_.empty() && count_ < kInlinePairs) {
+    Pair& pair = pairs_[count_];
+    if (next_pair(rest_, pair.key, pair.value)) ++count_;
+  }
+}
+
 std::optional<std::string_view> Fields::find(std::string_view key) const {
-  std::string_view rest = text_;
+  for (std::size_t i = 0; i < count_; ++i) {
+    if (pairs_[i].key == key) return pairs_[i].value;
+  }
+  std::string_view rest = rest_;
+  std::string_view pair_key;
+  std::string_view value;
   while (!rest.empty()) {
-    const std::size_t end = std::min(rest.find(';'), rest.size());
-    const std::string_view pair = rest.substr(0, end);
-    const std::size_t eq = pair.find('=');
-    if (eq != std::string_view::npos && pair.substr(0, eq) == key) {
-      return pair.substr(eq + 1);
-    }
-    rest.remove_prefix(std::min(end + 1, rest.size()));
+    if (next_pair(rest, pair_key, value) && pair_key == key) return value;
   }
   return std::nullopt;
 }

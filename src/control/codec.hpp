@@ -64,10 +64,16 @@ template <typename T>
 
 /// Allocation-free view of a "k1=v1;k2=v2;..." payload.  Pairs without
 /// '=' are skipped; a value runs to the next ';' and may hold '='.  When
-/// a key repeats, the first pair wins.
+/// a key repeats, the first pair wins.  The text is split into (key, value)
+/// views once, on construction, so decoding a message reads it once; the
+/// first kInlinePairs pairs are held inline, and a lookup scans the text
+/// past them only when it has more pairs than that.
 class Fields {
  public:
-  explicit Fields(std::string_view text) : text_{text} {}
+  /// Covers every message and journal record kind (at most 14 pairs).
+  static constexpr std::size_t kInlinePairs = 16;
+
+  explicit Fields(std::string_view text);
 
   [[nodiscard]] std::optional<std::string_view> find(
       std::string_view key) const;
@@ -90,7 +96,14 @@ class Fields {
   }
 
  private:
-  std::string_view text_;
+  struct Pair {
+    std::string_view key;
+    std::string_view value;
+  };
+  std::array<Pair, kInlinePairs> pairs_;
+  std::size_t count_{0};
+  /// The text after the inline pairs; empty unless they ran out.
+  std::string_view rest_;
 };
 
 // Formatting.

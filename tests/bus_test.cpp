@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -392,6 +394,45 @@ TYPED_TEST(RetainedReplay, RetainOffReplaysNothing) {
   EXPECT_TRUE(this->late_replay("/t", {"a", "b"}, /*retain=*/false).empty());
 }
 
+// A replayed copy is a new message published when the subscriber arrives:
+// its published_at is the subscribe time, and it reaches the late
+// subscriber alone, one egress service plus the propagation later.
+TYPED_TEST(RetainedReplay, ReplayIsPublishedAtTheSubscribeTime) {
+  BusConfig config = make_config(3, 25.0);
+  TypeParam bus{this->sim_, config};
+  const Topic topic{"/t", SiteId{0}};
+  int early_deliveries = 0;
+  bus.subscribe(SiteId{2}, topic,
+                [&early_deliveries](const Message&) { ++early_deliveries; });
+  bus.publish(topic, "a");
+  bus.publish(topic, "b");
+  this->sim_.run();
+  ASSERT_EQ(early_deliveries, 2);
+
+  const sim::SimTime subscribed_at = sim::from_ms(1000.0);
+  std::vector<Message> received;
+  std::vector<sim::SimTime> arrivals;
+  this->sim_.schedule_at(subscribed_at, [&] {
+    bus.subscribe(SiteId{1}, topic, [&](const Message& m) {
+      received.push_back(m);
+      arrivals.push_back(this->sim_.now());
+    });
+  });
+  this->sim_.run();
+
+  ASSERT_EQ(received.size(), 2u);
+  EXPECT_EQ(early_deliveries, 2);   // the replay went to the new subscriber
+  for (std::size_t i = 0; i < received.size(); ++i) {
+    EXPECT_EQ(received[i].topic_path, "/t");
+    EXPECT_EQ(received[i].published_at, subscribed_at);
+    EXPECT_EQ(arrivals[i], subscribed_at + sim::from_ms(25.0) +
+                               static_cast<sim::SimTime>(i + 1) *
+                                   sim::microseconds(100));
+  }
+  EXPECT_EQ(received[0].payload, "a");
+  EXPECT_EQ(received[1].payload, "b");
+}
+
 // ------------------------------------------------------------ Subscription
 
 // A subscription belongs to one (publisher site, path): a publish by site 0
@@ -414,6 +455,148 @@ TYPED_TEST(Subscription, BelongsToOnePublisherSite) {
   sim.run();
   EXPECT_EQ(from_site0, 1);
   EXPECT_EQ(from_site1, 0);
+}
+
+// ------------------------------------------------------------- Wire faults
+
+// The fault hook's verdict on a wide-area copy, in both topologies.  One
+// subscriber at site 1 and one publish from site 0 make exactly one wire
+// copy, so each case sees one hook call and one verdict.
+template <typename Bus>
+class WireFaults : public ::testing::Test {
+ protected:
+  static constexpr sim::SimTime kArrival =
+      sim::from_ms(25.0) + sim::microseconds(100);
+
+  /// Publishes "m" on "/t" `publishes` times from site 0 to one subscriber
+  /// at site 1, every wire copy given `verdict`; returns the arrival times.
+  std::vector<sim::SimTime> run(sim::MessageVerdict verdict,
+                                int publishes = 1,
+                                std::size_t egress_buffer = 1024) {
+    BusConfig config = make_config(2, 25.0);
+    config.egress_buffer = egress_buffer;
+    config.fault_hook = [this, verdict](SiteId from, SiteId to,
+                                        const std::string& topic_path) {
+      ++hook_calls_;
+      EXPECT_EQ(from, SiteId{0});
+      EXPECT_EQ(to, SiteId{1});
+      EXPECT_EQ(topic_path, "/t");
+      return verdict;
+    };
+    bus_ = std::make_unique<Bus>(sim_, config);
+    std::vector<sim::SimTime> arrivals;
+    bus_->subscribe(SiteId{1}, Topic{"/t", SiteId{0}},
+                    [this, &arrivals](const Message& m) {
+                      EXPECT_EQ(m.payload, "m");
+                      EXPECT_EQ(m.published_at, 0);
+                      arrivals.push_back(sim_.now());
+                    });
+    for (int i = 0; i < publishes; ++i) {
+      bus_->publish(Topic{"/t", SiteId{0}}, "m");
+    }
+    sim_.run();
+    EXPECT_EQ(hook_calls_, publishes);   // once per wire copy, drops included
+    return arrivals;
+  }
+
+  sim::Simulator sim_;
+  std::unique_ptr<Bus> bus_;
+  int hook_calls_{0};
+};
+
+TYPED_TEST_SUITE(WireFaults, BusTypes);
+
+TYPED_TEST(WireFaults, CleanCopyArrivesAfterServiceAndPropagation) {
+  EXPECT_EQ(this->run(sim::MessageVerdict{}),
+            (std::vector<sim::SimTime>{this->kArrival}));
+  const BusStats& stats = this->bus_->stats();
+  EXPECT_EQ(stats.wide_area_messages, 1u);
+  EXPECT_EQ(stats.local_deliveries, 1u);
+  EXPECT_EQ(stats.faults_dropped + stats.faults_duplicated +
+                stats.faults_delayed + stats.drops,
+            0u);
+}
+
+// Both sends serialize through the egress, one service time apart.
+TYPED_TEST(WireFaults, DuplicatedCopyReachesTheSubscriberTwice) {
+  sim::MessageVerdict verdict;
+  verdict.duplicate = true;
+  EXPECT_EQ(this->run(verdict),
+            (std::vector<sim::SimTime>{
+                this->kArrival, this->kArrival + sim::microseconds(100)}));
+  const BusStats& stats = this->bus_->stats();
+  EXPECT_EQ(stats.wide_area_messages, 2u);
+  EXPECT_EQ(stats.local_deliveries, 2u);
+  EXPECT_EQ(stats.faults_duplicated, 1u);
+  EXPECT_EQ(stats.drops, 0u);
+}
+
+// With room for one send, the duplicate's second send overflows: one
+// arrival, one drop, and the duplicate verdict still counts.
+TYPED_TEST(WireFaults, DuplicateBeyondTheEgressBufferIsDroppedOnce) {
+  sim::MessageVerdict verdict;
+  verdict.duplicate = true;
+  EXPECT_EQ(this->run(verdict, 1, /*egress_buffer=*/1),
+            (std::vector<sim::SimTime>{this->kArrival}));
+  const BusStats& stats = this->bus_->stats();
+  EXPECT_EQ(stats.wide_area_messages, 1u);
+  EXPECT_EQ(stats.drops, 1u);
+  EXPECT_EQ(stats.drops_by_topic.at("/t"), 1u);
+  EXPECT_EQ(stats.faults_duplicated, 1u);
+}
+
+TYPED_TEST(WireFaults, DelayedCopyArrivesExtraDelayLater) {
+  sim::MessageVerdict verdict;
+  verdict.extra_delay = sim::from_ms(7.0);
+  EXPECT_EQ(this->run(verdict), (std::vector<sim::SimTime>{
+                                    this->kArrival + sim::from_ms(7.0)}));
+  const BusStats& stats = this->bus_->stats();
+  EXPECT_EQ(stats.wide_area_messages, 1u);
+  EXPECT_EQ(stats.faults_delayed, 1u);
+  EXPECT_EQ(stats.delivery_latency_ms.count(), 1u);
+  EXPECT_DOUBLE_EQ(stats.delivery_latency_ms.mean(),
+                   sim::to_ms(this->kArrival + sim::from_ms(7.0)));
+}
+
+// A duplicated and delayed copy: both sends are delayed.
+TYPED_TEST(WireFaults, DuplicatedAndDelayedCopyArrivesTwiceLate) {
+  sim::MessageVerdict verdict;
+  verdict.duplicate = true;
+  verdict.extra_delay = sim::from_ms(7.0);
+  const sim::SimTime late = this->kArrival + sim::from_ms(7.0);
+  EXPECT_EQ(this->run(verdict),
+            (std::vector<sim::SimTime>{late, late + sim::microseconds(100)}));
+  EXPECT_EQ(this->bus_->stats().faults_duplicated, 1u);
+  EXPECT_EQ(this->bus_->stats().faults_delayed, 1u);
+}
+
+// A fault-dropped copy left the egress (it counts as a wide-area message)
+// and was lost in flight; a drop verdict also cancels a duplicate.
+TYPED_TEST(WireFaults, FaultDroppedCopyCountsOnTheWireAndDeliversNothing) {
+  sim::MessageVerdict verdict;
+  verdict.drop = true;
+  verdict.duplicate = true;
+  EXPECT_TRUE(this->run(verdict).empty());
+  const BusStats& stats = this->bus_->stats();
+  EXPECT_EQ(stats.wide_area_messages, 1u);
+  EXPECT_EQ(stats.local_deliveries, 0u);
+  EXPECT_EQ(stats.faults_dropped, 1u);
+  EXPECT_EQ(stats.faults_duplicated, 0u);
+  EXPECT_EQ(stats.drops, 0u);
+}
+
+// Five publishes at once into a two-message egress: the first two leave,
+// the rest overflow and count in both `drops` and `drops_by_topic`.
+TYPED_TEST(WireFaults, EgressOverflowCountsInDropsAndDropsByTopic) {
+  EXPECT_EQ(this->run(sim::MessageVerdict{}, 5, /*egress_buffer=*/2),
+            (std::vector<sim::SimTime>{
+                this->kArrival, this->kArrival + sim::microseconds(100)}));
+  const BusStats& stats = this->bus_->stats();
+  EXPECT_EQ(stats.wide_area_messages, 2u);
+  EXPECT_EQ(stats.drops, 3u);
+  EXPECT_EQ(stats.drops_by_topic,
+            (std::map<std::string, std::uint64_t>{{"/t", 3u}}));
+  EXPECT_EQ(stats.local_deliveries, 2u);
 }
 
 // ------------------------------------------------------------ ReliableBus

@@ -11,6 +11,7 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "control/codec.hpp"
@@ -311,6 +312,48 @@ TEST(BusCodec, ParseInvertsSerialize) {
   EXPECT_EQ(frame->seq, 17u);
   EXPECT_EQ(frame->digest, 14695981039346656037ULL);
   EXPECT_EQ(frame->records, golden_install().records);
+}
+
+// The Fields contract, which the one-scan split must keep: the first pair
+// wins when a key repeats, pairs without '=' are skipped, and a value runs
+// to the next ';' and may hold '='.
+TEST(CodecFields, FirstPairWinsAndPairsWithoutEqualsAreSkipped) {
+  const codec::Fields fields{"a=1;junk;b=x=y;a=2;;=e;c="};
+  EXPECT_EQ(fields.find("a"), std::optional<std::string_view>{"1"});
+  EXPECT_EQ(fields.find("b"), std::optional<std::string_view>{"x=y"});
+  EXPECT_EQ(fields.find("c"), std::optional<std::string_view>{""});
+  EXPECT_EQ(fields.find(""), std::optional<std::string_view>{"e"});
+  EXPECT_FALSE(fields.find("junk").has_value());
+  EXPECT_FALSE(fields.find("x").has_value());
+  EXPECT_FALSE(fields.find("d").has_value());
+  EXPECT_FALSE(codec::Fields{""}.find("a").has_value());
+  EXPECT_FALSE(codec::Fields{";;;"}.find("").has_value());
+
+  std::uint32_t value = 0;
+  EXPECT_TRUE(fields.get("a", value));
+  EXPECT_EQ(value, 1u);
+  EXPECT_FALSE(fields.get("b", value));   // present, does not parse
+  EXPECT_FALSE(fields.get("d", value));   // absent
+}
+
+// A payload with more pairs than the inline array holds: a key past them
+// is still found, the first pair still wins there, and a key both inline
+// and past them resolves to its inline (first) pair.
+TEST(CodecFields, KeysPastTheInlinePairsAreFoundFirstPairFirst) {
+  std::string text;
+  for (std::size_t i = 0; i < codec::Fields::kInlinePairs; ++i) {
+    text += "k" + std::to_string(i) + "=" + std::to_string(i) + ";nokey;";
+  }
+  text += "late=first;k0=shadowed;late=second;tail=x=y";
+  const codec::Fields fields{text};
+  for (std::size_t i = 0; i < codec::Fields::kInlinePairs; ++i) {
+    EXPECT_EQ(fields.find("k" + std::to_string(i)),
+              std::optional<std::string_view>{std::to_string(i)});
+  }
+  EXPECT_EQ(fields.find("late"), std::optional<std::string_view>{"first"});
+  EXPECT_EQ(fields.find("tail"), std::optional<std::string_view>{"x=y"});
+  EXPECT_FALSE(fields.find("nokey").has_value());
+  EXPECT_FALSE(fields.find("missing").has_value());
 }
 
 TEST(BusCodec, ReplicationFrameRecordCountMustFitItsKind) {

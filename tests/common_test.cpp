@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "common/cost.hpp"
+#include "common/log.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -319,6 +320,64 @@ TEST(Zipf, ExponentZeroIsUniform) {
   ZipfSampler zipf{10, 0.0};
   for (std::size_t k = 0; k < 10; ++k) {
     EXPECT_NEAR(zipf.probability(k), 0.1, 1e-9);
+  }
+}
+
+// --------------------------------------------------------------------- Log
+
+/// Sets the log level for one test and restores the previous one.
+class ScopedLogLevel {
+ public:
+  explicit ScopedLogLevel(LogLevel level) : saved_{log_level()} {
+    set_log_level(level);
+  }
+  ~ScopedLogLevel() { set_log_level(saved_); }
+  ScopedLogLevel(const ScopedLogLevel&) = delete;
+  ScopedLogLevel& operator=(const ScopedLogLevel&) = delete;
+
+ private:
+  LogLevel saved_;
+};
+
+// A line below the level evaluates none of its operands: a drop on the
+// bus's hot path pays one level check, not a stream and its arguments.
+TEST(Log, DisabledLineEvaluatesNoOperand) {
+  const ScopedLogLevel level{LogLevel::kWarn};
+  int calls = 0;
+  const auto operand = [&calls] { return ++calls; };
+  testing::internal::CaptureStderr();
+  SB_LOG(kDebug) << "debug " << operand();
+  SB_LOG(kInfo) << operand() << " info " << operand();
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  EXPECT_EQ(calls, 0);
+}
+
+TEST(Log, EnabledLineIsWrittenOnce) {
+  const ScopedLogLevel level{LogLevel::kInfo};
+  int calls = 0;
+  const auto operand = [&calls] { return ++calls; };
+  testing::internal::CaptureStderr();
+  SB_LOG(kInfo) << "chain " << operand() << " activated";
+  SB_LOG(kError) << "value " << operand();
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[INFO ] chain 1 activated\n[ERROR] value 2\n");
+  EXPECT_EQ(calls, 2);
+}
+
+// SB_LOG is one statement: under an unbraced if, an else still binds to
+// that if, at either level.
+TEST(Log, NestsUnderAnUnbracedIfElse) {
+  for (const LogLevel active : {LogLevel::kDebug, LogLevel::kOff}) {
+    const ScopedLogLevel level{active};
+    testing::internal::CaptureStderr();
+    int taken = 0;
+    const bool skip = true;
+    if (!skip)
+      SB_LOG(kWarn) << "never";
+    else
+      ++taken;
+    EXPECT_EQ(taken, 1);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
   }
 }
 
